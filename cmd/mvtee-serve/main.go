@@ -217,10 +217,15 @@ func run(o options) error {
 	if err != nil {
 		return fmt.Errorf("deploy: %w", err)
 	}
-	defer dep.Close()
+	var rec *transcript.Recorder
+	// The engine's stage workers post to the recorder until they stop, so
+	// the deployment (and its engine) closes first.
+	defer func() {
+		dep.Close()
+		rec.Close()
+	}()
 	log.Printf("deployed %s: %d stages, MVX on stage %d", o.model, o.stages, o.mvxStage)
 
-	var rec *transcript.Recorder
 	var bindings func() any
 	var identity []byte
 	if o.audit {
@@ -232,7 +237,6 @@ func run(o options) error {
 			SampleEvery: o.auditSample,
 			Metrics:     telemetry.Default,
 		})
-		defer rec.Close()
 		dep.Monitor.SetTranscript(rec)
 		if _, err := dep.RebuildEngine(); err != nil {
 			return fmt.Errorf("rebuild engine with transcript: %w", err)

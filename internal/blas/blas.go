@@ -8,12 +8,13 @@
 // results, yet the code paths, loop orders and memory access patterns are
 // genuinely distinct:
 //
-//   - naive: row-streaming ikj triple loop, no blocking or packing — the
-//     reference-BLAS stand-in;
-//   - blocked: k-blocked L1 tiles whose 4-column strips are copied into a
-//     stack buffer, driving a 2×4 register-accumulator micro-kernel that
-//     adds one partial sum per k-block into C — the OpenBLAS-style kernel
-//     stand-in;
+//   - naive: row-streaming ikj triple loop with the p loop unrolled by four,
+//     no blocking or packing — the reference-BLAS stand-in;
+//   - blocked: k-blocked L1 tiles whose 4-column strips are copied into an
+//     interleaved stack buffer, driving a 4×4 SSE micro-kernel in Go
+//     assembly on amd64 (a pure-Go tile with the same arithmetic elsewhere)
+//     plus 1×4 and small-N 4×1 Go register tiles, each adding one
+//     partial sum per k-block into C — the OpenBLAS-style kernel stand-in;
 //   - packed: the whole of B transposed into a pooled column-major buffer,
 //     then 2×4 tiles of full-length dot products over the packed panels —
 //     the MKL/Eigen-style packing stand-in.
@@ -145,8 +146,10 @@ func (be naiveBackend) Gemm(m, n, k int, a, b, c []float32) {
 	be.gemmPanels(nil, m, n, k, a, b, c)
 }
 
-// gemmPanels streams one C row at a time in ikj order: zero the row, then for
-// each p add a[i,p]·B[p,:] into it. Deliberately unblocked and unpacked.
+// gemmPanels streams one C row at a time in ikj order: zero the row, then add
+// a[i,p]·B[p,:] into it for ascending p. The p loop is unrolled by four, so
+// each C element is loaded and stored once per four products; the sum still
+// runs left to right in ascending p. Deliberately unblocked and unpacked.
 func (naiveBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 	runRange(r, m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -154,8 +157,24 @@ func (naiveBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 			for x := range ci {
 				ci[x] = 0
 			}
-			for p := 0; p < k; p++ {
-				av := a[i*k+p]
+			ai := a[i*k : i*k+k]
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+				b0 := b[p*n : p*n+n]
+				b1 := b[(p+1)*n : (p+1)*n+n]
+				b2 := b[(p+2)*n : (p+2)*n+n]
+				b3 := b[(p+3)*n : (p+3)*n+n]
+				b0 = b0[:len(ci)]
+				b1 = b1[:len(ci)]
+				b2 = b2[:len(ci)]
+				b3 = b3[:len(ci)]
+				for j, cv := range ci {
+					ci[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+			for ; p < k; p++ {
+				av := ai[p]
 				bp := b[p*n : p*n+n]
 				for j, bv := range bp {
 					ci[j] += av * bv
@@ -184,20 +203,20 @@ func (be blockedBackend) Gemm(m, n, k int, a, b, c []float32) {
 	be.gemmPanels(nil, m, n, k, a, b, c)
 }
 
-// gemmPanels is the cache-tiled backend: for every k-block it copies each
-// 4-column strip of B into a stack-resident column-strip buffer, then a 2×4
-// register-accumulator micro-kernel sweeps the panel's rows, adding one
-// partial sum per k-block into C. The 2×4 shape keeps all eight accumulators
-// plus operands within the register file (a 4×4 tile spills and measures
-// slower). Every element accumulates ascending-p partial sums per k-block
-// regardless of row-panel boundaries, so results are bitwise identical at
-// every parallelism level.
+// gemmPanels is the cache-tiled backend. For every k-block it copies each
+// 4-column strip of B once into a stack buffer interleaved as [p][4], then
+// sweeps the panel's rows: 4×4 tiles through blockedTile4x4 (the SSE
+// micro-kernel on amd64), the leftover rows through the 1×4 Go tile over the
+// same strip. The n%4 tail columns go through a 4×1 register tile
+// that reads B in place. Every tile starts each k-block's partial sums at 0,
+// accumulates them in ascending p and adds them into the zeroed C in k-block
+// order, so every output element gets the same arithmetic whichever tile or
+// row panel computes it, and results are bitwise identical at every
+// parallelism level. Products are rounded explicitly (float32(x*y)) so no
+// GOARCH or GOAMD64 level fuses them into FMAs the SSE kernel does not do.
 func (blockedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
-	runRange(r, (m+1)/2, func(tlo, thi int) {
-		lo, hi := tlo*2, thi*2
-		if hi > m {
-			hi = m
-		}
+	runRange(r, (m+3)/4, func(tlo, thi int) {
+		lo, hi := tlo*4, min(thi*4, m)
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : i*n+n]
 			for x := range ci {
@@ -210,52 +229,31 @@ func (blockedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 			m1 := min(m0+panelM, hi)
 			for p0 := 0; p0 < k; p0 += blockK {
 				pMax := min(p0+blockK, k)
-				plen := pMax - p0
+				s := buf[:(pMax-p0)*4]
 				for j := 0; j < nAlign; j += 4 {
-					s0 := buf[0*plen : 1*plen]
-					s1 := buf[1*plen : 2*plen]
-					s2 := buf[2*plen : 3*plen]
-					s3 := buf[3*plen : 4*plen]
-					for p := 0; p < plen; p++ {
-						bp := b[(p0+p)*n+j : (p0+p)*n+j+4]
-						s0[p] = bp[0]
-						s1[p] = bp[1]
-						s2[p] = bp[2]
-						s3[p] = bp[3]
+					for p := p0; p < pMax; p++ {
+						copy(s[(p-p0)*4:(p-p0)*4+4], b[p*n+j:p*n+j+4])
 					}
 					i := m0
-					for ; i+2 <= m1; i += 2 {
-						blockedTile2x4(i, j, p0, pMax, n, k, a, s0, s1, s2, s3, c)
+					for ; i+4 <= m1; i += 4 {
+						blockedTile4x4(a[i*k+p0:], k, s, c[i*n+j:], n)
 					}
-					if i < m1 {
-						a0 := a[i*k+p0 : i*k+pMax]
-						t0 := s0[:len(a0)]
-						t1 := s1[:len(a0)]
-						t2 := s2[:len(a0)]
-						t3 := s3[:len(a0)]
-						var c0, c1, c2, c3 float32
-						for p := range a0 {
-							av := a0[p]
-							c0 += av * t0[p]
-							c1 += av * t1[p]
-							c2 += av * t2[p]
-							c3 += av * t3[p]
-						}
-						ci := c[i*n+j : i*n+j+4]
-						ci[0] += c0
-						ci[1] += c1
-						ci[2] += c2
-						ci[3] += c3
+					for ; i < m1; i++ {
+						blockedTile1x4(a[i*k+p0:i*k+pMax], s, c[i*n+j:i*n+j+4])
 					}
 				}
 				for j := nAlign; j < n; j++ {
-					for i := m0; i < m1; i++ {
+					i := m0
+					for ; i+4 <= m1; i += 4 {
+						blockedTile4x1(a[i*k+p0:], k, pMax-p0, b[p0*n+j:], n, c[i*n+j:])
+					}
+					for ; i < m1; i++ {
 						ai := a[i*k+p0 : i*k+pMax]
-						var s float32
-						for p := range ai {
-							s += ai[p] * b[(p0+p)*n+j]
+						var s0 float32
+						for p, av := range ai {
+							s0 += float32(av * b[(p0+p)*n+j])
 						}
-						c[i*n+j] += s
+						c[i*n+j] += s0
 					}
 				}
 			}
@@ -263,41 +261,102 @@ func (blockedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 	})
 }
 
-// blockedTile2x4 adds the k-block partial sums of C[i:i+2, j:j+4] from the
-// strip buffers s0..s3 (the packed 4-column B strip of rows [p0,pMax)).
-func blockedTile2x4(i, j, p0, pMax, n, k int, a []float32, s0, s1, s2, s3 []float32, c []float32) {
-	a0 := a[(i+0)*k+p0 : (i+0)*k+pMax]
-	a1 := a[(i+1)*k+p0 : (i+1)*k+pMax]
+// blockedTile4x4Go adds the k-block partial sums of the 4×4 C tile at c (row
+// stride n) from the A rows at a (row stride k) and the interleaved [p][4] B
+// strip s. It is the portable form of the SSE micro-kernel, with the same
+// arithmetic: the path on GOARCHes without the assembly kernel, and the
+// reference the kernel is tested against.
+func blockedTile4x4Go(a []float32, k int, s, c []float32, n int) {
+	plen := len(s) / 4
+	a0 := a[0*k : 0*k+plen]
+	a1 := a[1*k : 1*k+plen]
+	a2 := a[2*k : 2*k+plen]
+	a3 := a[3*k : 3*k+plen]
 	a1 = a1[:len(a0)]
-	t0 := s0[:len(a0)]
-	t1 := s1[:len(a0)]
-	t2 := s2[:len(a0)]
-	t3 := s3[:len(a0)]
+	a2 = a2[:len(a0)]
+	a3 = a3[:len(a0)]
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
+	var c20, c21, c22, c23 float32
+	var c30, c31, c32, c33 float32
 	for p := range a0 {
-		b0, b1, b2, b3 := t0[p], t1[p], t2[p], t3[p]
+		bp := s[p*4 : p*4+4]
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		av := a0[p]
-		c00 += av * b0
-		c01 += av * b1
-		c02 += av * b2
-		c03 += av * b3
+		c00 += float32(av * b0)
+		c01 += float32(av * b1)
+		c02 += float32(av * b2)
+		c03 += float32(av * b3)
 		av = a1[p]
-		c10 += av * b0
-		c11 += av * b1
-		c12 += av * b2
-		c13 += av * b3
+		c10 += float32(av * b0)
+		c11 += float32(av * b1)
+		c12 += float32(av * b2)
+		c13 += float32(av * b3)
+		av = a2[p]
+		c20 += float32(av * b0)
+		c21 += float32(av * b1)
+		c22 += float32(av * b2)
+		c23 += float32(av * b3)
+		av = a3[p]
+		c30 += float32(av * b0)
+		c31 += float32(av * b1)
+		c32 += float32(av * b2)
+		c33 += float32(av * b3)
 	}
-	r0 := c[(i+0)*n+j : (i+0)*n+j+4]
-	r0[0] += c00
-	r0[1] += c01
-	r0[2] += c02
-	r0[3] += c03
-	r1 := c[(i+1)*n+j : (i+1)*n+j+4]
-	r1[0] += c10
-	r1[1] += c11
-	r1[2] += c12
-	r1[3] += c13
+	addRow4(c[0*n:0*n+4], c00, c01, c02, c03)
+	addRow4(c[1*n:1*n+4], c10, c11, c12, c13)
+	addRow4(c[2*n:2*n+4], c20, c21, c22, c23)
+	addRow4(c[3*n:3*n+4], c30, c31, c32, c33)
+}
+
+// blockedTile1x4 is blockedTile4x4Go for the single row a0 into the four
+// elements c0.
+func blockedTile1x4(a0, s, c0 []float32) {
+	s = s[:len(a0)*4]
+	var c00, c01, c02, c03 float32
+	for p, av := range a0 {
+		bp := s[p*4 : p*4+4]
+		c00 += float32(av * bp[0])
+		c01 += float32(av * bp[1])
+		c02 += float32(av * bp[2])
+		c03 += float32(av * bp[3])
+	}
+	addRow4(c0, c00, c01, c02, c03)
+}
+
+// blockedTile4x1 adds the k-block partial sums of the 4×1 C column at c (row
+// stride n) from the A rows at a (row stride k) and plen elements of the B
+// column at b (stride n): the small-N tail, where the spatial size of a deep
+// layer leaves fewer than four columns.
+func blockedTile4x1(a []float32, k, plen int, b []float32, n int, c []float32) {
+	a0 := a[0*k : 0*k+plen]
+	a1 := a[1*k : 1*k+plen]
+	a2 := a[2*k : 2*k+plen]
+	a3 := a[3*k : 3*k+plen]
+	a1 = a1[:len(a0)]
+	a2 = a2[:len(a0)]
+	a3 = a3[:len(a0)]
+	var c0, c1, c2, c3 float32
+	for p := range a0 {
+		bv := b[p*n]
+		c0 += float32(a0[p] * bv)
+		c1 += float32(a1[p] * bv)
+		c2 += float32(a2[p] * bv)
+		c3 += float32(a3[p] * bv)
+	}
+	c[0*n] += c0
+	c[1*n] += c1
+	c[2*n] += c2
+	c[3*n] += c3
+}
+
+// addRow4 adds one k-block's four partial sums into the C row r.
+func addRow4(r []float32, c0, c1, c2, c3 float32) {
+	r = r[:4]
+	r[0] += c0
+	r[1] += c1
+	r[2] += c2
+	r[3] += c3
 }
 
 // --- packed ------------------------------------------------------------------

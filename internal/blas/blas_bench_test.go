@@ -58,3 +58,26 @@ func BenchmarkGemmParallel(b *testing.B) {
 		pool.Close()
 	}
 }
+
+// BenchmarkGemmDeepLayers measures the shapes the served convnets run in
+// their deep layers, where the spatial size falls to 2×2 or 1×1 and the GEMM
+// n is 4 or 1: 3×3 convs over 128 and 64 channels, pointwise convs, and
+// one shape off every tile and k-block boundary.
+func BenchmarkGemmDeepLayers(b *testing.B) {
+	rng := rand.New(rand.NewPCG(3, 1))
+	for _, sh := range [][3]int{{128, 1, 1152}, {64, 4, 576}, {256, 4, 128}, {512, 1, 1152}, {128, 4, 1152}, {64, 2, 65}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		a := randMat(rng, m*k)
+		bm := randMat(rng, k*n)
+		c := make([]float32, m*n)
+		for _, kind := range Kinds() {
+			be := MustNew(kind)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", be.Name(), m, n, k), func(b *testing.B) {
+				for b.Loop() {
+					be.Gemm(m, n, k, a, bm, c)
+				}
+				b.ReportMetric(float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+	}
+}

@@ -12,12 +12,28 @@ import (
 // gemmShapes covers the edge cases the tiled kernels must get right: empty
 // and unit dimensions, inner dimensions not divisible by the micro-kernel
 // width or k-block, and sizes that don't align to 2-row or 4-column tiles.
-var gemmShapes = [][3]int{
+// The deep-layer shapes follow: spatial sizes of 1×1 and 2×2 give n of 1 to
+// 5, which exercise the small-N tail and the row remainders of the 4×4 tile
+// at k around one k-block and at a 3×3×128 im2col depth.
+var gemmShapes = append([][3]int{
 	{0, 4, 4}, {4, 0, 4}, {4, 4, 0}, {0, 0, 0},
 	{1, 1, 1}, {1, 5, 3}, {2, 4, 7}, {3, 3, 3},
 	{5, 4, 4}, {7, 9, 13}, {16, 16, 16}, {8, 8, 65},
 	{33, 29, 31}, {64, 48, 37}, {2, 130, 5}, {31, 1, 63},
 	{6, 7, 129}, {17, 4, 66},
+	{128, 1, 1152}, {64, 4, 576}, {256, 4, 128},
+}, deepLayerShapes()...)
+
+func deepLayerShapes() [][3]int {
+	var shapes [][3]int
+	for _, m := range []int{1, 3, 4, 5, 7, 128, 512} {
+		for n := 1; n <= 5; n++ {
+			for _, k := range []int{63, 64, 65, 1152} {
+				shapes = append(shapes, [3]int{m, n, k})
+			}
+		}
+	}
+	return shapes
 }
 
 // TestCrossBackendEquivalence runs every backend over randomized matrices of

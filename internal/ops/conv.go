@@ -75,24 +75,15 @@ func convKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor) ([]*tensor
 	var out *tensor.Tensor
 	switch algo := ctx.convAlgo(); {
 	case algo == ConvIm2Col:
-		out = convIm2Col(ctx, x, w, bias, p)
+		// convIm2Col and convWinograd apply their own fused activation.
+		return []*tensor.Tensor{convIm2Col(ctx, x, w, bias, p)}, nil
 	case algo == ConvWinograd && winogradApplicable(p):
-		// convWinograd applies its own fused activation.
 		return []*tensor.Tensor{convWinograd(ctx, x, w, bias, p)}, nil
 	default:
 		out = convDirect(ctx, x, w, bias, p)
 	}
 	applyFusedActivation(out, p)
 	return []*tensor.Tensor{out}, nil
-}
-
-func convReluKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs, err := convKernel(ctx, n, inputs)
-	if err != nil {
-		return nil, err
-	}
-	outs[0].Apply(relu)
-	return outs, nil
 }
 
 func applyFusedActivation(out *tensor.Tensor, p convParams) {
@@ -154,7 +145,10 @@ func convDirect(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams)
 // convIm2Col lowers convolution to GEMM via an im2col buffer, routing the
 // matrix product through the context's BLAS backend. This is the kernel path
 // a library-level fault (e.g., a FrameFlip-style bit flip in one BLAS
-// backend) propagates through.
+// backend) propagates through. The GEMM writes each (batch, group) slab of
+// the output directly; one pass over the slab then adds the bias and applies
+// the fused activation, act(gemm + bias). A pointwise conv (1×1, stride 1,
+// pad 0) needs no im2col: its input channel slab already is the B matrix.
 func convIm2Col(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) *tensor.Tensor {
 	nb, hin, win := x.Dim(0), x.Dim(2), x.Dim(3)
 	hout := convOutDim(hin, p.kh, p.stride, p.pad)
@@ -167,6 +161,7 @@ func convIm2Col(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams)
 
 	k := cinG * p.kh * p.kw
 	spatial := hout * wout
+	pointwise := p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0
 	// When the outer (batch, group) loop is trivial — the common single-image
 	// inference case — parallelize inside the GEMM instead.
 	var gemmRanger blas.Ranger
@@ -175,48 +170,76 @@ func convIm2Col(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams)
 	}
 	ctx.parallelFor(nb*p.group, func(idx int) {
 		b, g := idx/p.group, idx%p.group
-		colBuf := getScratch(k*spatial + coutG*spatial)
-		col, prod := (*colBuf)[:k*spatial], (*colBuf)[k*spatial:]
-		// Layout: rows = (ic, fh, fw), cols = (oh, ow) — matches the weight
-		// row layout so GEMM accumulates in the same index order as direct.
-		row := 0
-		for ic := 0; ic < cinG; ic++ {
-			xc := xd[((b*p.cin+g*cinG+ic)*hin)*win:]
-			for fh := 0; fh < p.kh; fh++ {
-				for fw := 0; fw < p.kw; fw++ {
-					dst := col[row*spatial:]
-					ci := 0
-					for oh := 0; oh < hout; oh++ {
-						ih := oh*p.stride - p.pad + fh
-						for ow := 0; ow < wout; ow++ {
-							iw := ow*p.stride - p.pad + fw
-							if ih >= 0 && ih < hin && iw >= 0 && iw < win {
-								dst[ci] = xc[ih*win+iw]
-							} else {
-								dst[ci] = 0
-							}
-							ci++
-						}
-					}
-					row++
-				}
-			}
+		xg := xd[(b*p.cin+g*cinG)*hin*win:]
+		dst := od[(b*p.cout+g*coutG)*spatial : (b*p.cout+(g+1)*coutG)*spatial]
+		if pointwise {
+			blas.ParallelGemm(be, gemmRanger, coutG, spatial, k, wd[g*coutG*k:(g+1)*coutG*k], xg[:k*spatial], dst)
+		} else {
+			colBuf := getScratch(k * spatial)
+			im2col(*colBuf, xg, hin, win, hout, wout, cinG, p)
+			blas.ParallelGemm(be, gemmRanger, coutG, spatial, k, wd[g*coutG*k:(g+1)*coutG*k], *colBuf, dst)
+			putScratch(colBuf)
 		}
-		blas.ParallelGemm(be, gemmRanger, coutG, spatial, k, wd[g*coutG*k:(g+1)*coutG*k], col, prod)
 		for oc := 0; oc < coutG; oc++ {
-			dst := od[((b*p.cout+g*coutG+oc)*hout)*wout:]
-			src := prod[oc*spatial:]
 			var bv float32
 			if bias != nil {
 				bv = bias[g*coutG+oc]
 			}
-			for i := 0; i < spatial; i++ {
-				dst[i] = src[i] + bv
-			}
+			biasActivate(dst[oc*spatial:(oc+1)*spatial], bv, p)
 		}
-		putScratch(colBuf)
 	})
 	return out
+}
+
+// im2col fills col with the patches of the cinG input channels at xg.
+// Layout: rows = (ic, fh, fw), cols = (oh, ow) — matches the weight row
+// layout so GEMM accumulates in the same index order as direct.
+func im2col(col, xg []float32, hin, win, hout, wout, cinG int, p convParams) {
+	spatial := hout * wout
+	row := 0
+	for ic := 0; ic < cinG; ic++ {
+		xc := xg[ic*hin*win:]
+		for fh := 0; fh < p.kh; fh++ {
+			for fw := 0; fw < p.kw; fw++ {
+				dst := col[row*spatial:]
+				ci := 0
+				for oh := 0; oh < hout; oh++ {
+					ih := oh*p.stride - p.pad + fh
+					for ow := 0; ow < wout; ow++ {
+						iw := ow*p.stride - p.pad + fw
+						if ih >= 0 && ih < hin && iw >= 0 && iw < win {
+							dst[ci] = xc[ih*win+iw]
+						} else {
+							dst[ci] = 0
+						}
+						ci++
+					}
+				}
+				row++
+			}
+		}
+	}
+}
+
+// biasActivate sets row[i] = act(row[i] + bv) with the conv's fused
+// activation. The bias is added even when there is none (bv = 0), as the
+// unfused formulation did, so a -0 from the GEMM (a fault-injecting backend
+// can return one) still becomes +0.
+func biasActivate(row []float32, bv float32, p convParams) {
+	switch {
+	case p.fusedRelu:
+		for i, v := range row {
+			row[i] = relu(v + bv)
+		}
+	case p.fusedRelu6:
+		for i, v := range row {
+			row[i] = relu6(v + bv)
+		}
+	default:
+		for i, v := range row {
+			row[i] = v + bv
+		}
+	}
 }
 
 // --- pooling ------------------------------------------------------------------

@@ -165,9 +165,9 @@ type Registry map[string]Kernel
 func NewRegistry() Registry {
 	return Registry{
 		graph.OpConv:          convKernel,
-		graph.OpConvRelu:      convReluKernel,
-		graph.OpConvBNRelu:    convReluKernel, // BN already folded into weights
-		graph.OpDepthwiseConv: convKernel,     // group attr drives depthwise path
+		graph.OpConvRelu:      convKernel, // resolveConv fuses the relu
+		graph.OpConvBNRelu:    convKernel, // BN already folded into weights
+		graph.OpDepthwiseConv: convKernel, // group attr drives depthwise path
 		graph.OpGemm:          gemmKernel,
 		graph.OpMatMul:        matMulKernel,
 		graph.OpBatchNorm:     batchNormKernel,

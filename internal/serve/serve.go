@@ -268,6 +268,14 @@ type Server struct {
 
 	pmu     sync.Mutex
 	pending map[uint64][]*pendingReq // engine batch ID -> members
+	// early parks results that reached demux while the scheduler's Submit
+	// call was still in flight, before it returned their batch ID; the
+	// scheduler claims its own on return and drops the rest. earlyIDs holds
+	// their arrival order, so a flood of results the server never submitted
+	// evicts the oldest and the map stays within maxEarly.
+	early      map[uint64]monitor.BatchResult
+	earlyIDs   []uint64
+	submitting bool
 
 	shed    atomic.Int32 // ShedLevel
 	reqIDs  atomic.Uint64
@@ -301,6 +309,7 @@ func New(engine Engine, cfg Config) *Server {
 		met:     newServeMetrics(cfg.Metrics),
 		tenants: make(map[string]*tenantState),
 		pending: make(map[uint64][]*pendingReq),
+		early:   make(map[uint64]monitor.BatchResult),
 		stopped: make(chan struct{}),
 		stopSig: make(chan struct{}),
 	}
@@ -893,29 +902,55 @@ func (s *Server) scheduler() {
 	}
 }
 
+// maxEarly bounds the results demux parks while a Submit is in flight. Only
+// the one batch being submitted can legitimately be early, and its result
+// comes at the end of the call, once the engine has accepted the batch, so
+// evicting the oldest loses it only if more than maxEarly foreign results
+// follow it before Submit returns.
+const maxEarly = 16
+
 // submitBatch concatenates the batch's inputs, submits to the engine, and
-// registers the members for demux. Called without mu.
+// registers the members for demux. Called without mu, from the scheduler
+// only, so at most one Submit is in flight.
+//
+// The engine mints the batch ID inside Submit and may deliver the result
+// before Submit returns. demux parks such a result in early; submitBatch
+// claims it here and delivers it instead of registering the batch.
 func (s *Server) submitBatch(batch []*pendingReq, reason flushReason) {
 	inputs := concatInputs(batch)
+	s.pmu.Lock()
+	s.submitting = true
+	s.pmu.Unlock()
 	id, err := s.engine.Submit(inputs)
+	s.pmu.Lock()
+	s.submitting = false
+	r, raced := s.early[id]
+	clear(s.early)
+	s.earlyIDs = s.earlyIDs[:0]
+	if err == nil && !raced {
+		s.pending[id] = batch
+	}
+	inflight := len(s.pending)
+	s.pmu.Unlock()
 	if err != nil {
 		for _, p := range batch {
 			p.respCh <- Response{ID: p.id, Err: err, Latency: time.Since(p.admitted)}
 		}
 		return
 	}
-	s.pmu.Lock()
-	s.pending[id] = batch
-	inflight := len(s.pending)
-	s.pmu.Unlock()
 	s.met.flush(reason, len(batch), inflight)
+	if raced {
+		s.deliver(r, batch)
+	}
 }
 
 // --- demux ---------------------------------------------------------------------
 
 // demux routes engine results back to batch members, splitting output rows
-// per request. Results for batches the server did not submit (engine IDs
-// are process-unique) are ignored.
+// per request. A result for an unregistered batch is parked while a Submit
+// is in flight (it may be that batch's, see submitBatch) and otherwise
+// ignored: it belongs to a batch the server did not submit (engine IDs are
+// process-unique) or repeats one already delivered.
 func (s *Server) demux() {
 	for {
 		select {
@@ -929,6 +964,9 @@ func (s *Server) demux() {
 			members := s.pending[r.ID]
 			delete(s.pending, r.ID)
 			s.met.inflight.Set(int64(len(s.pending)))
+			if members == nil && s.submitting {
+				s.park(r)
+			}
 			s.pmu.Unlock()
 			if members == nil {
 				continue
@@ -936,6 +974,20 @@ func (s *Server) demux() {
 			s.deliver(r, members)
 		}
 	}
+}
+
+// park holds r in early for the in-flight Submit, evicting the oldest parked
+// result beyond maxEarly. Called with pmu held.
+func (s *Server) park(r monitor.BatchResult) {
+	if _, dup := s.early[r.ID]; dup {
+		return
+	}
+	if len(s.earlyIDs) == maxEarly {
+		delete(s.early, s.earlyIDs[0])
+		s.earlyIDs = append(s.earlyIDs[:0], s.earlyIDs[1:]...)
+	}
+	s.early[r.ID] = r
+	s.earlyIDs = append(s.earlyIDs, r.ID)
 }
 
 // deliver fans one engine result out to the batch's members.

@@ -84,9 +84,13 @@ type pendingLeaf struct {
 type Recorder struct {
 	cfg Config
 
-	ch      chan recEvent
-	done    chan struct{}
-	closed  atomic.Bool
+	ch   chan recEvent
+	done chan struct{}
+	// closeMu orders posts against Close: posts send under the read lock,
+	// Close closes ch under the write lock, so no send reaches a closed
+	// channel.
+	closeMu sync.RWMutex
+	closed  bool
 	dropped atomic.Uint64
 
 	mu      sync.Mutex
@@ -140,25 +144,37 @@ func NewRecorder(cfg Config) *Recorder {
 }
 
 // Close stops the worker after draining queued events.
+// Posts racing Close are either queued before it or discarded.
 func (r *Recorder) Close() {
-	if r == nil || !r.closed.CompareAndSwap(false, true) {
+	if r == nil {
 		return
 	}
+	r.closeMu.Lock()
+	if r.closed {
+		r.closeMu.Unlock()
+		return
+	}
+	r.closed = true
 	close(r.ch)
+	r.closeMu.Unlock()
 	<-r.done
 }
 
 // post enqueues one event without ever blocking the caller.
 func (r *Recorder) post(ev recEvent) {
-	if r == nil || r.closed.Load() {
+	if r == nil {
 		return
 	}
-	select {
-	case r.ch <- ev:
-	default:
-		r.dropped.Add(1)
-		r.mDropped.Inc()
+	r.closeMu.RLock()
+	if !r.closed {
+		select {
+		case r.ch <- ev:
+		default:
+			r.dropped.Add(1)
+			r.mDropped.Inc()
+		}
 	}
+	r.closeMu.RUnlock()
 }
 
 // Begin records a batch's submission: its trace ID and input tensors. The

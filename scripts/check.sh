@@ -4,8 +4,16 @@
 set -eux
 
 go vet ./...
+# Vet (and so type-check and asmdecl-check) the non-amd64 build too: the
+# blocked GEMM backend has an SSE kernel on amd64 and a pure-Go tile elsewhere.
+GOARCH=arm64 go vet ./...
 go build ./...
 go test -race ./...
+
+# The GEMM kernels, the conv lowering over them, the serving scheduler's
+# submit/demux hand-off and the transcript recorder's post/Close must hold at
+# every core count: run them at GOMAXPROCS 1, 2 and 4.
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement, channel retry), the lock-free telemetry core, the adaptive
