@@ -40,12 +40,6 @@ func main() {
 	inflightWindow := flag.Int("inflight-window", 0, "per-stage credit budget for the simulated pipelined engine (default 0 = disabled)")
 	scale := flag.Float64("scale", 0, "model channel scale (default 0.25)")
 	inputSize := flag.Int("input-size", 0, "model input resolution (default 32)")
-	perf := flag.Bool("perf", false, "run the hot-path microbenchmarks and write BENCH_<rev>.json")
-	compare := flag.Bool("compare", false, "compare two BENCH_<rev>.json reports (args: old.json new.json); exit 1 if a gated hot-path benchmark regressed")
-	threshold := flag.Float64("regress-threshold", bench.DefaultRegressionThreshold,
-		"fractional ns/op slowdown on a gated benchmark that fails -compare")
-	rev := flag.String("rev", "dev", "revision label for the -perf report filename")
-	note := flag.String("note", "", "extra caveat/context text embedded in the -perf report")
 	telemetryAddr := flag.String("telemetry-addr", "",
 		"telemetry HTTP listen address serving /metrics, /trace and /debug/pprof/ during the run; empty disables")
 	flag.Parse()
@@ -57,64 +51,6 @@ func main() {
 				log.Printf("mvtee-bench: telemetry server: %v", err)
 			}
 		}()
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "mvtee-bench: -compare wants exactly two args: old.json new.json")
-			os.Exit(2)
-		}
-		oldRep, err := bench.ReadPerfJSON(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvtee-bench: compare: %v\n", err)
-			os.Exit(1)
-		}
-		newRep, err := bench.ReadPerfJSON(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvtee-bench: compare: %v\n", err)
-			os.Exit(1)
-		}
-		rows, failures := bench.ComparePerf(oldRep, newRep, *threshold)
-		bench.WriteCompareTable(os.Stdout, oldRep.Rev, newRep.Rev, rows)
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "\nmvtee-bench: %d gated benchmark(s) regressed beyond %.0f%%:\n",
-				len(failures), 100**threshold)
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "  %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("\nall gated benchmarks within +%.0f%% of %s\n", 100**threshold, oldRep.Rev)
-		return
-	}
-
-	if *perf {
-		if *rev == "" {
-			fmt.Fprintln(os.Stderr, "mvtee-bench: -perf requires a non-empty -rev label")
-			os.Exit(2)
-		}
-		rep, err := bench.RunPerf(*rev, *note, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvtee-bench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		name := fmt.Sprintf("BENCH_%s.json", *rev)
-		f, err := os.Create(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvtee-bench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WritePerfJSON(f, rep); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvtee-bench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", name, len(rep.Results))
-		return
 	}
 
 	o := bench.Options{

@@ -20,10 +20,15 @@ import (
 // e2eVariant is a wire-speaking variant over an AEAD-sealed in-memory
 // channel that doubles its "x" input. When die is non-nil, the variant
 // closes its connection upon the first batch whose trigger fires — the
-// deterministic mid-stream crash the failover test keys on.
+// deterministic mid-stream crash the failover test keys on. When dissent
+// fires, the variant scales by 3+seat instead of 2, so the variants of a
+// stage all disagree with each other. A non-zero park models accelerator
+// execution: the variant sleeps that long per batch with the host core idle.
 type e2eVariant struct {
-	id  string
-	die func(in map[string]*tensor.Tensor) bool
+	id           string
+	seat         int
+	die, dissent func(in map[string]*tensor.Tensor) bool
+	park         time.Duration
 }
 
 func (v *e2eVariant) start(t testing.TB) *monitor.Handle {
@@ -47,8 +52,15 @@ func (v *e2eVariant) start(t testing.TB) *monitor.Handle {
 					_ = vc.Close()
 					return
 				}
+				if v.park > 0 {
+					time.Sleep(v.park)
+				}
+				scale := float32(2)
+				if v.dissent != nil && v.dissent(m.Tensors) {
+					scale = float32(3 + v.seat)
+				}
 				y := m.Tensors["x"].Clone()
-				y.Scale(2)
+				y.Scale(scale)
 				res := &wire.Result{ID: m.ID, Trace: m.Trace, VariantID: v.id,
 					Tensors: map[string]*tensor.Tensor{"y": y}}
 				if err := wire.Send(vc, res); err != nil {
@@ -71,10 +83,19 @@ func (v *e2eVariant) start(t testing.TB) *monitor.Handle {
 // newClusterEngine stands up a 3-variant single-stage MVX engine whose
 // variants all crash when die fires (nil die = never).
 func newClusterEngine(t testing.TB, die func(in map[string]*tensor.Tensor) bool) *monitor.Engine {
+	return newEngineOf(t, e2eVariant{die: die}, nil)
+}
+
+// newEngineOf stands up a 3-variant single-stage MVX engine whose variants
+// (v0..v2) behave like proto, recording spans into tr (nil: the process
+// default ring).
+func newEngineOf(t testing.TB, proto e2eVariant, tr *telemetry.Tracer) *monitor.Engine {
 	t.Helper()
 	handles := make([]*monitor.Handle, 3)
 	for i := range handles {
-		handles[i] = (&e2eVariant{id: fmt.Sprintf("v%d", i), die: die}).start(t)
+		v := proto
+		v.id, v.seat = fmt.Sprintf("v%d", i), i
+		handles[i] = v.start(t)
 	}
 	eng, err := monitor.NewEngine(monitor.EngineConfig{
 		GraphInputs:  []string{"x"},
@@ -85,6 +106,7 @@ func newClusterEngine(t testing.TB, die func(in map[string]*tensor.Tensor) bool)
 			Handles: handles,
 		}},
 		Metrics: telemetry.NewRegistry(),
+		Tracer:  tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +147,73 @@ func startRemoteReplica(t testing.TB, id string, eng *monitor.Engine) *Remote {
 	return rem
 }
 
+// keyLeading returns a router PlacementKey under which replica ids[lead]
+// comes first in rendezvous order: on an idle router it leads the next batch.
+func keyLeading(ids []string, lead int) string {
+	key := "test"
+	for i := 0; rendezvousOrder(key, ids)[0] != lead; i++ {
+		key = fmt.Sprintf("test-%d", i)
+	}
+	return key
+}
+
+// hasValue returns a trigger that fires on batches carrying v.
+func hasValue(v float32) func(in map[string]*tensor.Tensor) bool {
+	return func(in map[string]*tensor.Tensor) bool {
+		for _, x := range in["x"].Data() {
+			if x == v {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestClusterHaltedLeaderFailsOver pins the halted-engine health signal: a
+// replica whose engine halts on a divergence (every variant still alive, so
+// no variant departure demotes a stage) must report the halted ladder ahead
+// of the failed result, and the router must fail the batch over instead of
+// delivering the error.
+func TestClusterHaltedLeaderFailsOver(t *testing.T) {
+	const poison = float32(1313)
+	engA := newClusterEngine(t, nil)
+	engB := newEngineOf(t, e2eVariant{dissent: hasValue(poison)}, nil)
+	reg := telemetry.NewRegistry()
+	router, err := NewRouter(RouterConfig{
+		Replicas: []Replica{
+			startRemoteReplica(t, "replica-a", engA),
+			startRemoteReplica(t, "replica-b", engB),
+		},
+		PlacementKey:    keyLeading([]string{"replica-a", "replica-b"}, 1),
+		Metrics:         reg,
+		MetricsInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = router.Close() })
+
+	for i, v := range []float32{poison, 1, 2, 3} {
+		id, err := router.Submit(testInputs(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := readRow(t, router)
+		if row.ID != id || row.Err != nil {
+			t.Fatalf("batch %d (v=%v): got row %d err=%v", i, v, row.ID, row.Err)
+		}
+		if got := row.Tensors["y"].At(0, 0); got != 2*v {
+			t.Fatalf("batch %d: y=%v want %v", i, got, 2*v)
+		}
+	}
+	if got := reg.Counter(telemetry.MetricClusterFailovers).Value(); got != 1 {
+		t.Fatalf("failovers = %d, want 1 (the poisoned batch)", got)
+	}
+	if got := reg.Gauge(telemetry.MetricClusterReplicaRung, telemetry.L("replica", "replica-b")).Value(); got != int64(monitor.LadderHalted) {
+		t.Fatalf("replica-b rung = %d, want halted", got)
+	}
+}
+
 // TestClusterReplicaFailoverE2E is the cluster analogue of the serving
 // tier's TestDemuxAfterHotReplacement: many concurrent single-item requests
 // stream through serve onto a 2-replica router while one remote replica's
@@ -135,14 +224,7 @@ func startRemoteReplica(t testing.TB, id string, eng *monitor.Engine) *Remote {
 func TestClusterReplicaFailoverE2E(t *testing.T) {
 	const poison = float32(1313)
 	engA := newClusterEngine(t, nil)
-	engB := newClusterEngine(t, func(in map[string]*tensor.Tensor) bool {
-		for _, v := range in["x"].Data() {
-			if v == poison {
-				return true
-			}
-		}
-		return false
-	})
+	engB := newClusterEngine(t, hasValue(poison))
 	repA := startRemoteReplica(t, "replica-a", engA)
 	repB := startRemoteReplica(t, "replica-b", engB)
 

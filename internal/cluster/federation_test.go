@@ -11,37 +11,8 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/securechan"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/wire"
 )
-
-// newTracedClusterEngine is newClusterEngine with a private span ring: the
-// federation tests give every replica engine its own tracer so the only way
-// its spans can appear in the router's ring is through the SpanReport plane.
-func newTracedClusterEngine(t testing.TB, die func(in map[string]*tensor.Tensor) bool, tr *telemetry.Tracer) *monitor.Engine {
-	t.Helper()
-	handles := make([]*monitor.Handle, 3)
-	for i := range handles {
-		handles[i] = (&e2eVariant{id: fmt.Sprintf("v%d", i), die: die}).start(t)
-	}
-	eng, err := monitor.NewEngine(monitor.EngineConfig{
-		GraphInputs:  []string{"x"},
-		GraphOutputs: []string{"y"},
-		Stages: []monitor.StageSpec{{
-			Inputs:  []string{"x"},
-			Outputs: []string{"y"},
-			Handles: handles,
-		}},
-		Metrics: telemetry.NewRegistry(),
-		Tracer:  tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	return eng
-}
 
 // startRemoteReplicaOpts is startRemoteReplica with caller-chosen server
 // options (federated registry, span bounds).
@@ -72,30 +43,27 @@ func startRemoteReplicaOpts(t testing.TB, eng *monitor.Engine, opts ReplicaServe
 // span the router's ring holds for them arrived as a SpanReport frame. Every
 // batch's trace must assemble the complete cross-node tree — the router's own
 // route/dispatch spans plus the execution spans of both replicas (leader and
-// cross-checking follower) — and the tree must stay intact through a
-// mid-burst leader kill: failed-over batches keep their trace ID, so the
-// surviving replica's spans land in the same tree as the failed attempt's.
+// cross-checking follower) — and the tree must stay intact through a leader
+// kill at the start of a burst: failed-over batches keep their trace ID, so
+// the surviving replica's spans land in the same tree as the failed
+// attempt's.
 func TestClusterTraceFederationE2E(t *testing.T) {
 	const poison = float32(1313)
 	trA, trB := telemetry.NewTracer(4096), telemetry.NewTracer(4096)
-	engA := newTracedClusterEngine(t, nil, trA)
-	engB := newTracedClusterEngine(t, func(in map[string]*tensor.Tensor) bool {
-		for _, v := range in["x"].Data() {
-			if v == poison {
-				return true
-			}
-		}
-		return false
-	}, trB)
+	engA := newEngineOf(t, e2eVariant{}, trA)
+	engB := newEngineOf(t, e2eVariant{die: hasValue(poison)}, trB)
 	repA := startRemoteReplica(t, "replica-a", engA)
 	repB := startRemoteReplica(t, "replica-b", engB)
 
 	reg := telemetry.NewRegistry()
 	rtr := telemetry.NewTracer(8192)
 	router, err := NewRouter(RouterConfig{
-		Replicas:        []Replica{repA, repB},
-		Verify:          1,
-		Sync:            true,
+		Replicas: []Replica{repA, repB},
+		Verify:   1,
+		Sync:     true,
+		// B leads on an idle router, so B leads the poisoned batch below by
+		// construction, not by timing.
+		PlacementKey:    keyLeading([]string{"replica-a", "replica-b"}, 1),
 		VoteTimeout:     500 * time.Millisecond,
 		Metrics:         reg,
 		Tracer:          rtr,
@@ -162,15 +130,16 @@ func TestClusterTraceFederationE2E(t *testing.T) {
 		t.Fatal("no replica-side engine 'batch' span federated into the router ring")
 	}
 
-	// Phase 2: a rapid burst with a poisoned batch mid-stream. The poison
-	// kills replica B's whole variant set; B-led in-flight batches fail over
-	// to A under their original IDs and trace IDs.
+	// Phase 2: a rapid burst led by a poisoned batch. Phase 1 left the router
+	// idle, so B leads the poison; it kills B's whole variant set, B halts,
+	// and the poison plus every other B-led batch fail over to A under their
+	// original IDs and trace IDs.
 	const burst = 30
 	ids := make(map[uint64]float32, burst)
 	burstIDs := make([]uint64, 0, burst)
 	for i := 0; i < burst; i++ {
 		v := float32(100 + i)
-		if i == 8 {
+		if i == 0 {
 			v = poison
 		}
 		id, err := router.Submit(testInputs(v))
@@ -314,7 +283,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 // re-shipped as span reports (which would double-count every span).
 func TestClusterLocalSharedTracerNoDuplicateSpans(t *testing.T) {
 	shared := telemetry.NewTracer(1024)
-	eng := newTracedClusterEngine(t, nil, shared)
+	eng := newEngineOf(t, e2eVariant{}, shared)
 	local := NewLocal("local-a", eng, LocalOptions{
 		Hello: wire.ReplicaHello{GraphInputs: []string{"x"}, GraphOutputs: []string{"y"}},
 	})

@@ -32,6 +32,8 @@ type Local struct {
 	routerTracer *telemetry.Tracer
 	stop         chan struct{}
 	wg           sync.WaitGroup
+	// statusMu makes each heartbeat's read and post atomic (see postStatus).
+	statusMu sync.Mutex
 
 	mu      sync.Mutex
 	subs    map[uint64]localSub            // engine batch ID -> router submission
@@ -110,13 +112,17 @@ func (l *Local) post(ev replicaEvent) {
 	}
 }
 
-func (l *Local) status() *wire.ReplicaStatus {
-	ladder := l.eng.Ladder()
-	st := &wire.ReplicaStatus{Ladder: make([]int, len(ladder)), Spares: l.spares()}
-	for i, r := range ladder {
-		st.Ladder[i] = int(r)
+// postStatus posts a health heartbeat read now, then res when non-nil.
+// Reading and posting under statusMu means a heartbeat read before an engine
+// halt can never land between the halted heartbeat and the failed result it
+// explains.
+func (l *Local) postStatus(res *monitor.BatchResult) {
+	l.statusMu.Lock()
+	defer l.statusMu.Unlock()
+	l.post(replicaEvent{status: replicaStatus(l.eng, l.spares())})
+	if res != nil {
+		l.post(replicaEvent{res: res})
 	}
-	return st
 }
 
 // pumpOutputs translates engine completions into router events: primary
@@ -158,7 +164,7 @@ func (l *Local) pumpStatus() {
 	defer l.wg.Done()
 	sub := l.eng.EventBus().Subscribe(64)
 	defer sub.Close()
-	l.post(replicaEvent{status: l.status()})
+	l.postStatus(nil)
 	for {
 		select {
 		case ev := <-sub.C:
@@ -167,7 +173,7 @@ func (l *Local) pumpStatus() {
 				monitor.EventVariantDown, monitor.EventVariantDropped,
 				monitor.EventVariantTimeout, monitor.EventVariantReplaced,
 				monitor.EventSpareProvisioned:
-				l.post(replicaEvent{status: l.status()})
+				l.postStatus(nil)
 			}
 		case <-l.stop:
 			return
@@ -179,13 +185,14 @@ func (l *Local) pumpStatus() {
 // primary batches, digest votes for cross-check batches.
 func (l *Local) deliver(br monitor.BatchResult, sub localSub) {
 	if !sub.verify {
+		br.ID = sub.rid
 		if br.Err != nil {
 			// Refresh health ahead of the error so the router's failover
 			// decision sees the demotion that caused it, not a stale ladder.
-			l.post(replicaEvent{status: l.status()})
+			l.postStatus(&br)
+		} else {
+			l.post(replicaEvent{res: &br})
 		}
-		br.ID = sub.rid
-		l.post(replicaEvent{res: &br})
 		l.reportSpans(sub)
 		return
 	}

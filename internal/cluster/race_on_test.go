@@ -1,6 +1,6 @@
 //go:build race
 
-package bench
+package cluster
 
 // raceEnabled reports whether this test binary carries race-detector
 // instrumentation, which slows CPU-bound paths ~10x and invalidates

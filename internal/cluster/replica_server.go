@@ -53,6 +53,8 @@ type ReplicaServer struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+	// statusMu makes each heartbeat's read and send atomic (see sendStatus).
+	statusMu sync.Mutex
 
 	// stageDigests decouples the engine's DigestSink (stage worker context,
 	// must not block) from the connection; full buffer drops the frame —
@@ -188,7 +190,9 @@ func (s *ReplicaServer) submit(rid, trace uint64, tensors map[string]*tensor.Ten
 			s.send(&wire.Digest{ID: rid, Stage: -1, Vote: true})
 			return
 		}
-		s.send(&wire.Result{ID: rid, Err: err.Error()})
+		// As in deliver: the halted ladder goes ahead of the rejection, so
+		// the router fails the batch over instead of delivering the error.
+		s.sendStatus(&wire.Result{ID: rid, Err: err.Error()})
 		return
 	}
 	sub := repSub{rid: rid, trace: trace, verify: verify}
@@ -245,9 +249,10 @@ func (s *ReplicaServer) deliver(br monitor.BatchResult, sub repSub) {
 			// Refresh health ahead of the error on the same ordered stream,
 			// so the router's failover decision sees the demotion that
 			// caused it rather than a stale ladder.
-			s.send(s.status())
+			s.sendStatus(res)
+		} else {
+			s.send(res)
 		}
-		s.send(res)
 		s.reportSpans(sub)
 		return
 	}
@@ -333,9 +338,23 @@ func (s *ReplicaServer) StageDigestSink(batchID uint64, stage int, digest check.
 	}
 }
 
-func (s *ReplicaServer) status() *wire.ReplicaStatus {
-	ladder := s.eng.Ladder()
-	st := &wire.ReplicaStatus{Ladder: make([]int, len(ladder)), Spares: s.opts.Spares()}
+// sendStatus sends a health heartbeat read now, then the frame then when
+// non-nil. Reading and sending under statusMu means a heartbeat read before
+// an engine halt can never land between the halted heartbeat and the failed
+// result it explains.
+func (s *ReplicaServer) sendStatus(then wire.Msg) {
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
+	s.send(replicaStatus(s.eng, s.opts.Spares()))
+	if then != nil {
+		s.send(then)
+	}
+}
+
+// replicaStatus is the health heartbeat for eng.
+func replicaStatus(eng *monitor.Engine, spares int) *wire.ReplicaStatus {
+	ladder := eng.Ladder()
+	st := &wire.ReplicaStatus{Ladder: make([]int, len(ladder)), Spares: spares}
 	for i, r := range ladder {
 		st.Ladder[i] = int(r)
 	}
@@ -346,7 +365,7 @@ func (s *ReplicaServer) pumpStatus() {
 	defer s.wg.Done()
 	sub := s.eng.EventBus().Subscribe(64)
 	defer sub.Close()
-	s.send(s.status())
+	s.sendStatus(nil)
 	for {
 		select {
 		case ev := <-sub.C:
@@ -355,7 +374,7 @@ func (s *ReplicaServer) pumpStatus() {
 				monitor.EventVariantDown, monitor.EventVariantDropped,
 				monitor.EventVariantTimeout, monitor.EventVariantReplaced,
 				monitor.EventSpareProvisioned:
-				s.send(s.status())
+				s.sendStatus(nil)
 			}
 		case <-s.stop:
 			return

@@ -14,7 +14,7 @@ import (
 	"repro/internal/tensor"
 )
 
-func testModel(t *testing.T) *graph.Graph {
+func testModel(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, err := models.Build("googlenet", models.Config{})
 	if err != nil {

@@ -259,6 +259,9 @@ type Engine struct {
 	// ladder holds each stage's current degradation rung (written by the
 	// stage worker, read by Ladder).
 	ladder []atomic.Int32
+	// halted is set with failed: once the engine rejects every Submit,
+	// Ladder reports every stage halted whatever the stage workers last set.
+	halted atomic.Bool
 
 	// dynWindow is the effective per-stage credit window, initialized from
 	// EngineConfig.InflightWindow and retunable live (SetInflightWindow) by
@@ -554,14 +557,48 @@ func (e *Engine) SetInflightWindow(n int) {
 	e.dynWindow.Store(int32(n))
 }
 
-// Ladder returns each stage's current degradation rung. Transitions are also
-// recorded as EventLadderDemoted/EventLadderPromoted events.
+// Ladder returns each stage's current degradation rung; every stage reads
+// halted once a fatal failure has stopped the engine accepting work.
+// Transitions are also recorded as EventLadderDemoted/EventLadderPromoted
+// events.
 func (e *Engine) Ladder() []LadderRung {
 	out := make([]LadderRung, len(e.ladder))
+	if e.halted.Load() {
+		for i := range out {
+			out[i] = LadderHalted
+		}
+		return out
+	}
 	for i := range e.ladder {
 		out[i] = LadderRung(e.ladder[i].Load())
 	}
 	return out
+}
+
+// halt records the engine's first fatal failure: Submit rejects all work
+// from here on. It runs before the failure is delivered to any batch, so a
+// health probe that sees the error also sees the halted ladder, and each
+// stage's demotion is published for status subscribers (cluster replicas
+// push their ladder to the router on it).
+func (e *Engine) halt(cause error) {
+	e.mu.Lock()
+	first := e.failed == nil
+	if first {
+		e.failed = cause
+	}
+	e.mu.Unlock()
+	if !first {
+		return
+	}
+	e.halted.Store(true)
+	for i := range e.ladder {
+		prev := LadderRung(e.ladder[i].Load())
+		e.met.stages[i].ladder.Set(int64(LadderHalted))
+		if prev != LadderHalted {
+			e.recordEvent(Event{Kind: EventLadderDemoted, Stage: i,
+				Detail: fmt.Sprintf("%s→%s (engine halted: %v)", prev, LadderHalted, cause)})
+		}
+	}
 }
 
 func (e *Engine) setLadder(stage int, r LadderRung) {
@@ -672,19 +709,8 @@ func (e *Engine) router() {
 		case m := <-e.routerCh:
 			switch {
 			case m.fatal != nil:
-				e.mu.Lock()
-				if e.failed == nil {
-					e.failed = m.fatal
-				}
-				e.mu.Unlock()
-				// Fail all in-flight batches.
-				for id, b := range batches {
-					if !b.delivered {
-						b.delivered = true
-						e.deliver(BatchResult{ID: id, Err: m.fatal}, b.trace, b.start)
-					}
-					delete(batches, id)
-				}
+				e.halt(m.fatal)
+				e.failAll(batches, m.fatal)
 			case m.submit:
 				// Transcript leaf opens here: the trace ID and input tensors
 				// are bound before any variant sees the batch. The input map
@@ -708,11 +734,16 @@ func (e *Engine) router() {
 					break // batch already failed/delivered
 				}
 				if m.err != nil {
+					var halted error
+					if e.respMode() == Halt {
+						halted = fmt.Errorf("monitor: pipeline halted: %w", m.err)
+						e.halt(halted)
+					}
 					b.delivered = true
 					e.deliver(BatchResult{ID: m.id, Err: m.err}, b.trace, b.start)
 					delete(batches, m.id)
-					if e.respMode() == Halt {
-						e.failAll(batches, m.err)
+					if halted != nil {
+						e.failAll(batches, halted)
 					}
 					break
 				}
@@ -736,13 +767,8 @@ func (e *Engine) router() {
 
 func (e *Engine) respMode() ResponseMode { return e.cfg.Response }
 
-func (e *Engine) failAll(batches map[uint64]*batchState, cause error) {
-	err := fmt.Errorf("monitor: pipeline halted: %w", cause)
-	e.mu.Lock()
-	if e.failed == nil {
-		e.failed = err
-	}
-	e.mu.Unlock()
+// failAll fails every in-flight batch with err.
+func (e *Engine) failAll(batches map[uint64]*batchState, err error) {
 	for id, b := range batches {
 		if !b.delivered {
 			b.delivered = true

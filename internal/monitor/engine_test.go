@@ -11,6 +11,7 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/securechan"
 	"repro/internal/tensor"
+	"repro/internal/transcript"
 	"repro/internal/wire"
 )
 
@@ -147,6 +148,38 @@ func TestSlowPathUnanimousAgreement(t *testing.T) {
 	}
 }
 
+// TestTranscriptLeafPerBatch checks that an engine with a transcript
+// recorder attached records one leaf per delivered batch, on the fast path
+// (one variant per stage) and the voting path (three).
+func TestTranscriptLeafPerBatch(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1})
+		s0, s1 := make([]*Handle, n), make([]*Handle, n)
+		for i := range s0 {
+			s0[i] = (&fakeVariant{id: string(rune('a' + i)), behave: doubler(0)}).start(t, 0)
+			s1[i] = (&fakeVariant{id: string(rune('x' + i)), behave: incrementer()}).start(t, 1)
+		}
+		cfg := twoStageConfig(s0, s1)
+		cfg.Transcript = rec
+		e := buildEngine(t, cfg)
+		r, err := e.Infer(input(3))
+		if err != nil {
+			t.Fatalf("%d variants: %v", n, err)
+		}
+		if got := r.Tensors["z"].At(0); got != 7 {
+			t.Fatalf("%d variants: z = %v, want 7", n, got)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for rec.Size() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := rec.Size(); got != 1 {
+			t.Fatalf("%d variants: transcript recorded %d leaves, want 1", n, got)
+		}
+		rec.Close()
+	}
+}
+
 func TestDivergenceHalts(t *testing.T) {
 	vs := []*fakeVariant{
 		{id: "good1", behave: doubler(0)},
@@ -171,6 +204,47 @@ func TestDivergenceHalts(t *testing.T) {
 		t.Fatalf("dissenters = %v, want [evil]", evs[0].Variants)
 	}
 	// Engine is halted: further submissions fail fast.
+	if _, err := e.Submit(input(1)); err == nil {
+		t.Fatal("halted engine accepted a new batch")
+	}
+}
+
+// TestHaltedEngineLadder pins the health signal of a fatal halt: the
+// variants are all alive, so no departure demotes a stage, yet the engine
+// rejects every Submit. By the time the failed batch is delivered, Ladder
+// must read halted on every stage and a demotion event per stage must be
+// published for status subscribers.
+func TestHaltedEngineLadder(t *testing.T) {
+	vs := []*fakeVariant{
+		{id: "a", behave: doubler(0)},
+		{id: "b", behave: doubler(100)},
+		{id: "c", behave: doubler(200)},
+	}
+	handles := []*Handle{vs[0].start(t, 0), vs[1].start(t, 0), vs[2].start(t, 0)}
+	v1 := &fakeVariant{id: "s1", behave: incrementer()}
+	cfg := twoStageConfig(handles, []*Handle{v1.start(t, 1)})
+	cfg.Response = Halt
+	e := buildEngine(t, cfg)
+	sub := e.EventBus().Subscribe(16)
+	defer sub.Close()
+
+	if _, err := e.Infer(input(1)); err == nil {
+		t.Fatal("divergence under Halt must fail the batch")
+	}
+	if got := e.Ladder(); len(got) != 2 || got[0] != LadderHalted || got[1] != LadderHalted {
+		t.Fatalf("ladder after halt = %v, want [halted halted]", got)
+	}
+	demoted := map[int]bool{}
+	for len(demoted) < 2 {
+		select {
+		case ev := <-sub.C:
+			if ev.Kind == EventLadderDemoted {
+				demoted[ev.Stage] = true
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("demotion events for stages %v, want 0 and 1", demoted)
+		}
+	}
 	if _, err := e.Submit(input(1)); err == nil {
 		t.Fatal("halted engine accepted a new batch")
 	}

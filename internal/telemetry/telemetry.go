@@ -13,8 +13,8 @@
 // and every metric method is nil-receiver-safe, so uninstrumented builds and
 // disabled runs pay no allocation, no lock, and no syscall. When enabled, the
 // budget is <5% on the warm inference hot path with zero additional
-// steady-state allocations (pinned by the monitor's warm-allocs test and the
-// mvtee-bench -perf telemetry suite).
+// steady-state allocations (pinned by the monitor's warm-allocs test; what
+// tracing adds to a served request is perfbench's overhead.* metrics).
 package telemetry
 
 import "sync/atomic"

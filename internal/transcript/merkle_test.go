@@ -32,7 +32,7 @@ func testLeaves(n int) [][]byte {
 	return out
 }
 
-func buildLog(t *testing.T, leaves [][]byte) *Log {
+func buildLog(t testing.TB, leaves [][]byte) *Log {
 	t.Helper()
 	l := NewLog()
 	for i, lf := range leaves {
