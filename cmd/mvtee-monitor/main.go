@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -544,29 +543,9 @@ func run(opts runOptions) error {
 // until SIGINT/SIGTERM, then drains gracefully (in-flight batches complete,
 // new work gets 503).
 func serveFrontend(mon *monitor.Monitor, eng *monitor.Engine, itemShapes map[string][]int, opts runOptions) error {
-	tenants := make(map[string]serve.TenantConfig)
-	if opts.serveTenants != "" {
-		for _, part := range strings.Split(opts.serveTenants, ",") {
-			fields := strings.Split(strings.TrimSpace(part), ":")
-			if len(fields) < 2 || len(fields) > 3 || fields[0] == "" {
-				return fmt.Errorf("bad -serve-tenants entry %q (want name:weight[:slo_ms])", part)
-			}
-			w, err := strconv.Atoi(fields[1])
-			if err != nil || w <= 0 {
-				return fmt.Errorf("bad -serve-tenants weight in %q", part)
-			}
-			tc := serve.TenantConfig{Weight: w}
-			if len(fields) == 3 {
-				ms, err := strconv.ParseFloat(fields[2], 64)
-				if err != nil || ms <= 0 {
-					return fmt.Errorf("bad -serve-tenants slo_ms in %q", part)
-				}
-				tc.SLO = time.Duration(ms * float64(time.Millisecond))
-			} else if opts.serveSLOms > 0 {
-				tc.SLO = time.Duration(opts.serveSLOms * float64(time.Millisecond))
-			}
-			tenants[fields[0]] = tc
-		}
+	tenants, err := serve.ParseTenants(opts.serveTenants, opts.serveSLOms)
+	if err != nil {
+		return fmt.Errorf("-serve-tenants: %w", err)
 	}
 	srv := serve.New(eng, serve.Config{
 		MaxBatch:      opts.serveMaxBatch,

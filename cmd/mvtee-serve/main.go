@@ -32,8 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -92,9 +90,9 @@ func main() {
 		telemetry.DefaultTracer = telemetry.NewTracer(*traceRing)
 	}
 
-	tenants, err := parseTenants(*tenantsStr, *sloDefault)
+	tenants, err := serve.ParseTenants(*tenantsStr, *sloDefault)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-tenants: %v", err)
 	}
 	o := options{
 		model: *model, stages: *stagesN, mvxStage: *mvxStage,
@@ -149,37 +147,6 @@ type options struct {
 	audit            bool
 	auditHeadEvery   int
 	auditSample      int
-}
-
-// parseTenants parses "name:weight[:slo_ms]" entries; sloDefaultMs (if > 0)
-// applies to declared tenants that omit their own SLO.
-func parseTenants(s string, sloDefaultMs float64) (map[string]serve.TenantConfig, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]serve.TenantConfig)
-	for _, part := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) < 2 || len(fields) > 3 || fields[0] == "" {
-			return nil, fmt.Errorf("bad -tenants entry %q (want name:weight[:slo_ms])", part)
-		}
-		w, err := strconv.Atoi(fields[1])
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad -tenants weight in %q", part)
-		}
-		tc := serve.TenantConfig{Weight: w}
-		if len(fields) == 3 {
-			ms, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || ms <= 0 {
-				return nil, fmt.Errorf("bad -tenants slo_ms in %q", part)
-			}
-			tc.SLO = time.Duration(ms * float64(time.Millisecond))
-		} else if sloDefaultMs > 0 {
-			tc.SLO = time.Duration(sloDefaultMs * float64(time.Millisecond))
-		}
-		out[fields[0]] = tc
-	}
-	return out, nil
 }
 
 func run(o options) error {

@@ -1,6 +1,7 @@
 // Package cluster is the distributed multi-variant tier: a Router that
-// fronts N replica engines — in-process or remote mvtee-monitor processes
-// reached over securechan — behind one serving front door.
+// fronts N replica engines — mvtee-monitor processes, each serving its engine
+// through a ReplicaServer and reached over securechan — behind one serving
+// front door.
 //
 // Each replica is a complete MVX engine (monitor + diversified variant set).
 // For every batch the router picks a leader by least-loaded placement over a
@@ -14,7 +15,7 @@
 // equality is a sound verdict because the kernels are bitwise-deterministic
 // across backends and parallelism (PR 1); deployments without that property
 // run the tier in TensorForward mode, which ships and compares full outputs
-// (the naive baseline the cluster/ bench family measures against).
+// (the naive baseline).
 //
 // Replica health is driven by the degradation ladder: a replica whose
 // engine demotes to halted stops receiving new batches, and its in-flight
@@ -29,7 +30,6 @@ import (
 	"errors"
 
 	"repro/internal/monitor"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -47,9 +47,9 @@ const (
 	TensorForward
 )
 
-// Replica is the router's handle to one engine replica. Implementations are
-// provided by this package (NewLocal, NewRemote); the interface is sealed so
-// the router can evolve the internal protocol.
+// Replica is the router's handle to one engine replica. The implementation is
+// provided by this package (NewRemote); the interface is sealed so the router
+// can evolve the internal protocol.
 type Replica interface {
 	// ID is the replica's stable identity (placement hashes over it).
 	ID() string
@@ -62,14 +62,12 @@ type Replica interface {
 	// Close releases the replica handle (remote: closes the connection).
 	Close() error
 
-	// attach wires the replica to its router; tracer is the router's span
-	// ring, so an in-process replica whose engine already records there can
-	// skip re-shipping its spans. submit/announce carry the encoded payloads
-	// of the data and verification planes and report the payload bytes that
-	// actually crossed a connection (zero for in-process replicas), feeding
-	// the router's forward-bytes accounting; trace is the router-minted
-	// federation trace ID (zero when tracing is off for the batch).
-	attach(idx int, events chan<- replicaEvent, tracer *telemetry.Tracer)
+	// attach wires the replica to its router's event loop. submit/announce
+	// carry the encoded payloads of the data and verification planes and
+	// report the payload bytes sent, feeding the router's forward-bytes
+	// accounting; trace is the router-minted federation trace ID (zero when
+	// tracing is off for the batch).
+	attach(idx int, events chan<- replicaEvent)
 	submit(rid, trace uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error)
 	announce(enc []byte, d *wire.Digest) (int, error)
 	// pollMetrics requests the replica registry's snapshot (metrics
@@ -87,13 +85,7 @@ type replicaEvent struct {
 	spans   *wire.SpanReport     // harvested batch spans (trace federation)
 	metrics *wire.MetricsReport  // registry snapshot (metrics federation)
 	down    error                // replica lost (connection/engine failure)
-	// localVote marks a vote whose Agree field is unresolved: in-process
-	// followers hand the router their raw digest and the router compares it
-	// against the leader's (remote followers compare locally and send an
-	// authoritative verdict).
-	localVote bool
-	// wireBytes is the payload size of the frame this event decoded from,
-	// zero for in-process replicas.
+	// wireBytes is the payload size of the frame this event decoded from.
 	wireBytes int
 }
 

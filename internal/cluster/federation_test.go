@@ -200,37 +200,29 @@ func TestClusterTraceFederationE2E(t *testing.T) {
 		reg.Counter(telemetry.MetricClusterSpanBytes).Value())
 }
 
-// TestClusterMetricsFederation exercises both poll paths: a Local replica
-// answering from its configured registry synchronously, and a remote replica
-// whose snapshot rides MetricsPoll/MetricsReport frames over the status
-// channel. ClusterMetrics must surface both with their series intact.
+// TestClusterMetricsFederation exercises the poll path over the wire: each
+// remote replica's snapshot of its own registry rides MetricsPoll /
+// MetricsReport frames over the status channel, and ClusterMetrics must
+// surface every replica with its series intact and attributed to it.
 func TestClusterMetricsFederation(t *testing.T) {
 	engA := newClusterEngine(t, nil)
 	engB := newClusterEngine(t, nil)
+	hello := func(id string) wire.ReplicaHello {
+		return wire.ReplicaHello{ID: id, Variants: 3, GraphInputs: []string{"x"}, GraphOutputs: []string{"y"}}
+	}
 
 	regA := telemetry.NewRegistry()
-	regA.Counter("test_local_batches_total").Add(7)
-	local := NewLocal("local-a", engA, LocalOptions{
-		Hello:   wire.ReplicaHello{GraphInputs: []string{"x"}, GraphOutputs: []string{"y"}},
-		Metrics: regA,
-	})
+	regA.Counter("test_a_batches_total").Add(7)
+	remoteA := startRemoteReplicaOpts(t, engA, ReplicaServerOptions{Hello: hello("remote-a"), Metrics: regA})
 
 	regB := telemetry.NewRegistry()
 	regB.Gauge("test_remote_queue").Set(3)
 	regB.Histogram("test_remote_ns").Observe(1000)
-	remote := startRemoteReplicaOpts(t, engB, ReplicaServerOptions{
-		Hello: wire.ReplicaHello{
-			ID:           "remote-b",
-			Variants:     3,
-			GraphInputs:  []string{"x"},
-			GraphOutputs: []string{"y"},
-		},
-		Metrics: regB,
-	})
+	remoteB := startRemoteReplicaOpts(t, engB, ReplicaServerOptions{Hello: hello("remote-b"), Metrics: regB})
 
 	reg := telemetry.NewRegistry()
 	router, err := NewRouter(RouterConfig{
-		Replicas:        []Replica{local, remote},
+		Replicas:        []Replica{remoteA, remoteB},
 		Metrics:         reg,
 		Tracer:          telemetry.NewTracer(64),
 		MetricsInterval: 5 * time.Millisecond,
@@ -254,12 +246,15 @@ func TestClusterMetricsFederation(t *testing.T) {
 		return nil
 	}
 	waitUntil(t, "both replicas federate metrics", func() bool {
-		return series("local-a", "test_local_batches_total") != nil &&
+		return series("remote-a", "test_a_batches_total") != nil &&
 			series("remote-b", "test_remote_ns") != nil
 	})
 
-	if s := series("local-a", "test_local_batches_total"); s.Kind != "counter" || s.Value != 7 {
-		t.Fatalf("local counter snapshot = %+v, want counter value 7", s)
+	if s := series("remote-a", "test_a_batches_total"); s.Kind != "counter" || s.Value != 7 {
+		t.Fatalf("remote-a counter snapshot = %+v, want counter value 7", s)
+	}
+	if s := series("remote-a", "test_remote_queue"); s != nil {
+		t.Fatalf("remote-a reports remote-b's gauge %+v: registries crossed", s)
 	}
 	if s := series("remote-b", "test_remote_queue"); s == nil || s.Kind != "gauge" || s.Value != 3 {
 		t.Fatalf("remote gauge snapshot = %+v, want gauge value 3", s)
@@ -274,69 +269,6 @@ func TestClusterMetricsFederation(t *testing.T) {
 		if rm.Age < 0 || rm.Age > time.Minute {
 			t.Fatalf("replica %s snapshot age %v out of range", rm.Replica, rm.Age)
 		}
-	}
-}
-
-// TestClusterLocalSharedTracerNoDuplicateSpans pins the single-process
-// deployment's dedup rule: when a Local replica's engine records into the
-// router's own ring, its spans are already co-resident and must not be
-// re-shipped as span reports (which would double-count every span).
-func TestClusterLocalSharedTracerNoDuplicateSpans(t *testing.T) {
-	shared := telemetry.NewTracer(1024)
-	eng := newEngineOf(t, e2eVariant{}, shared)
-	local := NewLocal("local-a", eng, LocalOptions{
-		Hello: wire.ReplicaHello{GraphInputs: []string{"x"}, GraphOutputs: []string{"y"}},
-	})
-
-	reg := telemetry.NewRegistry()
-	router, err := NewRouter(RouterConfig{
-		Replicas:        []Replica{local},
-		Metrics:         reg,
-		Tracer:          shared,
-		MetricsInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = router.Close() })
-
-	id, err := router.Submit(testInputs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := readRow(t, router)
-	if row.ID != id || row.Err != nil {
-		t.Fatalf("row %d err=%v", row.ID, row.Err)
-	}
-	var trace uint64
-	waitUntil(t, "route span in the shared ring", func() bool {
-		for _, s := range shared.Snapshot() {
-			if s.Batch == id && s.Name == "route" {
-				trace = s.Trace
-				return true
-			}
-		}
-		return false
-	})
-	// Give a (wrongly emitted) span report time to arrive, then count.
-	time.Sleep(20 * time.Millisecond)
-	batchSpans := 0
-	for _, s := range shared.Snapshot() {
-		if s.Trace != trace {
-			continue
-		}
-		if s.Replica != "" {
-			t.Fatalf("span %q re-shipped with replica stamp %q — shared-ring dedup broken", s.Name, s.Replica)
-		}
-		if s.Name == "batch" {
-			batchSpans++
-		}
-	}
-	if batchSpans != 1 {
-		t.Fatalf("trace holds %d engine 'batch' spans, want exactly 1", batchSpans)
-	}
-	if n := reg.Counter(telemetry.MetricClusterSpanReports).Value(); n != 0 {
-		t.Fatalf("%d span reports from a shared-ring local replica, want 0", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/securechan"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -87,9 +86,7 @@ func (r *Remote) Close() error {
 	return err
 }
 
-func (r *Remote) attach(idx int, events chan<- replicaEvent, _ *telemetry.Tracer) {
-	// The router tracer is irrelevant here: a remote engine's ring is in
-	// another process, so its spans always arrive as SpanReport frames.
+func (r *Remote) attach(idx int, events chan<- replicaEvent) {
 	r.idx, r.events = idx, events
 	r.wg.Add(1)
 	go r.reader()
@@ -144,8 +141,8 @@ func (r *Remote) reader() {
 // and reports the payload bytes sent.
 func (r *Remote) submit(rid, trace uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error) {
 	if enc == nil {
-		// No shared encoding (all-local batch that failed over to a remote):
-		// encode just for this send.
+		// No shared encoding (a failover resubmission): encode just for this
+		// send.
 		var m wire.Msg = &wire.Batch{ID: rid, Trace: trace, Tensors: inputs}
 		n := batchWireBytes(inputs)
 		if verify {

@@ -63,10 +63,9 @@ type ReplicaServer struct {
 	stageDigests chan wire.Digest
 
 	mu        sync.Mutex
-	pend      map[uint64]repSub              // engine batch ID -> router batch
-	orphans   map[uint64]monitor.BatchResult // completed before Submit registered
-	held      map[uint64]heldDigest          // follower digest awaiting announce (router ID key)
-	announces map[uint64]heldDigest          // announce awaiting follower digest (router ID key)
+	pend      map[uint64]repSub     // engine batch ID -> router batch
+	held      map[uint64]heldDigest // follower digest awaiting announce (router ID key)
+	announces map[uint64]heldDigest // announce awaiting follower digest (router ID key)
 }
 
 type repSub struct {
@@ -104,7 +103,6 @@ func NewReplicaServer(conn securechan.Conn, eng *monitor.Engine, opts ReplicaSer
 		stop:         make(chan struct{}),
 		stageDigests: make(chan wire.Digest, 256),
 		pend:         make(map[uint64]repSub),
-		orphans:      make(map[uint64]monitor.BatchResult),
 		held:         make(map[uint64]heldDigest),
 		announces:    make(map[uint64]heldDigest),
 	}
@@ -179,12 +177,18 @@ func (s *ReplicaServer) readLoop() error {
 	}
 }
 
-// submit feeds one router batch into the engine, registering the ID
-// translation. Orphan parking resolves the race against fast completions
-// (see Local.submit).
+// submit feeds one router batch into the engine. The ID translation is
+// registered under a reserved engine ID before the engine sees the batch, so
+// no completion can beat it.
 func (s *ReplicaServer) submit(rid, trace uint64, tensors map[string]*tensor.Tensor, verify bool) {
-	eid, err := s.eng.SubmitTraced(tensors, trace)
-	if err != nil {
+	eid := monitor.NewBatchID()
+	s.mu.Lock()
+	s.pend[eid] = repSub{rid: rid, trace: trace, verify: verify}
+	s.mu.Unlock()
+	if err := s.eng.SubmitID(eid, tensors, trace); err != nil {
+		s.mu.Lock()
+		delete(s.pend, eid)
+		s.mu.Unlock()
 		if verify {
 			// Abstain: the follower cannot execute, so it has no verdict.
 			s.send(&wire.Digest{ID: rid, Stage: -1, Vote: true})
@@ -193,19 +197,6 @@ func (s *ReplicaServer) submit(rid, trace uint64, tensors map[string]*tensor.Ten
 		// As in deliver: the halted ladder goes ahead of the rejection, so
 		// the router fails the batch over instead of delivering the error.
 		s.sendStatus(&wire.Result{ID: rid, Err: err.Error()})
-		return
-	}
-	sub := repSub{rid: rid, trace: trace, verify: verify}
-	s.mu.Lock()
-	br, raced := s.orphans[eid]
-	if raced {
-		delete(s.orphans, eid)
-	} else {
-		s.pend[eid] = sub
-	}
-	s.mu.Unlock()
-	if raced {
-		s.deliver(br, sub)
 	}
 }
 
@@ -218,13 +209,11 @@ func (s *ReplicaServer) pumpOutputs() {
 				s.shutdown()
 				return
 			}
+			// An unregistered ID is a previous session's batch completing
+			// after its router left: nobody is waiting for it.
 			s.mu.Lock()
 			sub, ok := s.pend[br.ID]
-			if ok {
-				delete(s.pend, br.ID)
-			} else {
-				s.orphans[br.ID] = br
-			}
+			delete(s.pend, br.ID)
 			s.mu.Unlock()
 			if ok {
 				s.deliver(br, sub)

@@ -249,7 +249,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r.initMetrics(ids)
 	for i, rep := range r.reps {
-		rep.attach(i, r.events, r.tracer)
+		rep.attach(i, r.events)
 	}
 	r.wg.Add(3)
 	go r.loop()
@@ -480,22 +480,15 @@ func (r *Router) noteDispatch(pb *pendingBatch, delta int) {
 	}
 }
 
-// dispatch encodes the batch at most once and sends it to the leader (as
-// TBatch) and followers (retagged TVerify in digest mode; TBatch in tensor
-// mode, so followers ship full results). Runs outside r.mu: sends can block
-// on sockets.
+// dispatch encodes the batch once and sends it to the leader (as TBatch) and
+// followers (retagged TVerify in digest mode; TBatch in tensor mode, so
+// followers ship full results). Runs outside r.mu: sends can block on
+// sockets.
 func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 	start := time.Now()
-	var payload []byte
-	needEnc := !isLocal(r.reps[leader])
-	for _, f := range followers {
-		needEnc = needEnc || !isLocal(r.reps[f])
-	}
-	if needEnc {
-		buf := wire.MarshalBatch(&wire.Batch{ID: pb.id, Trace: pb.trace, Tensors: pb.inputs})
-		defer buf.Free()
-		payload = buf.Payload()
-	}
+	buf := wire.MarshalBatch(&wire.Batch{ID: pb.id, Trace: pb.trace, Tensors: pb.inputs})
+	defer buf.Free()
+	payload := buf.Payload()
 	n, err := r.reps[leader].submit(pb.id, pb.trace, payload, pb.inputs, false)
 	r.m.fwd[planeInput].Add(uint64(n))
 	if err != nil {
@@ -508,7 +501,7 @@ func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 		})
 	}
 	verify := r.cfg.Mode == DigestForward
-	if payload != nil && verify {
+	if verify {
 		wire.RetagVerify(payload)
 	}
 	for _, f := range followers {
@@ -517,22 +510,12 @@ func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 		if err != nil {
 			// A follower we cannot reach abstains; the batch proceeds.
 			r.mu.Lock()
-			if pb.followers[f] {
-				delete(pb.followers, f)
-				r.state[f].checks--
-			}
-			done := r.completeLocked(pb)
+			r.applyVoteLocked(pb, f, voteAbstain, check.Digest{})
+			r.completeLocked(pb)
 			r.mu.Unlock()
-			r.m.votes[voteAbstain].Inc()
-			_ = done
 		}
 	}
 	return nil
-}
-
-func isLocal(rep Replica) bool {
-	_, ok := rep.(*Local)
-	return ok
 }
 
 // loop is the router's event consumer: results, votes, heartbeats and
@@ -598,19 +581,20 @@ func (r *Router) onResult(ev replicaEvent) {
 		if pb.followers[ev.idx] {
 			// Tensor-mode cross-check: digest the follower's outputs at the
 			// router and treat it as a vote.
-			sum, abstain := check.Digest{}, res.Err != nil
-			if !abstain {
-				sum = check.DigestOf(res.Tensors)
-			}
-			if !abstain && !pb.hasSum {
+			switch {
+			case res.Err != nil:
+				r.applyVoteLocked(pb, ev.idx, voteAbstain, check.Digest{})
+				r.completeLocked(pb)
+			case !pb.hasSum:
 				// Follower finished before the leader: park until the
 				// leader result fixes the reference sum.
 				if pb.earlyVotes == nil {
 					pb.earlyVotes = make(map[int]check.Digest)
 				}
-				pb.earlyVotes[ev.idx] = sum
-			} else {
-				r.applyVoteLocked(pb, ev.idx, sum, abstain, false, false)
+				pb.earlyVotes[ev.idx] = check.DigestOf(res.Tensors)
+			default:
+				sum := check.DigestOf(res.Tensors)
+				r.applyVoteLocked(pb, ev.idx, pb.verdict(sum), sum)
 				r.completeLocked(pb)
 			}
 		}
@@ -625,21 +609,19 @@ func (r *Router) onResult(ev replicaEvent) {
 		return
 	}
 	// The leader result stands. Fix the reference digest, resolve parked
-	// early votes, then fan the announce to remote followers.
+	// early votes, then fan the announce to the followers.
 	pb.res, pb.resAt = res, time.Now()
 	if res.Err != nil {
 		// A failed batch has no reference to verify against: outstanding
 		// cross-checks resolve as abstentions (the error is the outcome).
 		for f := range pb.followers {
-			r.applyVoteLocked(pb, f, check.Digest{}, true, false, false)
+			r.applyVoteLocked(pb, f, voteAbstain, check.Digest{})
 		}
-	} else if len(pb.followers) > 0 || len(pb.earlyVotes) > 0 {
+	} else if len(pb.followers) > 0 {
 		pb.leaderSum, pb.hasSum = check.DigestOf(res.Tensors), true
 	}
 	for idx, sum := range pb.earlyVotes {
-		if pb.followers[idx] {
-			r.applyVoteLocked(pb, idx, sum, false, false, false)
-		}
+		r.applyVoteLocked(pb, idx, pb.verdict(sum), sum)
 	}
 	pb.earlyVotes = nil
 	needAnnounce := pb.hasSum && !pb.announced && r.cfg.Mode == DigestForward
@@ -647,9 +629,7 @@ func (r *Router) onResult(ev replicaEvent) {
 	var targets []int
 	if needAnnounce {
 		for f := range pb.followers {
-			if !isLocal(r.reps[f]) {
-				targets = append(targets, f)
-			}
+			targets = append(targets, f)
 		}
 	}
 	done := r.completeLocked(pb)
@@ -671,7 +651,7 @@ func (r *Router) onResult(ev replicaEvent) {
 	}
 }
 
-// announce fans the leader's final digest to remote followers, encoded once.
+// announce fans the leader's final digest to the followers, encoded once.
 func (r *Router) announce(pb *pendingBatch, targets []int) {
 	d := &wire.Digest{ID: pb.id, Stage: -1, Sum: pb.leaderSum}
 	buf := wire.MarshalDigest(d)
@@ -688,8 +668,8 @@ func (r *Router) announce(pb *pendingBatch, targets []int) {
 	}
 }
 
-// onVote handles a verification-plane frame: a follower's final verdict, a
-// parked-early digest, or a best-effort stage digest.
+// onVote handles a verification-plane frame: a follower's final verdict
+// (computed replica-side against the announce) or a best-effort stage digest.
 func (r *Router) onVote(ev replicaEvent) {
 	v := ev.vote
 	r.m.fwd[planeDigest].Add(uint64(ev.wireBytes))
@@ -706,41 +686,38 @@ func (r *Router) onVote(ev replicaEvent) {
 	if !v.Vote || !pb.followers[ev.idx] {
 		return // not a verdict, or follower already resolved/removed
 	}
-	var zero check.Digest
-	sum := check.Digest(v.Sum)
-	abstain := sum == zero
-	if ev.localVote && !abstain && !pb.hasSum {
-		// Local follower finished before the leader: park until the leader
-		// result fixes the reference sum.
-		if pb.earlyVotes == nil {
-			pb.earlyVotes = make(map[int]check.Digest)
-		}
-		pb.earlyVotes[ev.idx] = sum
-		return
+	sum, verdict := check.Digest(v.Sum), voteDissent
+	switch {
+	case sum == check.Digest{}: // the follower could not execute
+		verdict = voteAbstain
+	case v.Agree:
+		verdict = voteAgree
 	}
-	r.applyVoteLocked(pb, ev.idx, sum, abstain, !ev.localVote, v.Agree)
+	r.applyVoteLocked(pb, ev.idx, verdict, sum)
 	r.completeLocked(pb)
 }
 
-// applyVoteLocked resolves one follower's verdict. For authoritative votes
-// (remote followers compared the announce themselves) agree is taken as-is;
-// otherwise the router compares sum against the leader's. Caller holds r.mu.
-func (r *Router) applyVoteLocked(pb *pendingBatch, idx int, sum check.Digest, abstain, authoritative, agree bool) {
+// verdict compares a tensor-mode follower's output digest against the
+// leader's.
+func (pb *pendingBatch) verdict(sum check.Digest) int {
+	if sum == pb.leaderSum {
+		return voteAgree
+	}
+	return voteDissent
+}
+
+// applyVoteLocked resolves one follower's verdict (voteAgree, voteDissent or
+// voteAbstain); sum is the digest it computed, zero when abstaining. Caller
+// holds r.mu.
+func (r *Router) applyVoteLocked(pb *pendingBatch, idx, verdict int, sum check.Digest) {
 	if !pb.followers[idx] {
 		return
 	}
 	delete(pb.followers, idx)
 	r.state[idx].checks--
-	switch {
-	case abstain:
-		r.m.votes[voteAbstain].Inc()
-		r.cfg.Transcript.Vote(pb.id, r.reps[idx].ID(), check.Digest{}, false)
-	case authoritative && agree, !authoritative && pb.hasSum && sum == pb.leaderSum:
-		r.m.votes[voteAgree].Inc()
-		r.cfg.Transcript.Vote(pb.id, r.reps[idx].ID(), sum, true)
-	default:
-		r.m.votes[voteDissent].Inc()
-		r.cfg.Transcript.Vote(pb.id, r.reps[idx].ID(), sum, false)
+	r.m.votes[verdict].Inc()
+	r.cfg.Transcript.Vote(pb.id, r.reps[idx].ID(), sum, verdict == voteAgree)
+	if verdict == voteDissent {
 		pb.dissent = true
 		// Lock order is safe: the flight sampler reads its sources without
 		// holding its own lock, so r.mu -> flight.mu never inverts.
@@ -770,7 +747,8 @@ func (r *Router) onStageDigestLocked(pb *pendingBatch, idx int, v *wire.Digest) 
 }
 
 // completeLocked delivers the batch if its gates allow and reports whether
-// the batch is fully resolved. Caller holds r.mu.
+// the batch is fully resolved. Dissent after an async delivery only counts in
+// telemetry: the row is gone. Caller holds r.mu.
 func (r *Router) completeLocked(pb *pendingBatch) bool {
 	if r.pending[pb.id] == nil {
 		return true // already resolved (failover race)
@@ -788,10 +766,6 @@ func (r *Router) completeLocked(pb *pendingBatch) bool {
 			res.Err, res.Tensors = ErrDivergence, nil
 		}
 		r.deliverLocked(pb, &res)
-	} else if pb.dissent {
-		// Async mode: dissent after delivery — surface via telemetry only
-		// (the row is gone); counted by applyVoteLocked already.
-		_ = pb
 	}
 	if votesIn {
 		delete(r.pending, pb.id)
@@ -974,19 +948,19 @@ func (r *Router) onDown(ev replicaEvent) {
 	}
 	st.up = false
 	r.m.up[ev.idx].Set(0)
-	var orphans []uint64
+	var led []uint64
 	for id, pb := range r.pending {
 		if pb.leader == ev.idx && pb.res == nil {
-			orphans = append(orphans, id)
+			led = append(led, id)
 		}
 		if pb.followers[ev.idx] {
-			r.applyVoteLocked(pb, ev.idx, check.Digest{}, true, false, false)
+			r.applyVoteLocked(pb, ev.idx, voteAbstain, check.Digest{})
 			r.completeLocked(pb)
 		}
 	}
 	r.mu.Unlock()
 	r.cfg.Flight.Trigger(telemetry.FlightReasonReplicaDown)
-	for _, id := range orphans {
+	for _, id := range led {
 		r.failover(id, ev.idx, ev.down)
 	}
 }
@@ -1021,7 +995,7 @@ func (r *Router) failover(id uint64, from int, cause error) {
 	r.m.inflight[leader].Set(int64(r.state[leader].inflight))
 	// Followers on the failed replica resolve as abstentions.
 	if pb.followers[from] {
-		r.applyVoteLocked(pb, from, check.Digest{}, true, false, false)
+		r.applyVoteLocked(pb, from, voteAbstain, check.Digest{})
 	}
 	inputs, trace := pb.inputs, pb.trace
 	resubmit := !r.closed
@@ -1078,7 +1052,7 @@ func (r *Router) sweeper() {
 			}
 			for _, pb := range expired {
 				for f := range pb.followers {
-					r.applyVoteLocked(pb, f, check.Digest{}, true, false, false)
+					r.applyVoteLocked(pb, f, voteAbstain, check.Digest{})
 				}
 				r.completeLocked(pb)
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +32,10 @@ type fakeSub struct {
 	verify bool
 	tag    wire.Type // first byte of enc, 0 when enc was nil
 	inputs map[string]*tensor.Tensor
+	seq    uint64 // global submission order across fakes
 }
+
+var fakeSeq atomic.Uint64
 
 func newFake(id string) *fakeReplica { return &fakeReplica{id: id} }
 
@@ -49,7 +53,7 @@ func (f *fakeReplica) SetInflightWindow(n int) {
 }
 func (f *fakeReplica) Close() error { return nil }
 
-func (f *fakeReplica) attach(idx int, events chan<- replicaEvent, _ *telemetry.Tracer) {
+func (f *fakeReplica) attach(idx int, events chan<- replicaEvent) {
 	f.mu.Lock()
 	f.idx, f.events = idx, events
 	f.mu.Unlock()
@@ -60,7 +64,7 @@ func (f *fakeReplica) pollMetrics(uint64) {}
 func (f *fakeReplica) submit(rid, _ uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := fakeSub{rid: rid, verify: verify, inputs: inputs}
+	s := fakeSub{rid: rid, verify: verify, inputs: inputs, seq: fakeSeq.Add(1)}
 	if enc != nil {
 		s.tag = wire.Type(enc[0])
 	}
@@ -127,14 +131,17 @@ func testOutputs(v float32) map[string]*tensor.Tensor {
 	return map[string]*tensor.Tensor{"y": y}
 }
 
-// leaderAndFollower splits two fakes by who received the primary submission.
+// leaderAndFollower splits two fakes by who received the primary submission:
+// the one not tagged verify (digest mode), else the one submitted first —
+// dispatch always sends to the leader before the followers (tensor mode).
 func leaderAndFollower(t *testing.T, a, b *fakeReplica) (lead, follow *fakeReplica) {
 	t.Helper()
 	waitUntil(t, "both submissions", func() bool { return a.subCount()+b.subCount() == 2 })
-	if !a.lastSub(t).verify && a.lastSub(t).tag != wire.TVerify {
-		return a, b
+	sa, sb := a.lastSub(t), b.lastSub(t)
+	if sa.verify || sa.tag == wire.TVerify || (sb.tag != wire.TVerify && sb.seq < sa.seq) {
+		return b, a
 	}
-	return b, a
+	return a, b
 }
 
 func readRow(t *testing.T, r *Router) monitor.BatchResult {
@@ -263,27 +270,66 @@ func TestRouterAbstainDoesNotFailBatch(t *testing.T) {
 	}
 }
 
-func TestRouterLocalVoteParksUntilLeaderResult(t *testing.T) {
-	a, b := newFake("a"), newFake("b")
-	r, err := NewRouter(RouterConfig{Replicas: []Replica{a, b}, Verify: 1, Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+// TestRouterTensorModeFollowerResultFirst pins the early-vote path: a
+// tensor-mode follower's full result lands before the leader's, so the router
+// must park its digest and compare once the leader's result fixes the
+// reference — agreeing outputs deliver a clean row, dissenting ones fail the
+// synchronous batch.
+func TestRouterTensorModeFollowerResultFirst(t *testing.T) {
+	for _, dissent := range []bool{false, true} {
+		name := "agree"
+		if dissent {
+			name = "dissent"
+		}
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			a, b := newFake("a"), newFake("b")
+			r, err := NewRouter(RouterConfig{
+				Replicas: []Replica{a, b}, Verify: 1, Sync: true, Mode: TensorForward, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
 
-	id, _ := r.Submit(testInputs(9))
-	lead, follow := leaderAndFollower(t, a, b)
-	outs := testOutputs(9)
-	// Local-style raw-digest vote lands before the leader's result: the
-	// router must park it and compare once the reference digest exists.
-	follow.post(replicaEvent{
-		vote:      &wire.Digest{ID: id, Stage: -1, Vote: true, Sum: check.DigestOf(outs)},
-		localVote: true,
-	})
-	lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
-	row := readRow(t, r)
-	if row.Err != nil || row.ID != id {
-		t.Fatalf("row = %+v, want clean id %d", row, id)
+			id, err := r.Submit(testInputs(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lead, follow := leaderAndFollower(t, a, b)
+			outs, followOuts := testOutputs(9), testOutputs(9)
+			if dissent {
+				followOuts = testOutputs(10)
+			}
+			follow.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: followOuts}})
+			// The follower's result must park, not resolve against a missing
+			// reference: no vote is counted and no row is delivered yet.
+			waitUntil(t, "follower result parked", func() bool {
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				return len(r.pending[id].earlyVotes) == 1
+			})
+			lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
+			row := readRow(t, r)
+			verdict := telemetry.DigestVoteAgree
+			if dissent {
+				verdict = telemetry.DigestVoteDissent
+				if row.ID != id || !errors.Is(row.Err, ErrDivergence) {
+					t.Fatalf("row = %+v, want id %d with ErrDivergence", row, id)
+				}
+			} else if row.ID != id || row.Err != nil || row.Tensors["y"].At(0, 0) != 18 {
+				t.Fatalf("row = %+v, want clean id %d y=18", row, id)
+			}
+			for _, v := range []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain} {
+				want := uint64(0)
+				if v == verdict {
+					want = 1
+				}
+				if n := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value(); n != want {
+					t.Fatalf("%s votes = %d, want %d", v, n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -56,6 +56,12 @@ func TestVerifyPlaneBytesDigestVsTensor(t *testing.T) {
 				t.Fatalf("mode %d, %d replicas: batch %d: got row %d err=%v", mode, replicas, id, row.ID, row.Err)
 			}
 		}
+		// Sync delivery waits for every vote, so each batch has counted one
+		// agreeing verdict per follower by the time its row is read.
+		agree := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", telemetry.DigestVoteAgree)).Value()
+		if want := uint64(requests * (replicas - 1)); agree != want {
+			t.Fatalf("mode %d, %d replicas: agree votes = %d, want %d", mode, replicas, agree, want)
+		}
 		plane := func(p string) float64 {
 			return float64(reg.Counter(telemetry.MetricClusterFwdBytes, telemetry.L("plane", p)).Value()) / requests
 		}

@@ -630,33 +630,45 @@ func (e *Engine) recordEvent(ev Event) {
 func (e *Engine) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	// The batch-scoped trace ID rides the wire header to every variant and
 	// back; zero (telemetry disabled) turns off all span recording downstream.
-	return e.SubmitTraced(inputs, telemetry.NewTraceID())
+	id := NewBatchID()
+	if err := e.SubmitID(id, inputs, telemetry.NewTraceID()); err != nil {
+		return 0, err
+	}
+	return id, nil
 }
 
-// SubmitTraced is Submit under a caller-minted trace ID: a cluster router
-// mints one ID per routed batch and threads it through every replica engine
-// it touches, so router- and replica-side spans stitch into one cross-node
-// tree. Zero disables span recording for the batch (the kill-switch
-// sentinel, same as a disabled process).
-func (e *Engine) SubmitTraced(inputs map[string]*tensor.Tensor, trace uint64) (uint64, error) {
+// NewBatchID reserves a process-unique batch ID for SubmitID.
+func NewBatchID() uint64 { return batchIDs.Add(1) }
+
+// SubmitID is Submit under a caller-reserved batch ID (from NewBatchID, used
+// once) and a caller-minted trace ID. Reserving the ID first lets the caller
+// register its per-batch state before the engine can complete the batch; a
+// cluster replica threads the router's trace ID through, so router- and
+// replica-side spans stitch into one cross-node tree. Zero trace disables
+// span recording for the batch. No result is ever delivered for an ID whose
+// SubmitID failed.
+func (e *Engine) SubmitID(id uint64, inputs map[string]*tensor.Tensor, trace uint64) error {
+	if e.ctx.Err() != nil {
+		// Checked first: the selects below pick at random once ctx is done.
+		return ErrEngineStopped
+	}
 	e.mu.Lock()
 	if err := e.failed; err != nil {
 		e.mu.Unlock()
-		return 0, err
+		return err
 	}
 	e.mu.Unlock()
-	id := batchIDs.Add(1)
 
 	select {
 	case e.slots <- struct{}{}:
 	case <-e.ctx.Done():
-		return 0, ErrEngineStopped
+		return ErrEngineStopped
 	}
 	select {
 	case e.routerCh <- routerMsg{submit: true, id: id, trace: trace, tensors: inputs, start: time.Now()}:
-		return id, nil
+		return nil
 	case <-e.ctx.Done():
-		return 0, ErrEngineStopped
+		return ErrEngineStopped
 	}
 }
 

@@ -129,6 +129,47 @@ func TestFastPathPipeline(t *testing.T) {
 	}
 }
 
+// TestSubmitIDDeliversUnderReservedID pins the reserve-then-submit pair: a
+// batch submitted under a reserved ID completes under exactly that ID (in
+// any reservation order), Submit draws from the same process-wide counter,
+// and a stopped engine rejects SubmitID.
+func TestSubmitIDDeliversUnderReservedID(t *testing.T) {
+	v0 := &fakeVariant{id: "s0", behave: doubler(0)}
+	v1 := &fakeVariant{id: "s1", behave: incrementer()}
+	e := buildEngine(t, twoStageConfig([]*Handle{v0.start(t, 0)}, []*Handle{v1.start(t, 1)}))
+
+	first, second := NewBatchID(), NewBatchID()
+	in := map[uint64]float32{second: 5, first: 6} // batch ID -> input value
+	for _, id := range []uint64{second, first} {
+		if err := e.SubmitID(id, input(in[id]), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := e.Submit(input(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id <= second {
+		t.Fatalf("Submit id %d not drawn after reserved %d", id, second)
+	}
+	in[id] = 1
+	for n := len(in); n > 0; n-- {
+		r := <-e.Outputs()
+		v, ok := in[r.ID]
+		if !ok || r.Err != nil {
+			t.Fatalf("result id %d err=%v: not a submitted ID", r.ID, r.Err)
+		}
+		if got := r.Tensors["z"].At(0); got != 2*v+1 {
+			t.Fatalf("batch %d: z = %v, want %v", r.ID, got, 2*v+1)
+		}
+		delete(in, r.ID)
+	}
+	e.Stop()
+	if err := e.SubmitID(NewBatchID(), input(1), 0); !errors.Is(err, ErrEngineStopped) {
+		t.Fatalf("SubmitID on a stopped engine: err = %v, want ErrEngineStopped", err)
+	}
+}
+
 func TestSlowPathUnanimousAgreement(t *testing.T) {
 	vs := []*fakeVariant{
 		{id: "a", behave: doubler(0)},

@@ -120,6 +120,38 @@ type TenantConfig struct {
 	SLO time.Duration
 }
 
+// ParseTenants parses a comma-separated "name:weight[:slo_ms]" tenant spec;
+// sloDefaultMs (if > 0) applies to declared tenants that omit their own SLO.
+// An empty spec declares no tenants.
+func ParseTenants(spec string, sloDefaultMs float64) (map[string]TenantConfig, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	out := make(map[string]TenantConfig)
+	for _, part := range strings.Split(spec, ",") {
+		fields := strings.Split(strings.TrimSpace(part), ":")
+		if len(fields) < 2 || len(fields) > 3 || fields[0] == "" {
+			return nil, fmt.Errorf("bad entry %q (want name:weight[:slo_ms])", part)
+		}
+		w, err := strconv.Atoi(fields[1])
+		if err != nil || w <= 0 {
+			return nil, fmt.Errorf("bad weight in %q", part)
+		}
+		tc := TenantConfig{Weight: w}
+		if len(fields) == 3 {
+			ms, err := strconv.ParseFloat(fields[2], 64)
+			if err != nil || ms <= 0 {
+				return nil, fmt.Errorf("bad slo_ms in %q", part)
+			}
+			tc.SLO = time.Duration(ms * float64(time.Millisecond))
+		} else if sloDefaultMs > 0 {
+			tc.SLO = time.Duration(sloDefaultMs * float64(time.Millisecond))
+		}
+		out[fields[0]] = tc
+	}
+	return out, nil
+}
+
 // Config assembles a Server.
 type Config struct {
 	// MaxBatch is the most requests coalesced into one engine batch

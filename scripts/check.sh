@@ -11,10 +11,10 @@ go build ./...
 go test -race ./...
 
 # The GEMM kernels, the conv lowering over them, the serving scheduler's
-# submit/demux hand-off, the transcript recorder's post/Close and the cluster
-# router's failover must hold at every core count: run them at GOMAXPROCS 1,
-# 2 and 4.
-go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster
+# submit/demux hand-off, the transcript recorder's post/Close, the cluster
+# router's failover and the engine's submit path must hold at every core
+# count: run them at GOMAXPROCS 1, 2 and 4.
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement, channel retry), the lock-free telemetry core, the adaptive
