@@ -260,3 +260,72 @@ func countEvents(dep *Deployment, kind monitor.EventKind) int {
 	}
 	return n
 }
+
+// TestChaosHangPipelined hangs one MVX variant while several batches are in
+// flight at once. The stage worker must not wait for the hung variant to
+// read its next batch: every batch has to finish at the stage deadline, not
+// after the hang.
+func TestChaosHangPipelined(t *testing.T) {
+	bundle, err := BuildBundle(OfflineConfig{
+		ModelName:        "mnasnet",
+		PartitionTargets: []int{3},
+		Specs:            RealSetupSpecs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []PartitionPlan{
+		{Variants: []string{"ort-cpu"}},
+		{Variants: []string{"ort-cpu", "ort-altep", "tvm-graph"}},
+		{Variants: []string{"ort-cpu"}},
+	}
+	const hungID = "p1-ort-altep-1"
+	const hangDelay = 1500 * time.Millisecond
+	const stageTimeout = 300 * time.Millisecond
+	inj := Injection{Class: FaultHang, TargetOp: "Add", Latency: hangDelay, After: 1}
+	dep, err := Deploy(bundle, 0, DeployConfig{
+		MVX: &MVXConfig{
+			Plans:          plans,
+			Response:       Recover,
+			Vote:           check.Majority,
+			StageTimeoutMS: int(stageTimeout / time.Millisecond),
+			Criteria:       []Criterion{{Metric: AllClose, RTol: 5e-2, ATol: 1e-3}},
+		},
+		Encrypt:        true,
+		VariantOptions: ArmVariantIDs(inj, hungID),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+
+	rng := rand.New(rand.NewPCG(9, 9))
+	feed := func() map[string]*Tensor {
+		in := NewTensor(1, 3, 32, 32)
+		for i := range in.Data() {
+			in.Data()[i] = float32(rng.NormFloat64())
+		}
+		return map[string]*Tensor{"image": in}
+	}
+	// Batch 1: grace period, everyone healthy.
+	if res, err := dep.Infer(feed()); err != nil || res.Err != nil {
+		t.Fatalf("batch 1: %v / %v", err, res.Err)
+	}
+
+	// Three batches back to back; the armed variant hangs on the first.
+	batches := []map[string]*Tensor{feed(), feed(), feed()}
+	start := time.Now()
+	results, err := dep.Stream(batches)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("pipelined batch %d: %v", i, res.Err)
+		}
+	}
+	if limit := 2 * stageTimeout; elapsed >= limit {
+		t.Fatalf("%d pipelined batches took %v, want < %v: the stage waited for the hung variant", len(batches), elapsed, limit)
+	}
+}

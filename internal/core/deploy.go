@@ -463,7 +463,7 @@ func (d *Deployment) connect(cfg DeployConfig, monEncl, varEncl *enclave.Enclave
 	var rawMon, rawVar net.Conn
 	switch cfg.Transport {
 	case InProc:
-		rawMon, rawVar = net.Pipe()
+		rawMon, rawVar = bufferedPipe()
 	case TCPLoopback:
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

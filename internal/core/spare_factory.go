@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -117,7 +116,7 @@ func DirSpareFactory(cfg SpareFactoryConfig) (func(partition int) error, error) 
 			return fmt.Errorf("core: spare factory: %w", err)
 		}
 
-		monRaw, varRaw := net.Pipe()
+		monRaw, varRaw := bufferedPipe()
 		type hsres struct {
 			c   securechan.Conn
 			err error

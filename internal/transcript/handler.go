@@ -3,6 +3,7 @@ package transcript
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -91,16 +92,22 @@ type HandlerConfig struct {
 //
 //	/audit                 -> signed head + live size (+ binding log)
 //	/audit?trace=<hex>     -> leaf + inclusion proof for that trace ID
+//	                          (among the newest 65,536 leaves)
 //	/audit?consistency=<n> -> consistency proof from size n to the head
 //	/audit?sample=1        -> newest replayable leaf + proof + input tensors
 //
 // Proofs always target the returned head; when the requested leaf is newer
 // than the last published head, a fresh head is signed first so the proof
-// has something to verify against.
+// has something to verify against. A storage failure answers 503 with its
+// cause; once the spill file could not be written, every request does.
 func Handler(rec *Recorder, cfg HandlerConfig) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if rec == nil {
 			http.Error(w, "transcript disabled", http.StatusNotFound)
+			return
+		}
+		if err := rec.Err(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		q := req.URL.Query()
@@ -122,7 +129,11 @@ func Handler(rec *Recorder, cfg HandlerConfig) http.Handler {
 			}
 		}
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			status := http.StatusNotFound
+			if errors.Is(err, ErrStorage) {
+				status = http.StatusServiceUnavailable
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		doc.Size = rec.Size()
@@ -138,9 +149,9 @@ func handleTrace(rec *Recorder, traceStr string, doc *AuditDoc) error {
 	if err != nil {
 		return fmt.Errorf("transcript: bad trace %q", traceStr)
 	}
-	leaf, enc, idx, ok := rec.LeafByTrace(trace)
-	if !ok {
-		return fmt.Errorf("transcript: no leaf for trace %016x", trace)
+	leaf, enc, idx, err := rec.LeafByTrace(trace)
+	if err != nil {
+		return err
 	}
 	return attachInclusion(rec, leaf, enc, idx, doc)
 }

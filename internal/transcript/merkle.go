@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 )
 
 // Hash is one 32-byte tree node value.
@@ -71,39 +73,103 @@ func nodeHash(l, r Hash) Hash {
 // EmptyRoot is the root of the zero-leaf tree (SHA-256 of the empty string).
 func EmptyRoot() Hash { return sha256.Sum256(nil) }
 
-// Log is an in-memory append-only Merkle tree over leaf hashes. Appends are
-// O(log n) amortized via a perfect-subtree stack; proofs recompute subtree
-// roots from the retained leaf hashes (audits are rare, appends are not).
-// Log is not goroutine-safe; the Recorder serializes access.
+// Log is an append-only Merkle tree over leaf hashes, kept as the RFC 6962
+// stored-hash sequence of Go's checksum database (golang.org/x/mod's
+// sumdb/tlog): appending leaf i stores its hash followed by the hash of
+// every interior node that leaf completes, about two hashes per leaf, at the
+// positions storedIndex gives. Every subtree a root or proof needs is then
+// one stored hash (a perfect subtree) or the fold of at most log n of them
+// (the ragged right edge), so RootAt and both proofs read O(log n) stored
+// hashes and recompute no subtree.
+//
+// The newest stored hashes stay in memory; each full segment is sealed to
+// the log's spill file (see spill). One goroutine appends; any number of
+// goroutines read concurrently, without locks, from the snapshot published
+// after the last complete append.
 type Log struct {
-	leaves []Hash
+	// Appending-goroutine state.
+	//
 	// stack holds the roots of the maximal perfect subtrees left-to-right;
-	// bit i of len(leaves) set <=> a subtree of size 2^i is on the stack.
-	stack []Hash
+	// bit i of the size set <=> a subtree of size 2^i is on the stack.
+	stack  []Hash
+	hashes segStore
+	sp     *spill
+
+	pub atomic.Pointer[logView]
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
+// logView is the snapshot readers work from: the published size and the
+// stored hashes behind it.
+type logView struct {
+	size   uint64
+	hashes segView
+}
 
-// Size returns the number of leaves appended.
-func (l *Log) Size() uint64 { return uint64(len(l.leaves)) }
+// NewLog returns an empty log. The spill file is created when the first
+// segment fills; Close releases it.
+func NewLog() *Log {
+	l := &Log{}
+	l.hashes = newSegStore("hash", l.spillFile)
+	l.pub.Store(&logView{hashes: l.hashes.view()})
+	return l
+}
 
-// Append adds one leaf hash and returns its index.
-func (l *Log) Append(h Hash) uint64 {
-	idx := uint64(len(l.leaves))
-	l.leaves = append(l.leaves, h)
-	for x := idx; x&1 == 1; x >>= 1 {
-		top := l.stack[len(l.stack)-1]
+// spillFile returns the log's spill file, creating it on first use. It is
+// shared by every store of the log's owner (the Recorder's leaf segments
+// too) and called only from the appending goroutine.
+func (l *Log) spillFile() (*spill, error) {
+	if l.sp == nil {
+		sp, err := newSpill()
+		if err != nil {
+			return nil, err
+		}
+		l.sp = sp
+	}
+	return l.sp, nil
+}
+
+// Close releases the spill file. Reads after Close fail with ErrStorage.
+// Call it once the appending goroutine is done.
+func (l *Log) Close() error {
+	if l.sp == nil {
+		return nil
+	}
+	return l.sp.f.Close()
+}
+
+func (l *Log) view() *logView { return l.pub.Load() }
+
+// Size returns the number of leaves published.
+func (l *Log) Size() uint64 { return l.view().size }
+
+// Err returns the sticky storage error, if a segment could not be written.
+func (l *Log) Err() error { return l.view().hashes.err }
+
+// Append adds one leaf hash and returns its index. If a full segment cannot
+// be written to the spill file, the error is returned, the leaf is not
+// published and every later Append returns the same error.
+func (l *Log) Append(h Hash) (uint64, error) {
+	idx := l.view().size
+	err := l.hashes.append(h[:])
+	for x := idx; err == nil && x&1 == 1; x >>= 1 {
+		h = nodeHash(l.stack[len(l.stack)-1], h)
 		l.stack = l.stack[:len(l.stack)-1]
-		h = nodeHash(top, h)
+		err = l.hashes.append(h[:])
+	}
+	if err != nil {
+		l.pub.Store(&logView{size: idx, hashes: l.hashes.view()})
+		return idx, err
 	}
 	l.stack = append(l.stack, h)
-	return idx
+	l.pub.Store(&logView{size: idx + 1, hashes: l.hashes.view()})
+	return idx, nil
 }
 
-// Root returns the current tree head (MTH over all leaves).
+// Root returns the current tree head (MTH over all leaves) from the
+// in-memory subtree stack. It is for the appending goroutine; other
+// goroutines use RootAt(Size()).
 func (l *Log) Root() Hash {
-	if len(l.leaves) == 0 {
+	if len(l.stack) == 0 {
 		return EmptyRoot()
 	}
 	r := l.stack[len(l.stack)-1]
@@ -113,42 +179,100 @@ func (l *Log) Root() Hash {
 	return r
 }
 
-// LeafAt returns the stored hash of leaf index i.
-func (l *Log) LeafAt(i uint64) (Hash, error) {
-	if i >= uint64(len(l.leaves)) {
-		return Hash{}, fmt.Errorf("transcript: leaf %d out of range (size %d)", i, len(l.leaves))
+// read returns the stored hashes at the given indexes.
+func (v *logView) read(idx []uint64) ([]Hash, error) {
+	items, err := v.hashes.items(idx)
+	if err != nil {
+		return nil, err
 	}
-	return l.leaves[i], nil
+	out := make([]Hash, len(items))
+	for i, b := range items {
+		if len(b) != len(Hash{}) {
+			return nil, fmt.Errorf("%w: stored hash %d is %d bytes", ErrStorage, idx[i], len(b))
+		}
+		copy(out[i][:], b)
+	}
+	return out, nil
 }
 
-// subtree computes MTH over leaves[lo:hi] (hi > lo).
-func (l *Log) subtree(lo, hi uint64) Hash {
-	if hi-lo == 1 {
-		return l.leaves[lo]
+// LeafAt returns the stored hash of leaf index i.
+func (l *Log) LeafAt(i uint64) (Hash, error) {
+	v := l.view()
+	if i >= v.size {
+		return Hash{}, fmt.Errorf("transcript: leaf %d out of range (size %d)", i, v.size)
 	}
-	k := largestPow2Below(hi - lo)
-	return nodeHash(l.subtree(lo, lo+k), l.subtree(lo+k, hi))
+	h, err := v.read([]uint64{storedIndex(0, i)})
+	if err != nil {
+		return Hash{}, err
+	}
+	return h[0], nil
 }
 
 // RootAt returns the tree head the log had when it held size leaves.
 func (l *Log) RootAt(size uint64) (Hash, error) {
-	if size > uint64(len(l.leaves)) {
-		return Hash{}, fmt.Errorf("transcript: size %d beyond log (size %d)", size, len(l.leaves))
+	v := l.view()
+	if size > v.size {
+		return Hash{}, fmt.Errorf("transcript: size %d beyond log (size %d)", size, v.size)
 	}
 	if size == 0 {
 		return EmptyRoot(), nil
 	}
-	return l.subtree(0, size), nil
+	hashes, err := v.read(subtreeIndex(0, size, nil))
+	if err != nil {
+		return Hash{}, err
+	}
+	h, _ := subtreeHash(0, size, hashes)
+	return h, nil
 }
 
-// largestPow2Below returns the largest power of two strictly less than n
-// (n >= 2).
-func largestPow2Below(n uint64) uint64 {
-	k := uint64(1)
-	for k<<1 < n {
-		k <<= 1
+// storedIndex maps the tree coordinates (level, n) — the n-th node of that
+// level, leaves at level 0 — to the node's position in the stored-hash
+// sequence: level L's n-th hash is stored right after level L+1's
+// (2n+1)-th, and level 0's n-th at n + n/2 + n/4 + ... (Crosby and Wallach,
+// "Efficient Data Structures for Tamper-Evident Logging", §3.3).
+func storedIndex(level int, n uint64) uint64 {
+	for l := level; l > 0; l-- {
+		n = 2*n + 1
 	}
-	return k
+	i := uint64(0)
+	for ; n > 0; n >>= 1 {
+		i += n
+	}
+	return i + uint64(level)
+}
+
+// maxpow2 returns the largest power of two k strictly less than n (n >= 2),
+// and log2 k.
+func maxpow2(n uint64) (k uint64, level int) {
+	level = bits.Len64(n-1) - 1
+	return 1 << level, level
+}
+
+// subtreeIndex appends the stored indexes of the perfect subtrees that
+// make up leaves [lo, hi), largest first; lo is a multiple of the first's
+// size, as it is for every subtree of an RFC 6962 tree.
+func subtreeIndex(lo, hi uint64, need []uint64) []uint64 {
+	for lo < hi {
+		k, level := maxpow2(hi - lo + 1)
+		need = append(need, storedIndex(level, lo>>level))
+		lo += k
+	}
+	return need
+}
+
+// subtreeHash folds the hashes subtreeIndex(lo, hi) named into MTH over
+// leaves [lo, hi), returning the hashes left over.
+func subtreeHash(lo, hi uint64, hashes []Hash) (Hash, []Hash) {
+	n := 0
+	for ; lo < hi; n++ {
+		k, _ := maxpow2(hi - lo + 1)
+		lo += k
+	}
+	h := hashes[n-1]
+	for i := n - 2; i >= 0; i-- {
+		h = nodeHash(hashes[i], h)
+	}
+	return h, hashes[n:]
 }
 
 // Proof errors.
@@ -160,51 +284,103 @@ var (
 // InclusionProof returns the audit path for leaf index under the tree of the
 // given size (RFC 6962 PATH(m, D[n])).
 func (l *Log) InclusionProof(index, size uint64) (*Proof, error) {
-	if size > uint64(len(l.leaves)) || index >= size {
-		return nil, fmt.Errorf("%w: inclusion %d of %d (log size %d)", ErrProofRange, index, size, len(l.leaves))
+	v := l.view()
+	if size > v.size || index >= size {
+		return nil, fmt.Errorf("%w: inclusion %d of %d (log size %d)", ErrProofRange, index, size, v.size)
 	}
-	return &Proof{Kind: ProofInclusion, First: index, Second: size, Path: l.path(index, 0, size)}, nil
+	hashes, err := v.read(inclusionIndex(index, 0, size, nil))
+	if err != nil {
+		return nil, err
+	}
+	path, _ := inclusionPath(index, 0, size, hashes)
+	return &Proof{Kind: ProofInclusion, First: index, Second: size, Path: path}, nil
 }
 
-func (l *Log) path(m, lo, hi uint64) []Hash {
-	n := hi - lo
-	if n == 1 {
-		return nil
+// inclusionIndex appends the stored indexes PATH(m, D[lo:hi]) reads, in the
+// order inclusionPath consumes them.
+func inclusionIndex(m, lo, hi uint64, need []uint64) []uint64 {
+	if hi-lo == 1 {
+		return need
 	}
-	k := largestPow2Below(n)
-	if m < k {
-		return append(l.path(m, lo, lo+k), l.subtree(lo+k, hi))
+	k, _ := maxpow2(hi - lo)
+	if m < lo+k {
+		return subtreeIndex(lo+k, hi, inclusionIndex(m, lo, lo+k, need))
 	}
-	return append(l.path(m-k, lo+k, hi), l.subtree(lo, lo+k))
+	return inclusionIndex(m, lo+k, hi, subtreeIndex(lo, lo+k, need))
+}
+
+func inclusionPath(m, lo, hi uint64, hashes []Hash) ([]Hash, []Hash) {
+	if hi-lo == 1 {
+		return nil, hashes
+	}
+	var p []Hash
+	var sib Hash
+	k, _ := maxpow2(hi - lo)
+	if m < lo+k {
+		p, hashes = inclusionPath(m, lo, lo+k, hashes)
+		sib, hashes = subtreeHash(lo+k, hi, hashes)
+	} else {
+		sib, hashes = subtreeHash(lo, lo+k, hashes)
+		p, hashes = inclusionPath(m, lo+k, hi, hashes)
+	}
+	return append(p, sib), hashes
 }
 
 // ConsistencyProof proves the tree of size m is a prefix of the tree of size
 // n (RFC 6962 PROOF(m, D[n])).
 func (l *Log) ConsistencyProof(m, n uint64) (*Proof, error) {
-	if n > uint64(len(l.leaves)) || m > n {
-		return nil, fmt.Errorf("%w: consistency %d -> %d (log size %d)", ErrProofRange, m, n, len(l.leaves))
+	v := l.view()
+	if n > v.size || m > n {
+		return nil, fmt.Errorf("%w: consistency %d -> %d (log size %d)", ErrProofRange, m, n, v.size)
 	}
 	p := &Proof{Kind: ProofConsistency, First: m, Second: n}
 	if m == 0 || m == n {
 		return p, nil
 	}
-	p.Path = l.subproof(m, 0, n, true)
+	hashes, err := v.read(consistencyIndex(m, 0, n, nil))
+	if err != nil {
+		return nil, err
+	}
+	p.Path, _ = consistencyPath(m, 0, n, hashes)
 	return p, nil
 }
 
-func (l *Log) subproof(m, lo, hi uint64, complete bool) []Hash {
-	n := hi - lo
-	if m == n {
-		if complete {
-			return nil
+// consistencyIndex appends the stored indexes SUBPROOF(m, D[lo:hi]) reads,
+// in the order consistencyPath consumes them. RFC 6962's "complete" flag is
+// lo == 0: it stays set exactly while the recursion has only gone left.
+func consistencyIndex(m, lo, hi uint64, need []uint64) []uint64 {
+	if m == hi {
+		if lo == 0 {
+			return need
 		}
-		return []Hash{l.subtree(lo, hi)}
+		return subtreeIndex(lo, hi, need)
 	}
-	k := largestPow2Below(n)
-	if m <= k {
-		return append(l.subproof(m, lo, lo+k, complete), l.subtree(lo+k, hi))
+	k, _ := maxpow2(hi - lo)
+	if m <= lo+k {
+		return subtreeIndex(lo+k, hi, consistencyIndex(m, lo, lo+k, need))
 	}
-	return append(l.subproof(m-k, lo+k, hi, false), l.subtree(lo, lo+k))
+	return consistencyIndex(m, lo+k, hi, subtreeIndex(lo, lo+k, need))
+}
+
+func consistencyPath(m, lo, hi uint64, hashes []Hash) ([]Hash, []Hash) {
+	if m == hi {
+		if lo == 0 {
+			return nil, hashes
+		}
+		h, rest := subtreeHash(lo, hi, hashes)
+		return []Hash{h}, rest
+	}
+	var p []Hash
+	var sib Hash
+	k, _ := maxpow2(hi - lo)
+	if m <= lo+k {
+		p, hashes = consistencyPath(m, lo, lo+k, hashes)
+		sib, hashes = subtreeHash(lo+k, hi, hashes)
+	} else {
+		sib, hashes = subtreeHash(lo, lo+k, hashes)
+		p, hashes = consistencyPath(m, lo+k, hi, hashes)
+	}
+	return append(p, sib), hashes
 }
 
 // VerifyInclusion checks an audit path: that leafHash is the leaf at

@@ -1,6 +1,7 @@
 package transcript
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"testing"
@@ -36,8 +37,8 @@ func buildLog(t testing.TB, leaves [][]byte) *Log {
 	t.Helper()
 	l := NewLog()
 	for i, lf := range leaves {
-		if got := l.Append(LeafHash(lf)); got != uint64(i) {
-			t.Fatalf("append %d returned index %d", i, got)
+		if got, err := l.Append(LeafHash(lf)); err != nil || got != uint64(i) {
+			t.Fatalf("append %d returned index %d, %v", i, got, err)
 		}
 	}
 	return l
@@ -218,4 +219,184 @@ func TestProofDecodeRejectsHostileHeaders(t *testing.T) {
 			t.Fatalf("hostile header %d accepted", i)
 		}
 	}
+}
+
+// refTree is the recursive RFC 6962 construction the stored-hash log
+// replaced, kept as the oracle for it: subtree recomputes MTH over a leaf
+// range (memoized, so exhaustive sweeps stay fast), path and subproof build
+// the two proof shapes straight from the RFC's definitions.
+type refTree struct {
+	leaves []Hash
+	memo   map[[2]uint64]Hash
+}
+
+func newRefTree(leaves [][]byte) *refTree {
+	t := &refTree{memo: make(map[[2]uint64]Hash)}
+	for _, lf := range leaves {
+		t.leaves = append(t.leaves, LeafHash(lf))
+	}
+	return t
+}
+
+// largestPow2Below returns the largest power of two strictly less than n
+// (n >= 2).
+func largestPow2Below(n uint64) uint64 {
+	k := uint64(1)
+	for k<<1 < n {
+		k <<= 1
+	}
+	return k
+}
+
+func (t *refTree) subtree(lo, hi uint64) Hash {
+	if hi-lo == 1 {
+		return t.leaves[lo]
+	}
+	if h, ok := t.memo[[2]uint64{lo, hi}]; ok {
+		return h
+	}
+	k := largestPow2Below(hi - lo)
+	h := nodeHash(t.subtree(lo, lo+k), t.subtree(lo+k, hi))
+	t.memo[[2]uint64{lo, hi}] = h
+	return h
+}
+
+func (t *refTree) root(size uint64) Hash {
+	if size == 0 {
+		return EmptyRoot()
+	}
+	return t.subtree(0, size)
+}
+
+func (t *refTree) path(m, lo, hi uint64) []Hash {
+	n := hi - lo
+	if n == 1 {
+		return nil
+	}
+	k := largestPow2Below(n)
+	if m < k {
+		return append(t.path(m, lo, lo+k), t.subtree(lo+k, hi))
+	}
+	return append(t.path(m-k, lo+k, hi), t.subtree(lo, lo+k))
+}
+
+func (t *refTree) subproof(m, lo, hi uint64, complete bool) []Hash {
+	n := hi - lo
+	if m == n {
+		if complete {
+			return nil
+		}
+		return []Hash{t.subtree(lo, hi)}
+	}
+	k := largestPow2Below(n)
+	if m <= k {
+		return append(t.subproof(m, lo, lo+k, complete), t.subtree(lo+k, hi))
+	}
+	return append(t.subproof(m-k, lo+k, hi, false), t.subtree(lo, lo+k))
+}
+
+func (t *refTree) inclusion(index, size uint64) []byte {
+	p := &Proof{Kind: ProofInclusion, First: index, Second: size, Path: t.path(index, 0, size)}
+	b, _ := p.Marshal()
+	return b
+}
+
+func (t *refTree) consistency(m, n uint64) []byte {
+	p := &Proof{Kind: ProofConsistency, First: m, Second: n}
+	if m > 0 && m < n {
+		p.Path = t.subproof(m, 0, n, true)
+	}
+	b, _ := p.Marshal()
+	return b
+}
+
+// checkAgainstRef requires byte-equal inclusion and consistency proofs and
+// equal roots from l and the reference for the given pairs.
+func checkAgainstRef(t *testing.T, l *Log, ref *refTree, size uint64, indexes []uint64) {
+	t.Helper()
+	root, err := l.RootAt(size)
+	if err != nil {
+		t.Fatalf("RootAt(%d): %v", size, err)
+	}
+	if root != ref.root(size) {
+		t.Fatalf("RootAt(%d) differs from the recursive root", size)
+	}
+	for _, i := range indexes {
+		if i < size {
+			p, err := l.InclusionProof(i, size)
+			if err != nil {
+				t.Fatalf("InclusionProof(%d, %d): %v", i, size, err)
+			}
+			if b, _ := p.Marshal(); !bytes.Equal(b, ref.inclusion(i, size)) {
+				t.Fatalf("InclusionProof(%d, %d) differs from the recursive path", i, size)
+			}
+		}
+		if i <= size {
+			p, err := l.ConsistencyProof(i, size)
+			if err != nil {
+				t.Fatalf("ConsistencyProof(%d, %d): %v", i, size, err)
+			}
+			if b, _ := p.Marshal(); !bytes.Equal(b, ref.consistency(i, size)) {
+				t.Fatalf("ConsistencyProof(%d, %d) differs from the recursive subproof", i, size)
+			}
+		}
+	}
+}
+
+// TestProofsMatchRecursiveReference sweeps every (index, size) and (m, n)
+// pair over a log that has sealed three segments of stored hashes to its
+// spill file and holds one more leaf in memory, so proofs mix sealed and
+// in-memory hashes in every combination.
+func TestProofsMatchRecursiveReference(t *testing.T) {
+	n := uint64(1)
+	for storedCount(n-1) <= 3*segItems {
+		n++
+	}
+	leaves := testLeaves(int(n))
+	l := buildLog(t, leaves)
+	defer l.Close()
+	if got := len(l.view().hashes.segs); got != 3 {
+		t.Fatalf("%d leaves sealed %d segments, want 3", n, got)
+	}
+	ref := newRefTree(leaves)
+	all := make([]uint64, n+1)
+	for i := range all {
+		all[i] = uint64(i)
+	}
+	for size := uint64(0); size <= n; size++ {
+		checkAgainstRef(t, l, ref, size, all[:size+1])
+	}
+	if l.Root() != ref.root(n) {
+		t.Fatal("Root differs from the recursive root")
+	}
+}
+
+// TestProofsMatchRecursiveReferenceStrided samples a 5,000-leaf log.
+func TestProofsMatchRecursiveReferenceStrided(t *testing.T) {
+	const n = 5000
+	leaves := testLeaves(n)
+	l := buildLog(t, leaves)
+	defer l.Close()
+	ref := newRefTree(leaves)
+	for size := uint64(1); size <= n; size += 97 {
+		var idx []uint64
+		for i := uint64(0); i < size; i += 61 {
+			idx = append(idx, i)
+		}
+		checkAgainstRef(t, l, ref, size, append(idx, size-1, size))
+	}
+	full := []uint64{0, 1, 2047, 2048, 4095, 4096, n - 1, n}
+	checkAgainstRef(t, l, ref, n, full)
+}
+
+// storedCount returns how many stored hashes a log of n leaves holds.
+func storedCount(n uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	c := storedIndex(0, n-1) + 1
+	for i := n - 1; i&1 == 1; i >>= 1 {
+		c++
+	}
+	return c
 }

@@ -93,11 +93,18 @@ type Recorder struct {
 	closed  bool
 	dropped atomic.Uint64
 
+	// log and leaves are appended only by the worker. Readers — proofs,
+	// leaf and trace lookups — work from their published snapshots and
+	// never take mu.
+	log      *Log
+	leaves   segStore // encoded leaves, aligned with log indices
+	leafView atomic.Pointer[segView]
+	// traces holds leaf i's trace ID at slot i%traceWindow, for the newest
+	// traceWindow leaves, in chunks allocated as the log first reaches them.
+	traces [traceWindow / traceChunk]atomic.Pointer[[traceChunk]atomic.Uint64]
+
+	// mu guards the published head and the sample ring.
 	mu      sync.Mutex
-	log     *Log
-	encoded [][]byte          // encoded leaves, aligned with log indices
-	decoded []Leaf            // decoded view, same alignment
-	byTrace map[uint64]uint64 // trace -> latest leaf index
 	head    SignedHead
 	hasHead bool
 	samples []Sample
@@ -134,11 +141,12 @@ func NewRecorder(cfg Config) *Recorder {
 		ch:       make(chan recEvent, cfg.Buffer),
 		done:     make(chan struct{}),
 		log:      NewLog(),
-		byTrace:  make(map[uint64]uint64),
 		mLeaves:  reg.Counter(telemetry.MetricTranscriptLeaves),
 		mDropped: reg.Counter(telemetry.MetricTranscriptDropped),
 		mHeads:   reg.Counter(telemetry.MetricTranscriptHeads),
 	}
+	r.leaves = newSegStore("leaf", r.log.spillFile)
+	r.leafView.Store(new(segView))
 	go r.worker()
 	return r
 }
@@ -158,6 +166,7 @@ func (r *Recorder) Close() {
 	close(r.ch)
 	r.closeMu.Unlock()
 	<-r.done
+	_ = r.log.Close()
 }
 
 // post enqueues one event without ever blocking the caller.
@@ -170,8 +179,7 @@ func (r *Recorder) post(ev recEvent) {
 		select {
 		case r.ch <- ev:
 		default:
-			r.dropped.Add(1)
-			r.mDropped.Inc()
+			r.drop()
 		}
 	}
 	r.closeMu.RUnlock()
@@ -239,14 +247,24 @@ func (r *Recorder) worker() {
 					order = order[1:]
 					if _, ok := pending[old]; ok {
 						delete(pending, old)
-						r.dropped.Add(1)
-						r.mDropped.Inc()
+						r.drop()
 						break
 					}
 				}
 			}
 			p := &pendingLeaf{trace: ev.trace, inputs: ev.tensors}
 			pending[ev.batch] = p
+			if len(order) >= 2*len(pending)+64 {
+				// Forget delivered and aborted batches, so order stays
+				// proportional to what is pending rather than to uptime.
+				live := order[:0]
+				for _, b := range order {
+					if _, ok := pending[b]; ok {
+						live = append(live, b)
+					}
+				}
+				order = live
+			}
 			order = append(order, ev.batch)
 		case 'c', 'C':
 			p := pending[ev.batch]
@@ -294,22 +312,29 @@ func (r *Recorder) worker() {
 	}
 }
 
-// append encodes the leaf, extends the tree, samples and signs heads.
+// append encodes the leaf, extends the tree, samples and signs heads. Once
+// storage has failed, every leaf is dropped.
 func (r *Recorder) append(leaf Leaf, inputs map[string]*tensor.Tensor) {
 	enc, err := leaf.Marshal()
-	if err != nil {
-		// Oversized leaf (pathological replica IDs); count as a drop.
-		r.dropped.Add(1)
-		r.mDropped.Inc()
+	if err != nil || r.Err() != nil {
+		// Oversized leaf (pathological replica IDs) or failed storage.
+		r.drop()
 		return
 	}
-	r.mu.Lock()
-	idx := r.log.Append(LeafHash(enc))
-	r.encoded = append(r.encoded, enc)
-	r.decoded = append(r.decoded, leaf)
-	if leaf.Trace != 0 {
-		r.byTrace[leaf.Trace] = idx
+	idx := r.log.Size()
+	r.setTrace(idx, leaf.Trace)
+	err = r.leaves.append(enc)
+	v := r.leaves.view()
+	r.leafView.Store(&v)
+	if err == nil {
+		_, err = r.log.Append(LeafHash(enc))
 	}
+	if err != nil {
+		r.drop()
+		return
+	}
+	size := idx + 1
+	r.mu.Lock()
 	if r.cfg.SampleEvery > 0 && idx == r.nextSmp && inputs != nil {
 		r.samples = append(r.samples, Sample{Index: idx, Leaf: leaf, Inputs: inputs})
 		if len(r.samples) > r.cfg.SampleRing {
@@ -320,19 +345,24 @@ func (r *Recorder) append(leaf Leaf, inputs map[string]*tensor.Tensor) {
 		// The scheduled leaf had no retained inputs; slide the schedule.
 		r.nextSmp = idx + 1
 	}
-	size := r.log.Size()
 	if size%uint64(r.cfg.HeadEvery) == 0 {
-		r.signLocked()
+		r.signLocked(size, r.log.Root())
 	}
 	r.mu.Unlock()
 	r.mLeaves.Inc()
 }
 
-// signLocked publishes a head over the current tree. Caller holds r.mu.
-func (r *Recorder) signLocked() {
+func (r *Recorder) drop() {
+	r.dropped.Add(1)
+	r.mDropped.Inc()
+}
+
+// signLocked publishes a head over the tree of the given size and root.
+// Caller holds r.mu.
+func (r *Recorder) signLocked(size uint64, root Hash) {
 	h := TreeHead{
-		Size:   r.log.Size(),
-		Root:   r.log.Root(),
+		Size:   size,
+		Root:   root,
 		Model:  r.cfg.Model,
 		TimeNs: time.Now().UnixNano(),
 	}
@@ -362,10 +392,17 @@ func (r *Recorder) SignedHead(fresh bool) (SignedHead, error) {
 	if r == nil {
 		return SignedHead{}, ErrEmpty
 	}
+	size := r.log.Size()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if fresh || !r.hasHead || r.head.Head.Size < r.log.Size() {
-		r.signLocked()
+	// The worker may have signed a larger head since size was read; that
+	// head is already as fresh as this call can make it.
+	if !r.hasHead || r.head.Head.Size < size || (fresh && r.head.Head.Size == size) {
+		root, err := r.log.RootAt(size)
+		if err != nil {
+			return SignedHead{}, err
+		}
+		r.signLocked(size, root)
 	}
 	if !r.hasHead {
 		return SignedHead{}, ErrEmpty
@@ -378,37 +415,94 @@ func (r *Recorder) Size() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.log.Size()
 }
 
-// LeafByTrace returns the encoded and decoded leaf most recently appended
-// under the trace ID.
-func (r *Recorder) LeafByTrace(trace uint64) (Leaf, []byte, uint64, bool) {
+// Err returns the sticky storage error that stopped the log, if any.
+func (r *Recorder) Err() error {
 	if r == nil {
-		return Leaf{}, nil, 0, false
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx, ok := r.byTrace[trace]
-	if !ok {
-		return Leaf{}, nil, 0, false
+	if err := r.log.Err(); err != nil {
+		return err
 	}
-	return r.decoded[idx], r.encoded[idx], idx, true
+	return r.leafView.Load().err
 }
 
-// LeafAt returns the encoded and decoded leaf at index.
+// traceWindow is how many of the newest leaves ?trace= lookups cover: one
+// 8-byte trace ID per leaf, in a ring indexed by leaf index and allocated in
+// traceChunk pieces.
+const (
+	traceWindow = 1 << 16
+	traceChunk  = 1 << 12
+)
+
+// setTrace records leaf idx's trace ID (worker only).
+func (r *Recorder) setTrace(idx, trace uint64) {
+	slot := idx % traceWindow
+	c := &r.traces[slot/traceChunk]
+	p := c.Load()
+	if p == nil {
+		p = new([traceChunk]atomic.Uint64)
+		c.Store(p)
+	}
+	p[slot%traceChunk].Store(trace)
+}
+
+// traceAt returns the trace ID recorded in leaf idx's slot.
+func (r *Recorder) traceAt(idx uint64) uint64 {
+	slot := idx % traceWindow
+	if p := r.traces[slot/traceChunk].Load(); p != nil {
+		return p[slot%traceChunk].Load()
+	}
+	return 0
+}
+
+// LeafByTrace returns the encoded and decoded leaf most recently appended
+// under the trace ID, among the newest traceWindow leaves, and its index.
+func (r *Recorder) LeafByTrace(trace uint64) (Leaf, []byte, uint64, error) {
+	if r == nil {
+		return Leaf{}, nil, 0, ErrEmpty
+	}
+	size := r.log.Size()
+	if trace != 0 {
+		for i := size; i > 0 && size-i < traceWindow; i-- {
+			if r.traceAt(i-1) != trace {
+				continue
+			}
+			// The slot may have been reused since size was read; the
+			// leaf itself is the authority.
+			leaf, enc, err := r.LeafAt(i - 1)
+			if err != nil {
+				return Leaf{}, nil, 0, err
+			}
+			if leaf.Trace == trace {
+				return leaf, enc, i - 1, nil
+			}
+		}
+	}
+	return Leaf{}, nil, 0, fmt.Errorf("transcript: no leaf for trace %016x among the newest %d", trace, traceWindow)
+}
+
+// LeafAt returns the encoded and decoded leaf at index, read from memory or
+// from its sealed segment.
 func (r *Recorder) LeafAt(idx uint64) (Leaf, []byte, error) {
 	if r == nil {
 		return Leaf{}, nil, ErrEmpty
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx >= uint64(len(r.encoded)) {
-		return Leaf{}, nil, fmt.Errorf("transcript: leaf %d out of range (size %d)", idx, len(r.encoded))
+	if size := r.log.Size(); idx >= size {
+		return Leaf{}, nil, fmt.Errorf("transcript: leaf %d out of range (size %d)", idx, size)
 	}
-	return r.decoded[idx], r.encoded[idx], nil
+	items, err := r.leafView.Load().items([]uint64{idx})
+	if err != nil {
+		return Leaf{}, nil, err
+	}
+	enc := append([]byte(nil), items[0]...)
+	leaf, err := UnmarshalLeaf(enc)
+	if err != nil {
+		return Leaf{}, nil, fmt.Errorf("%w: leaf %d: %v", ErrStorage, idx, err)
+	}
+	return *leaf, enc, nil
 }
 
 // InclusionProof proves leaf index under the tree of the given size.
@@ -416,8 +510,6 @@ func (r *Recorder) InclusionProof(index, size uint64) (*Proof, error) {
 	if r == nil {
 		return nil, ErrEmpty
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.log.InclusionProof(index, size)
 }
 
@@ -426,8 +518,6 @@ func (r *Recorder) ConsistencyProof(m, n uint64) (*Proof, error) {
 	if r == nil {
 		return nil, ErrEmpty
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.log.ConsistencyProof(m, n)
 }
 

@@ -181,9 +181,9 @@ func TestRecorderBuildsLeaves(t *testing.T) {
 
 	waitFor(t, "10 leaves", func() bool { return rec.Size() == 10 })
 
-	leaf, enc, idx, ok := rec.LeafByTrace(5000)
-	if !ok {
-		t.Fatal("no leaf for trace 5000")
+	leaf, enc, idx, err := rec.LeafByTrace(5000)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if leaf.Batch != 5 || idx != 4 {
 		t.Fatalf("trace 5000 -> batch %d index %d", leaf.Batch, idx)
@@ -233,12 +233,10 @@ func TestRecorderBuildsLeaves(t *testing.T) {
 	}
 }
 
-// byTraceLookup is a test helper exposing the trace index without leaf copies.
+// byTraceLookup is a test helper exposing the trace lookup's index.
 func (r *Recorder) byTraceLookup(trace uint64) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx, ok := r.byTrace[trace]
-	return idx, ok
+	_, _, idx, err := r.LeafByTrace(trace)
+	return idx, err == nil
 }
 
 func TestRecorderNilSafe(t *testing.T) {

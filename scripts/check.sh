@@ -14,7 +14,7 @@ go test -race ./...
 # submit/demux hand-off, the transcript recorder's post/Close, the cluster
 # router's failover and the engine's submit path must hold at every core
 # count: run them at GOMAXPROCS 1, 2 and 4.
-go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement, channel retry), the lock-free telemetry core, the adaptive
