@@ -150,7 +150,7 @@ func (r *Remote) submit(rid, trace uint64, enc []byte, inputs map[string]*tensor
 		}
 		return n, wire.Send(r.conn, m)
 	}
-	return len(enc), wire.SendEncoded(r.conn, enc)
+	return len(enc), r.conn.Send(enc)
 }
 
 // pollMetrics requests the remote registry's snapshot; the reader posts the
@@ -166,7 +166,7 @@ func (r *Remote) announce(enc []byte, d *wire.Digest) (int, error) {
 	if enc == nil {
 		return wire.DigestFrameLen, wire.Send(r.conn, d)
 	}
-	return len(enc), wire.SendEncoded(r.conn, enc)
+	return len(enc), r.conn.Send(enc)
 }
 
 // resultWireBytes reconstructs the encoded payload size of a received Result.

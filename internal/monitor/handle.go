@@ -69,7 +69,7 @@ func (h *Handle) drop() {
 // their own pooled frame from it, leaving the payload intact for the next
 // handle.
 func (h *Handle) sendEncoded(id uint64, payload []byte) error {
-	if err := wire.SendEncoded(h.conn, payload); err != nil {
+	if err := h.conn.Send(payload); err != nil {
 		return fmt.Errorf("monitor: send batch %d to %s: %w", id, h.id, err)
 	}
 	return nil
@@ -106,9 +106,7 @@ func (h *Handle) startReader() {
 // channel must not stall teardown, so the send runs under a short IO
 // deadline before the close that tears the transport down regardless.
 func (h *Handle) shutdown() {
-	if dc, ok := h.conn.(securechan.DeadlineConn); ok {
-		dc.SetIOTimeout(500 * time.Millisecond)
-	}
+	h.conn.SetIOTimeout(500 * time.Millisecond)
 	_ = wire.Send(h.conn, &wire.Shutdown{})
 	_ = h.conn.Close()
 }

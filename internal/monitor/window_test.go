@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/securechan"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
@@ -20,7 +22,9 @@ type scriptConn struct {
 
 	mu       sync.Mutex
 	payloads [][]byte // raw dispatched wire payloads, in order
+	backing  []*byte  // first byte of each dispatched payload as passed to Send
 	ids      []uint64
+	bufSends int // batches that arrived through SendBuf (a per-variant encode)
 
 	resCh  chan []byte
 	closed chan struct{}
@@ -31,7 +35,20 @@ func newScriptConn(id string) *scriptConn {
 	return &scriptConn{id: id, resCh: make(chan []byte, 64), closed: make(chan struct{})}
 }
 
+// SendBuf is the path wire.Send takes: a batch arriving here was encoded
+// for this variant alone, so it is counted apart from the fan-out path.
+func (c *scriptConn) SendBuf(b *securechan.Buf) error {
+	defer b.Free()
+	return c.record(b.Payload(), true)
+}
+
+// Send is the encode-once fan-out path: every variant is handed the same
+// payload slice, so its backing array is kept for the identity check.
 func (c *scriptConn) Send(b []byte) error {
+	return c.record(b, false)
+}
+
+func (c *scriptConn) record(b []byte, viaBuf bool) error {
 	msg, err := wire.Unmarshal(b)
 	if err != nil {
 		return err
@@ -39,7 +56,11 @@ func (c *scriptConn) Send(b []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if batch, ok := msg.(*wire.Batch); ok {
+		if viaBuf {
+			c.bufSends++
+		}
 		c.payloads = append(c.payloads, append([]byte(nil), b...))
+		c.backing = append(c.backing, unsafe.SliceData(b))
 		c.ids = append(c.ids, batch.ID)
 	}
 	return nil
@@ -54,6 +75,8 @@ func (c *scriptConn) Recv() ([]byte, error) {
 	}
 }
 
+func (c *scriptConn) SetIOTimeout(time.Duration) {}
+
 func (c *scriptConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
@@ -65,11 +88,12 @@ func (c *scriptConn) release(t *testing.T, id uint64) {
 	res := &wire.Result{ID: id, VariantID: c.id, Tensors: map[string]*tensor.Tensor{
 		"y": tensor.MustFromSlice([]float32{float32(id)}, 1),
 	}}
-	b, err := wire.Marshal(res)
+	b, err := wire.MarshalBuf(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.resCh <- b
+	c.resCh <- append([]byte(nil), b.Payload()...)
+	b.Free()
 }
 
 func (c *scriptConn) dispatched() []uint64 {
@@ -206,9 +230,10 @@ func TestSetInflightWindowRetunesLive(t *testing.T) {
 }
 
 // TestDispatchEncodesOnceAcrossVariants checks the fan-out contract on a
-// 3-variant MVX stage: every variant receives the byte-identical encoding of
-// the batch (the dispatcher marshals once and fans the same payload out),
-// and it matches the deterministic pooled codec.
+// 3-variant MVX stage: the dispatcher marshals the batch once and hands every
+// variant the same payload slice through Send, and those bytes match the
+// pooled codec. Since the codec is deterministic, byte equality alone cannot
+// catch a per-variant encode; the send path and the shared backing array do.
 func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
 	// With telemetry off the engine mints a zero trace ID, so the reference
 	// marshal below (also zero-trace) must match the dispatched bytes exactly.
@@ -228,8 +253,7 @@ func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
 	}
 	e := buildEngine(t, cfg)
 
-	// Several tensors, so any per-variant re-marshal would almost surely
-	// reorder the (map-iterated) tensor section and break byte equality.
+	// Several tensors, so the payload exercises the sorted tensor section.
 	inputs := map[string]*tensor.Tensor{
 		"x": tensor.MustFromSlice([]float32{1, 2}, 2),
 		"w": tensor.MustFromSlice([]float32{3}, 1),
@@ -249,8 +273,14 @@ func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
 	defer ref.Free()
 	for _, c := range conns {
 		c.mu.Lock()
-		payload := c.payloads[0]
+		payload, backing, bufSends := c.payloads[0], c.backing[0], c.bufSends
 		c.mu.Unlock()
+		if bufSends != 0 {
+			t.Fatalf("variant %s got the batch through SendBuf: encoded per variant", c.id)
+		}
+		if backing != conns[0].backing[0] {
+			t.Fatalf("variant %s got a different payload slice than v0: encoded per variant", c.id)
+		}
 		if !bytes.Equal(payload, conns[0].payloads[0]) {
 			t.Fatalf("variant %s received different bytes than v0", c.id)
 		}

@@ -186,9 +186,10 @@ func measureService(ex infer.Executor, ins map[string]*tensor.Tensor, reps int) 
 	return best, out, nil
 }
 
-// measureTransfer times one monitor<->variant hop for the tensor map:
-// binary serialization, AES-GCM-256 seal and open (unless plain), and
-// deserialization.
+// measureTransfer times one monitor<->variant hop for the tensor map the way
+// the data plane ships it (SecureConn.SendBuf, then Recv): MarshalBuf into a
+// pooled frame, an in-place AES-GCM-256 seal and open of the payload (unless
+// plain), and decoding.
 func measureTransfer(ts map[string]*tensor.Tensor, reps int, plain bool) (time.Duration, error) {
 	if len(ts) == 0 {
 		return 0, nil
@@ -203,23 +204,24 @@ func measureTransfer(ts map[string]*tensor.Tensor, reps int, plain bool) (time.D
 	if err != nil {
 		return 0, err
 	}
-	nonce := make([]byte, 12)
+	nonce := make([]byte, gcm.NonceSize())
 	best := time.Duration(1<<62 - 1)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		buf, err := wire.Marshal(msg)
+		buf, err := wire.MarshalBuf(msg)
 		if err != nil {
 			return 0, err
 		}
-		pt := buf
+		pt := buf.Payload()
 		if !plain {
-			ct := gcm.Seal(nil, nonce, buf, nil)
-			pt, err = gcm.Open(nil, nonce, ct, nil)
-			if err != nil {
-				return 0, err
-			}
+			ct := gcm.Seal(pt[:0], nonce, pt, nil)
+			pt, err = gcm.Open(ct[:0], nonce, ct, nil)
 		}
-		if _, err := wire.Unmarshal(pt); err != nil {
+		if err == nil {
+			_, err = wire.Unmarshal(pt)
+		}
+		buf.Free()
+		if err != nil {
 			return 0, err
 		}
 		if el := time.Since(start); el < best {

@@ -32,8 +32,8 @@ const (
 
 // Buf is a pooled frame buffer: a payload region with framing headroom and
 // AEAD tailroom around it. Obtain with GetBuf, fill the payload via Grow (or
-// AppendPayload), hand to a ZeroCopy channel's SendBuf — which consumes it —
-// or release with Free.
+// AppendPayload), hand to a Conn's SendBuf — which consumes it — or release
+// with Free.
 type Buf struct {
 	full []byte // BufHeadroom + payload capacity + BufTailroom
 	n    int    // current payload length
@@ -119,26 +119,3 @@ func (b *Buf) Grow(n int) []byte {
 
 // AppendPayload copies p onto the end of the payload.
 func (b *Buf) AppendPayload(p []byte) { copy(b.Grow(len(p)), p) }
-
-// ZeroCopy is implemented by channels that support the pooled zero-copy data
-// plane: in-place sealed sends from headroom-bearing buffers, encode-once
-// fan-out sends that seal a shared payload per connection, and pooled
-// receives that reuse the connection's previous frame. SecureConn, the plain
-// framing and ReliableConn all qualify; wire.Send/Recv use these paths
-// automatically when available.
-type ZeroCopy interface {
-	Conn
-	// SendBuf seals (secure channels) and frames the buffer's payload in
-	// place and transmits it as a single write. The buffer is consumed:
-	// SendBuf returns it to its pool whether or not the send succeeds.
-	SendBuf(b *Buf) error
-	// SendShared seals the shared payload into a pooled frame and transmits
-	// it, leaving payload intact — the encode-once fan-out path, safe to call
-	// with the same payload on many connections.
-	SendShared(payload []byte) error
-	// RecvBuf receives one message into the connection's pooled receive
-	// buffer, decrypting in place on secure channels. The returned slice is
-	// valid only until the next RecvBuf or Recv call on this connection;
-	// callers must decode or copy before receiving again.
-	RecvBuf() ([]byte, error)
-}

@@ -16,8 +16,6 @@ var (
 	mFramesRecv = telemetry.Default.Counter(telemetry.MetricChanFramesRecv)
 	mSealNs     = telemetry.Default.Histogram(telemetry.MetricChanSealNs)
 	mOpenNs     = telemetry.Default.Histogram(telemetry.MetricChanOpenNs)
-	mRetries    = telemetry.Default.Counter(telemetry.MetricChanRetries)
-	mRedials    = telemetry.Default.Counter(telemetry.MetricChanRedials)
 )
 
 func countSent(frameBytes int) {

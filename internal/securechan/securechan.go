@@ -5,6 +5,14 @@
 // its report data — so a verified report proves the peer enclave owns the
 // channel — and the record layer protects every message with AES-GCM-256
 // under direction-separated keys and explicit monotonic sequence numbers.
+//
+// Conn is the one channel contract. Plain (the Figure 10 no-encryption
+// baseline) and *SecureConn implement it, both on the pooled zero-copy path:
+// in-place sealed sends from Bufs, encode-once fan-out sends and receives into
+// a reused per-connection buffer. Every record spends a sequence number, so a
+// failed send is never retried on the same channel; recovery belongs to the
+// engine, which excludes the variant and promotes a spare, and to the cluster
+// router, which fails over to another replica.
 package securechan
 
 import (
@@ -29,12 +37,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Conn is a message-oriented channel between monitor and variant. Send and
-// Recv are each safe for use by one goroutine at a time (one sender, one
-// receiver concurrently is fine).
+// Conn is the one channel contract between monitor and variant and between
+// router and replica. It is implemented by the Plain baseline framing and by
+// *SecureConn, and every method is the pooled zero-copy path. Sends and
+// receives are each safe for use by one goroutine at a time (one sender and
+// one receiver concurrently is fine).
 type Conn interface {
-	Send(b []byte) error
+	// SendBuf seals (secure channels) and frames the buffer's payload in
+	// place and transmits it as a single write. The buffer is consumed:
+	// SendBuf returns it to its pool whether or not the send succeeds.
+	SendBuf(b *Buf) error
+	// Send seals payload into a pooled frame of the connection's own and
+	// transmits it, leaving payload intact: the encode-once fan-out path,
+	// safe to call with the same payload on many connections.
+	Send(payload []byte) error
+	// Recv receives one message into the connection's pooled receive
+	// buffer, decrypting in place on secure channels. The returned slice is
+	// valid only until the next Recv on this connection; callers must
+	// decode or copy it before receiving again.
 	Recv() ([]byte, error)
+	// SetIOTimeout bounds every subsequent send and receive: an operation
+	// that does not complete within d fails with a timeout error. Zero
+	// disables deadlines, which is right for data-plane readers that idle
+	// between batches; straggler detection there belongs to the engine's
+	// StageTimeout, not the transport.
+	SetIOTimeout(d time.Duration)
 	Close() error
 }
 
@@ -58,9 +85,20 @@ var (
 
 // --- raw framing ------------------------------------------------------------
 
+// checkFrameLen is the one size rule for a record's length word: senders
+// apply it before they write and receivers before they allocate, so a sender
+// refuses exactly the records its peer would.
+func checkFrameLen(n uint64) error {
+	if n > MaxFrameSize {
+		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFrameSize)
+	}
+	return nil
+}
+
+// writeFrame writes one handshake frame.
 func writeFrame(w io.Writer, b []byte) error {
-	if len(b) > MaxFrameSize {
-		return ErrFrameTooLarge
+	if err := checkFrameLen(uint64(len(b))); err != nil {
+		return err
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
@@ -78,8 +116,8 @@ func readFrameLen(r io.Reader) (int, error) {
 		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFrameSize)
+	if err := checkFrameLen(uint64(n)); err != nil {
+		return 0, err
 	}
 	return int(n), nil
 }
@@ -132,6 +170,7 @@ func readBody(r io.Reader, scratch []byte, n int) ([]byte, error) {
 	return b, nil
 }
 
+// readFrame reads one handshake frame into fresh memory.
 func readFrame(r io.Reader) ([]byte, error) {
 	n, err := readFrameLen(r)
 	if err != nil {
@@ -140,19 +179,25 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return readBody(r, nil, n)
 }
 
-// --- plaintext channel (baseline) --------------------------------------------
-
-// DeadlineConn is implemented by channels that can bound per-operation IO
-// (both Plain and SecureConn wrap a net.Conn and qualify). A zero timeout
-// disables deadlines — correct for data-plane readers that legitimately
-// idle between batches; straggler detection there belongs to the engine's
-// StageTimeout, not the transport.
-type DeadlineConn interface {
-	Conn
-	// SetIOTimeout bounds every subsequent Send and Recv: an operation that
-	// does not complete within d fails with a timeout error.
-	SetIOTimeout(d time.Duration)
+// recvFrame reads one data frame into *scratch's capacity when it suffices
+// and keeps the frame as the next receive's scratch unless it outgrew
+// maxRecvRetain.
+func recvFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := readBody(r, *scratch, n)
+	if err != nil {
+		return nil, err
+	}
+	if cap(frame) <= maxRecvRetain {
+		*scratch = frame
+	}
+	return frame, nil
 }
+
+// --- plaintext channel (baseline) --------------------------------------------
 
 // ioDeadline arms a per-operation deadline on the transport.
 func ioDeadline(d time.Duration, set func(time.Time) error) {
@@ -173,46 +218,17 @@ type plainConn struct {
 	ioTimeout atomic.Int64 // time.Duration; 0 = no deadline
 }
 
-var (
-	_ DeadlineConn = (*plainConn)(nil)
-	_ ZeroCopy     = (*plainConn)(nil)
-)
-
 // Plain wraps c in unencrypted framing.
 func Plain(c net.Conn) Conn { return &plainConn{c: c} }
 
-// SetIOTimeout bounds each Send/Recv; zero disables deadlines.
 func (p *plainConn) SetIOTimeout(d time.Duration) { p.ioTimeout.Store(int64(d)) }
 
-func (p *plainConn) Send(b []byte) error {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetWriteDeadline)
-	if err := writeFrame(p.c, b); err != nil {
-		return err
-	}
-	countSent(len(b))
-	return nil
-}
-
-func (p *plainConn) Recv() ([]byte, error) {
-	p.recvMu.Lock()
-	defer p.recvMu.Unlock()
-	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetReadDeadline)
-	frame, err := readFrame(p.c)
-	if err != nil {
-		return nil, err
-	}
-	countRecvd(len(frame))
-	return frame, nil
-}
-
 // SendBuf frames the buffer's payload in place (the length word lands in the
-// tail of the headroom) and transmits it as one write, consuming the buffer.
+// tail of the headroom) and transmits it as one write.
 func (p *plainConn) SendBuf(b *Buf) error {
 	defer b.Free()
-	if b.n+frameHdrLen > MaxFrameSize {
-		return ErrFrameTooLarge
+	if err := checkFrameLen(uint64(b.n)); err != nil {
+		return err
 	}
 	frame := b.full[BufHeadroom-frameHdrLen : BufHeadroom+b.n]
 	binary.BigEndian.PutUint32(frame[:frameHdrLen], uint32(b.n))
@@ -226,11 +242,11 @@ func (p *plainConn) SendBuf(b *Buf) error {
 	return nil
 }
 
-// SendShared frames the shared payload without copying it, scattering the
-// header and payload with a vectored write (net.Buffers → writev on TCP).
-func (p *plainConn) SendShared(payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+// Send frames payload without copying it, scattering the header and payload
+// with a vectored write (net.Buffers → writev on TCP).
+func (p *plainConn) Send(payload []byte) error {
+	if err := checkFrameLen(uint64(len(payload))); err != nil {
+		return err
 	}
 	var hdr [frameHdrLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -238,6 +254,12 @@ func (p *plainConn) SendShared(payload []byte) error {
 	defer p.sendMu.Unlock()
 	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetWriteDeadline)
 	bufs := net.Buffers{hdr[:], payload}
+	if len(payload) == 0 {
+		// A zero-length write still waits for a reader on synchronous
+		// transports such as net.Pipe, and the receiver never reads an
+		// empty body.
+		bufs = bufs[:1]
+	}
 	if _, err := bufs.WriteTo(p.c); err != nil {
 		return err
 	}
@@ -245,26 +267,13 @@ func (p *plainConn) SendShared(payload []byte) error {
 	return nil
 }
 
-// RecvBuf receives one message into the connection's pooled receive buffer;
-// the result is valid until the next RecvBuf or Recv.
-func (p *plainConn) RecvBuf() ([]byte, error) {
+func (p *plainConn) Recv() ([]byte, error) {
 	p.recvMu.Lock()
 	defer p.recvMu.Unlock()
 	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetReadDeadline)
-	n, err := readFrameLen(p.c)
+	frame, err := recvFrame(p.c, &p.recvBuf)
 	if err != nil {
 		return nil, err
-	}
-	scratch := p.recvBuf
-	if cap(scratch) > maxRecvRetain {
-		scratch, p.recvBuf = nil, nil
-	}
-	frame, err := readBody(p.c, scratch, n)
-	if err != nil {
-		return nil, err
-	}
-	if cap(frame) <= maxRecvRetain {
-		p.recvBuf = frame
 	}
 	countRecvd(len(frame))
 	return frame, nil
@@ -276,31 +285,26 @@ func (p *plainConn) Close() error { return p.c.Close() }
 
 // SecureConn is an established RA-TLS-style channel.
 type SecureConn struct {
-	c         net.Conn
-	sendMu    sync.Mutex
-	recvMu    sync.Mutex
-	sendAEAD  cipher.AEAD
-	recvAEAD  cipher.AEAD
-	sendSeq   uint64
-	recvSeq   uint64
-	sendLabel []byte
-	recvLabel []byte
+	c        net.Conn
+	sendMu   sync.Mutex
+	recvMu   sync.Mutex
+	sendAEAD cipher.AEAD
+	recvAEAD cipher.AEAD
+	sendSeq  uint64
+	recvSeq  uint64
 	// sendAAD/recvAAD are per-direction AAD scratch (label ‖ sequence),
 	// guarded by the corresponding mutex so the hot path never reallocates
 	// the additional data per record.
 	sendAAD []byte
 	recvAAD []byte
-	// recvBuf is the pooled receive frame, reused across RecvBuf calls
+	// recvBuf is the pooled receive frame, reused across Recv calls
 	// (guarded by recvMu).
 	recvBuf    []byte
 	peerReport *enclave.Report
 	ioTimeout  atomic.Int64 // time.Duration; 0 = no deadline
 }
 
-var (
-	_ DeadlineConn = (*SecureConn)(nil)
-	_ ZeroCopy     = (*SecureConn)(nil)
-)
+var _ Conn = (*SecureConn)(nil)
 
 // newSecureConn assembles the record layer shared by both handshake roles.
 func newSecureConn(c net.Conn, sendAEAD, recvAEAD cipher.AEAD, sendLabel, recvLabel string, peer *enclave.Report) *SecureConn {
@@ -311,7 +315,6 @@ func newSecureConn(c net.Conn, sendAEAD, recvAEAD cipher.AEAD, sendLabel, recvLa
 	}
 	return &SecureConn{
 		c: c, sendAEAD: sendAEAD, recvAEAD: recvAEAD,
-		sendLabel: []byte(sendLabel), recvLabel: []byte(recvLabel),
 		sendAAD: aad(sendLabel), recvAAD: aad(recvLabel),
 		peerReport: peer,
 	}
@@ -323,10 +326,12 @@ func putSeqAAD(aad []byte, seq uint64) []byte {
 	return aad
 }
 
-// SetIOTimeout bounds each Send/Recv; zero disables deadlines. A timed-out
-// operation may leave a partial record on the wire, so the connection must
-// be considered broken afterwards — reconnect (fresh handshake and sequence
-// space) rather than retrying on the same channel; see ReliableConn.
+// SetIOTimeout bounds each send and receive; zero disables deadlines. A
+// timed-out operation may leave a partial record on the wire, and a record
+// is never re-sent under a sequence number already spent, so the connection
+// is broken afterwards. Recovery is the engine's (variant exclusion and spare
+// promotion) or the cluster router's (failover), never a retry on the same
+// channel.
 func (s *SecureConn) SetIOTimeout(d time.Duration) { s.ioTimeout.Store(int64(d)) }
 
 // PeerReport returns the attestation report presented by the peer during the
@@ -336,82 +341,36 @@ func (s *SecureConn) PeerReport() *enclave.Report { return s.peerReport }
 // Close closes the underlying transport.
 func (s *SecureConn) Close() error { return s.c.Close() }
 
-// Send encrypts and transmits one message. The caller-owned path: b is
-// copied through the AEAD into a fresh frame. The zero-copy data plane
-// (SendBuf/SendShared) avoids that copy; Send remains for callers without
-// pooled buffers.
-func (s *SecureConn) Send(b []byte) error {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	seq := s.sendSeq
-	s.sendSeq++
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
-	aad := putSeqAAD(s.sendAAD, seq)
-	var t0 time.Time
-	if telemetry.Enabled() {
-		t0 = time.Now()
-	}
-	ct := s.sendAEAD.Seal(nil, nonce[:], b, aad)
-	if !t0.IsZero() {
-		mSealNs.Observe(time.Since(t0).Nanoseconds())
-	}
-	frame := make([]byte, 8+len(ct))
-	binary.BigEndian.PutUint64(frame, seq)
-	copy(frame[8:], ct)
-	ioDeadline(time.Duration(s.ioTimeout.Load()), s.c.SetWriteDeadline)
-	if err := writeFrame(s.c, frame); err != nil {
-		return err
-	}
-	countSent(len(frame))
-	return nil
-}
+// sealedLen is the length word of the record that carries an n-byte payload.
+func sealedLen(n int) uint64 { return uint64(recSeqLen + n + BufTailroom) }
 
-// SendBuf seals the buffer's payload in place — the ciphertext and tag land
+// SendBuf seals the buffer's payload in place (the ciphertext and tag land
 // where the plaintext was, the frame header and sequence number in the
-// headroom — and transmits the record as a single write. The buffer is
-// consumed (returned to its pool) whether or not the send succeeds.
+// headroom) and transmits the record as a single write.
 func (s *SecureConn) SendBuf(b *Buf) error {
 	defer b.Free()
-	if recSeqLen+b.n+BufTailroom > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	seq := s.sendSeq
-	s.sendSeq++
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
-	aad := putSeqAAD(s.sendAAD, seq)
-	payload := b.Payload()
-	var t0 time.Time
-	if telemetry.Enabled() {
-		t0 = time.Now()
-	}
-	ct := s.sendAEAD.Seal(payload[:0], nonce[:], payload, aad)
-	if !t0.IsZero() {
-		mSealNs.Observe(time.Since(t0).Nanoseconds())
-	}
-	frame := b.full[:BufHeadroom+len(ct)]
-	binary.BigEndian.PutUint32(frame[:frameHdrLen], uint32(recSeqLen+len(ct)))
-	binary.BigEndian.PutUint64(frame[frameHdrLen:BufHeadroom], seq)
-	ioDeadline(time.Duration(s.ioTimeout.Load()), s.c.SetWriteDeadline)
-	if _, err := s.c.Write(frame); err != nil {
+	if err := checkFrameLen(sealedLen(b.n)); err != nil {
 		return err
 	}
-	countSent(recSeqLen + len(ct))
-	return nil
+	return s.sealAndWrite(b, b.Payload())
 }
 
-// SendShared seals the shared payload into a pooled frame of this
-// connection's own — payload is left intact, so the same encoded message can
-// fan out across many connections with one marshal and one seal each.
-func (s *SecureConn) SendShared(payload []byte) error {
-	if recSeqLen+len(payload)+BufTailroom > MaxFrameSize {
-		return ErrFrameTooLarge
+// Send seals payload into a pooled frame of this connection's own. payload
+// is left intact, so the same encoded message can fan out across many
+// connections with one marshal and one seal each.
+func (s *SecureConn) Send(payload []byte) error {
+	if err := checkFrameLen(sealedLen(len(payload))); err != nil {
+		return err
 	}
 	f := GetBuf(len(payload))
 	defer f.Free()
+	return s.sealAndWrite(f, payload)
+}
+
+// sealAndWrite seals plaintext into f's payload region under the next send
+// sequence number and writes the record. plaintext is either f's own payload
+// (an in-place seal) or memory that does not overlap f.
+func (s *SecureConn) sealAndWrite(f *Buf, plaintext []byte) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	seq := s.sendSeq
@@ -423,7 +382,7 @@ func (s *SecureConn) SendShared(payload []byte) error {
 	if telemetry.Enabled() {
 		t0 = time.Now()
 	}
-	ct := s.sendAEAD.Seal(f.full[BufHeadroom:BufHeadroom], nonce[:], payload, aad)
+	ct := s.sendAEAD.Seal(f.full[BufHeadroom:BufHeadroom], nonce[:], plaintext, aad)
 	if !t0.IsZero() {
 		mSealNs.Observe(time.Since(t0).Nanoseconds())
 	}
@@ -438,41 +397,16 @@ func (s *SecureConn) SendShared(payload []byte) error {
 	return nil
 }
 
-// Recv receives and decrypts one message, enforcing strict sequence order.
-// The returned slice is caller-owned (freshly allocated); the data plane
-// uses RecvBuf to reuse frames instead.
+// Recv receives one record into the connection's pooled receive buffer,
+// enforces strict sequence order and decrypts in place. The returned slice
+// aliases the buffer: it is valid only until the next Recv.
 func (s *SecureConn) Recv() ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
 	ioDeadline(time.Duration(s.ioTimeout.Load()), s.c.SetReadDeadline)
-	frame, err := readFrame(s.c)
+	frame, err := recvFrame(s.c, &s.recvBuf)
 	if err != nil {
 		return nil, err
-	}
-	return s.openLocked(frame)
-}
-
-// RecvBuf receives one message into the connection's pooled receive buffer
-// and decrypts it in place. The returned slice aliases the buffer: it is
-// valid only until the next RecvBuf or Recv on this connection.
-func (s *SecureConn) RecvBuf() ([]byte, error) {
-	s.recvMu.Lock()
-	defer s.recvMu.Unlock()
-	ioDeadline(time.Duration(s.ioTimeout.Load()), s.c.SetReadDeadline)
-	n, err := readFrameLen(s.c)
-	if err != nil {
-		return nil, err
-	}
-	scratch := s.recvBuf
-	if cap(scratch) > maxRecvRetain {
-		scratch, s.recvBuf = nil, nil
-	}
-	frame, err := readBody(s.c, scratch, n)
-	if err != nil {
-		return nil, err
-	}
-	if cap(frame) <= maxRecvRetain {
-		s.recvBuf = frame
 	}
 	return s.openLocked(frame)
 }

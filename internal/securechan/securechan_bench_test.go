@@ -8,14 +8,12 @@ import (
 
 // BenchmarkChannelThroughput measures the record layer on checkpoint-sized
 // payloads — the encryption overhead Figure 10 decomposes — for the secure
-// (AES-GCM-256 + sequence numbers) and plain framings. secure-zerocopy is
-// the secure framing on the pooled path the data plane uses (SendShared into
-// a pooled frame, RecvBuf opening in place) instead of a fresh buffer per
-// message.
+// (AES-GCM-256 + sequence numbers) and plain framings, on the paths the data
+// plane uses: Send seals into a pooled frame and Recv opens in place.
 func BenchmarkChannelThroughput(b *testing.B) {
 	for _, size := range []int{4 << 10, 64 << 10, 1 << 20} {
 		payload := make([]byte, size)
-		for _, mode := range []string{"plain", "secure", "secure-zerocopy"} {
+		for _, mode := range []string{"plain", "secure"} {
 			b.Run(fmt.Sprintf("%s/%dKiB", mode, size>>10), func(b *testing.B) {
 				ca, cb := net.Pipe()
 				defer ca.Close()
@@ -39,14 +37,10 @@ func BenchmarkChannelThroughput(b *testing.B) {
 					}
 					send, recv = cli, <-done
 				}
-				sendMsg, recvMsg := send.Send, recv.Recv
-				if mode == "secure-zerocopy" {
-					sendMsg, recvMsg = send.(ZeroCopy).SendShared, recv.(ZeroCopy).RecvBuf
-				}
 				errCh := make(chan error, 1)
 				go func() {
 					for i := 0; i < b.N; i++ {
-						if _, err := recvMsg(); err != nil {
+						if _, err := recv.Recv(); err != nil {
 							errCh <- err
 							return
 						}
@@ -56,7 +50,7 @@ func BenchmarkChannelThroughput(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := sendMsg(payload); err != nil {
+					if err := send.Send(payload); err != nil {
 						b.Fatal(err)
 					}
 				}

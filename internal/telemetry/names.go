@@ -23,8 +23,6 @@ const (
 	MetricChanFramesRecv = "mvtee_chan_frames_recv_total"
 	MetricChanSealNs     = "mvtee_chan_seal_ns"
 	MetricChanOpenNs     = "mvtee_chan_open_ns"
-	MetricChanRetries    = "mvtee_chan_retries_total"
-	MetricChanRedials    = "mvtee_chan_redials_total"
 
 	// Worker pool series.
 	MetricPoolRegions         = "mvtee_pool_regions_total"

@@ -265,8 +265,8 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 func (t *Tensor) EncodedSize() int { return 4 + 4*len(t.shape) + 4*len(t.data) }
 
 // Encode writes the wire-format encoding of t into dst, which must hold at
-// least EncodedSize bytes, and returns the number of bytes written. It is the
-// allocation-free core of Marshal, used by the pooled wire codec.
+// least EncodedSize bytes, and returns the number of bytes written. The
+// pooled wire codec encodes tensors straight into its frame buffer with it.
 func (t *Tensor) Encode(dst []byte) int {
 	binary.LittleEndian.PutUint32(dst, uint32(len(t.shape)))
 	for i, d := range t.shape {
@@ -275,13 +275,6 @@ func (t *Tensor) Encode(dst []byte) int {
 	off := 4 + 4*len(t.shape)
 	EncodeFloats(dst[off:], t.data)
 	return off + 4*len(t.data)
-}
-
-// Marshal returns the wire-format encoding of t.
-func (t *Tensor) Marshal() []byte {
-	buf := make([]byte, t.EncodedSize())
-	t.Encode(buf)
-	return buf
 }
 
 // Unmarshal decodes a tensor from the wire format, returning the tensor and
@@ -298,13 +291,15 @@ func Unmarshal(buf []byte) (*Tensor, int, error) {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
 	shape := make([]int, rank)
-	vol := 1
 	for i := range shape {
 		shape[i] = int(binary.LittleEndian.Uint32(buf[4+4*i:]))
-		vol *= shape[i]
+	}
+	vol, err := CheckedVolume(shape)
+	if err != nil {
+		return nil, 0, err
 	}
 	off := 4 + 4*rank
-	if len(buf) < off+4*vol {
+	if (len(buf)-off)/4 < vol {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
 	data := make([]float32, vol)

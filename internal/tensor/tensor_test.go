@@ -177,9 +177,16 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
+// encode returns the wire-format encoding of x in fresh memory.
+func encode(x *Tensor) []byte {
+	buf := make([]byte, x.EncodedSize())
+	x.Encode(buf)
+	return buf
+}
+
 func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	x := MustFromSlice([]float32{1.5, -2.25, 3.125, 0}, 2, 2)
-	buf := x.Marshal()
+	buf := encode(x)
 	y, n, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +219,9 @@ func TestUnmarshalMalformed(t *testing.T) {
 		nil,
 		{1},
 		{0xff, 0xff, 0xff, 0xff}, // absurd rank
-		MustFromSlice([]float32{1, 2}, 2).Marshal()[:6], // truncated
+		encode(MustFromSlice([]float32{1, 2}, 2))[:6], // truncated
+		// Rank 2 with dims whose product wraps negative, then 4 bytes.
+		{2, 0, 0, 0, 0x30, 0x30, 0x30, 0x41, 0x30, 0x30, 0x30, 0x80, 0, 0, 0, 0},
 	}
 	for i, c := range cases {
 		if _, _, err := Unmarshal(c); err == nil {
@@ -231,7 +240,7 @@ func TestQuickSerializationRoundtrip(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = float32(rng.NormFloat64())
 		}
-		y, _, err := Unmarshal(x.Marshal())
+		y, _, err := Unmarshal(encode(x))
 		if err != nil {
 			return false
 		}

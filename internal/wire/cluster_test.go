@@ -12,7 +12,7 @@ func TestDigestRoundtrip(t *testing.T) {
 	for i := range d.Sum {
 		d.Sum[i] = byte(i * 7)
 	}
-	b, err := Marshal(d)
+	b, err := marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +31,16 @@ func TestDigestRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v != %+v", got, d)
 	}
 
-	// Pooled encode-once path must be byte-identical to Marshal.
+	// The encode-once fan-out path must be byte-identical to MarshalBuf.
 	buf := MarshalDigest(d)
 	if !bytes.Equal(buf.Payload(), b) {
-		t.Fatal("MarshalDigest differs from Marshal")
+		t.Fatal("MarshalDigest differs from MarshalBuf")
 	}
 	buf.Free()
 
 	// Announce flavor (Vote=false) keeps Agree clear.
 	an := &Digest{ID: 7, Stage: 2, Sum: d.Sum}
-	b2, _ := Marshal(an)
+	b2, _ := marshal(an)
 	m2, err := Unmarshal(b2)
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +80,13 @@ func TestVerifyRetagSharesLayout(t *testing.T) {
 		t.Fatalf("verify fields lost: %+v", v)
 	}
 
-	RetagBatch(buf.Payload())
-	m, err = Unmarshal(buf.Payload())
+	// Retagging is the only difference from MarshalBuf's Verify encoding.
+	want, err := marshal(&Verify{ID: 9, Trace: 33, Tensors: batch.Tensors})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*Batch); !ok {
-		t.Fatalf("restored payload decoded as %T", m)
+	if !bytes.Equal(buf.Payload(), want) {
+		t.Fatal("retagged batch differs from the Verify encoding")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestReplicaControlRoundtrip(t *testing.T) {
 		GraphInputs: []string{"x"}, GraphOutputs: []string{"y"},
 		ItemShapes: map[string][]int{"x": {1, 64}},
 	}
-	b, err := Marshal(hello)
+	b, err := marshal(hello)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReplicaControlRoundtrip(t *testing.T) {
 	}
 
 	st := &ReplicaStatus{Ladder: []int{3, 2}, Spares: 1}
-	b, _ = Marshal(st)
+	b, _ = marshal(st)
 	m, err = Unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestReplicaControlRoundtrip(t *testing.T) {
 	}
 
 	tune := &ReplicaTune{InflightWindow: 8}
-	b, _ = Marshal(tune)
+	b, _ = marshal(tune)
 	m, err = Unmarshal(b)
 	if err != nil {
 		t.Fatal(err)

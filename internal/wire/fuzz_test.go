@@ -9,9 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// FuzzWireUnmarshal drives the tagged-message decoder with arbitrary bytes:
-// it must never panic, and everything it does accept must survive a
-// re-marshal/re-unmarshal roundtrip (decode-encode-decode stability).
 // FuzzPublicRequest drives the public binary request decoder — the one
 // parser on the serving surface that pre-auth internet bytes reach — with
 // arbitrary input: it must never panic, and every body it accepts must
@@ -55,6 +52,9 @@ func FuzzPublicRequest(f *testing.F) {
 	})
 }
 
+// FuzzWireUnmarshal drives the tagged-message decoder with arbitrary bytes:
+// it must never panic, and everything it does accept must survive a
+// re-marshal/re-unmarshal roundtrip (decode-encode-decode stability).
 func FuzzWireUnmarshal(f *testing.F) {
 	seedMsgs := []Msg{
 		&Batch{ID: 7, Tensors: map[string]*tensor.Tensor{
@@ -69,7 +69,7 @@ func FuzzWireUnmarshal(f *testing.F) {
 		&Shutdown{},
 	}
 	for _, m := range seedMsgs {
-		b, err := Marshal(m)
+		b, err := marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func FuzzWireUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b2, err := Marshal(m)
+		b2, err := marshal(m)
 		if err != nil {
 			t.Fatalf("accepted message fails to re-marshal: %v", err)
 		}
@@ -92,20 +92,16 @@ func FuzzWireUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshalled message fails to decode: %v", err)
 		}
-		// Tensor messages must be bit-stable across the roundtrip (compare
-		// the deterministic pooled encoding, which is NaN-safe); control
-		// messages may normalize JSON, so compare only the concrete type.
+		// Binary messages must be bit-stable across the roundtrip (MarshalBuf
+		// sorts tensor names and is NaN-safe); control messages may normalize
+		// JSON, so compare only the concrete type.
 		switch m.(type) {
-		case *Batch, *Result:
-			e1, err1 := MarshalBuf(m)
-			e2, err2 := MarshalBuf(m2)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("pooled marshal: %v / %v", err1, err2)
+		case *Batch, *Verify, *Result, *Digest, *SpanReport:
+			b3, err := marshal(m2)
+			if err != nil {
+				t.Fatalf("second re-marshal: %v", err)
 			}
-			stable := bytes.Equal(e1.Payload(), e2.Payload())
-			e1.Free()
-			e2.Free()
-			if !stable {
+			if !bytes.Equal(b2, b3) {
 				t.Fatalf("%T not bit-stable across roundtrip", m)
 			}
 		default:

@@ -15,7 +15,7 @@ func TestSpanReportRoundtrip(t *testing.T) {
 		{Trace: 7, Batch: 42, Name: "stage", Stage: 3, Variant: "v1", Start: 120, End: 200},
 		{}, // all-zero span must survive too
 	}}
-	b, err := Marshal(r)
+	b, err := marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSpanReportReplicaFieldNotEncoded(t *testing.T) {
 	r := &SpanReport{ID: 1, Replica: "honest", Spans: []telemetry.Span{
 		{Trace: 3, Name: "batch", Stage: -1, Replica: "forged-node", Start: 1, End: 2},
 	}}
-	b, err := Marshal(r)
+	b, err := marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSpanReportReplicaFieldNotEncoded(t *testing.T) {
 }
 
 func TestSpanReportRejectsMalformed(t *testing.T) {
-	valid, err := Marshal(&SpanReport{ID: 1, Replica: "r", Spans: []telemetry.Span{
+	valid, err := marshal(&SpanReport{ID: 1, Replica: "r", Spans: []telemetry.Span{
 		{Trace: 1, Name: "n", Stage: -1, Start: 1, End: 2},
 	}})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestSpanReportRejectsMalformed(t *testing.T) {
 
 func TestMetricsPollReportRoundtrip(t *testing.T) {
 	p := &MetricsPoll{Seq: 9}
-	b, err := Marshal(p)
+	b, err := marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMetricsPollReportRoundtrip(t *testing.T) {
 		{Name: "h_ns", Kind: "histogram", Count: 2, Sum: 30,
 			Buckets: map[string]uint64{"15": 1, "31": 1}},
 	}}
-	b, err = Marshal(rep)
+	b, err = marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,13 @@
 // batch/checkpoint messages of pipelined inference (§4.3). Control messages
 // are JSON (rare, small); data messages carry tensors in a compact binary
 // codec (hot path).
+//
+// MarshalBuf is the one encoder: it writes a message once, straight into a
+// pooled securechan.Buf. Send hands that buffer to Conn.SendBuf, which seals
+// it in place; fan-out senders encode once (MarshalBatch, MarshalDigest) and
+// pass the payload to Conn.Send on every connection. Recv decodes each
+// message out of the connection's reused receive buffer before the next
+// receive can overwrite it.
 package wire
 
 import (
@@ -249,35 +256,6 @@ func (*MetricsReport) wireType() Type { return TMetricsReport }
 // ErrDecode reports a malformed wire message.
 var ErrDecode = errors.New("wire: malformed message")
 
-// Marshal encodes m with its type tag.
-func Marshal(m Msg) ([]byte, error) {
-	switch v := m.(type) {
-	case *Batch:
-		return marshalTensorMsg(TBatch, v.ID, v.Trace, "", "", v.Tensors), nil
-	case *Verify:
-		return marshalTensorMsg(TVerify, v.ID, v.Trace, "", "", v.Tensors), nil
-	case *Result:
-		return marshalTensorMsg(TResult, v.ID, v.Trace, v.VariantID, v.Err, v.Tensors), nil
-	case *Digest:
-		out := make([]byte, digestMsgLen)
-		encodeDigestMsg(out, v)
-		return out, nil
-	case *SpanReport:
-		out := make([]byte, v.EncodedLen())
-		encodeSpanReportMsg(out, v)
-		return out, nil
-	default:
-		b, err := json.Marshal(m)
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal %T: %w", m, err)
-		}
-		out := make([]byte, 1+len(b))
-		out[0] = byte(m.wireType())
-		copy(out[1:], b)
-		return out, nil
-	}
-}
-
 // Unmarshal decodes a tagged wire message.
 func Unmarshal(b []byte) (Msg, error) {
 	if len(b) < 1 {
@@ -347,11 +325,12 @@ func Unmarshal(b []byte) (Msg, error) {
 	return m, nil
 }
 
-// MarshalBuf encodes m once into a pooled frame buffer with framing headroom
-// and AEAD tailroom already reserved, so a ZeroCopy channel can seal and
-// transmit the payload without any further copy. The buffer is consumed by
-// SendBuf, or must be released with Free. Tensor names are encoded in sorted
-// order so repeated marshals of the same message are byte-identical.
+// MarshalBuf encodes m with its type tag, once, into a pooled frame buffer
+// with framing headroom and AEAD tailroom already reserved, so a channel can
+// seal and transmit the payload without any further copy. The buffer is
+// consumed by SendBuf, or must be released with Free (copy Payload first to
+// keep the bytes). Tensor names are encoded in sorted order so repeated
+// marshals of the same message are byte-identical.
 func MarshalBuf(m Msg) (*securechan.Buf, error) {
 	switch v := m.(type) {
 	case *Batch:
@@ -432,8 +411,7 @@ func decodeDigestMsg(payload []byte) (*Digest, error) {
 // MarshalDigest encodes a digest message once into a pooled buffer for
 // encode-once fan-out: the router marshals the leader's checkpoint digest a
 // single time and transmits the same 46-byte payload to every follower with
-// SendEncoded. The caller owns the buffer and must Free it after the last
-// send.
+// Conn.Send. The caller owns the buffer and must Free it after the last send.
 func MarshalDigest(d *Digest) *securechan.Buf {
 	buf := securechan.GetBuf(digestMsgLen)
 	encodeDigestMsg(buf.Grow(digestMsgLen), d)
@@ -528,67 +506,37 @@ func decodeSpanReportMsg(payload []byte) (*SpanReport, error) {
 }
 
 // RetagVerify flips an encoded Batch payload (from MarshalBatch) into a
-// Verify payload in place, and RetagBatch flips it back. The two messages
-// share one binary layout, so the router encodes a batch exactly once and
-// retags the shared payload between the leader send (TBatch: execute and
-// return the result) and the follower fan-out (TVerify: execute and vote) —
-// SendShared seals its own copy per connection, leaving the payload intact.
+// Verify payload in place. The two messages share one binary layout, so the
+// router encodes a batch exactly once, sends it to the leader as a TBatch
+// (execute and return the result), then retags it for the follower fan-out
+// (TVerify: execute and vote); Conn.Send seals its own copy per connection,
+// leaving the payload intact.
 func RetagVerify(payload []byte) { payload[0] = byte(TVerify) }
-
-// RetagBatch restores a payload retagged by RetagVerify.
-func RetagBatch(payload []byte) { payload[0] = byte(TBatch) }
 
 // MarshalBatch encodes b exactly once into a pooled buffer for encode-once
 // fan-out: the monitor marshals the batch a single time, then transmits the
-// same payload on every variant connection with SendEncoded (each secure
+// same payload on every variant connection with Conn.Send (each secure
 // channel seals its own copy into a pooled frame; the payload stays intact).
 // The caller owns the buffer and must Free it after the last send.
 func MarshalBatch(b *Batch) *securechan.Buf {
 	return encodeTensorMsg(TBatch, b.ID, b.Trace, "", "", b.Tensors)
 }
 
-// SendEncoded transmits an already-marshalled wire payload on c, using the
-// shared-payload zero-copy path when the channel supports it. The payload is
-// left intact, so the same encoding can fan out across many connections.
-func SendEncoded(c securechan.Conn, payload []byte) error {
-	if zc, ok := c.(securechan.ZeroCopy); ok {
-		return zc.SendShared(payload)
-	}
-	return c.Send(payload)
-}
-
-// Send marshals and transmits m on c. On ZeroCopy channels the message is
-// encoded once into a pooled frame and sealed in place — one allocation-free
-// write on the warm path.
+// Send marshals m into a pooled frame and transmits it with c.SendBuf, which
+// seals in place: one allocation-free write on the warm path.
 func Send(c securechan.Conn, m Msg) error {
-	if zc, ok := c.(securechan.ZeroCopy); ok {
-		b, err := MarshalBuf(m)
-		if err != nil {
-			return err
-		}
-		return zc.SendBuf(b)
-	}
-	b, err := Marshal(m)
+	b, err := MarshalBuf(m)
 	if err != nil {
 		return err
 	}
-	return c.Send(b)
+	return c.SendBuf(b)
 }
 
-// Recv receives and decodes one message from c. On ZeroCopy channels the
-// frame lands in the connection's pooled receive buffer (decrypted in place on
-// secure channels) and is fully decoded before the next receive can reuse it;
-// the returned Msg never aliases the frame.
+// Recv receives and decodes one message from c. The frame lands in the
+// connection's pooled receive buffer and is fully decoded before the next
+// receive can reuse it: the returned Msg never aliases the frame.
 func Recv(c securechan.Conn) (Msg, error) {
-	var (
-		b   []byte
-		err error
-	)
-	if zc, ok := c.(securechan.ZeroCopy); ok {
-		b, err = zc.RecvBuf()
-	} else {
-		b, err = c.Recv()
-	}
+	b, err := c.Recv()
 	if err != nil {
 		return nil, err
 	}
@@ -596,30 +544,6 @@ func Recv(c securechan.Conn) (Msg, error) {
 }
 
 // --- binary tensor-message codec ---------------------------------------------
-
-func putStr(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func marshalTensorMsg(t Type, id, trace uint64, vid, errStr string, ts map[string]*tensor.Tensor) []byte {
-	size := 1 + 8 + 8 + 2 + len(vid) + 2 + len(errStr) + 4
-	for name, tt := range ts {
-		size += 2 + len(name) + 4 + 4*tt.Dims() + 4*tt.Size()
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(t))
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint64(buf, trace)
-	buf = putStr(buf, vid)
-	buf = putStr(buf, errStr)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
-	for name, tt := range ts {
-		buf = putStr(buf, name)
-		buf = append(buf, tt.Marshal()...)
-	}
-	return buf
-}
 
 // encodeTensorMsg encodes a tensor message directly into a pooled frame
 // buffer sized exactly for the payload. Tensor names are sorted so the
@@ -684,6 +608,11 @@ func unmarshalTensorMsg(b []byte) (id, trace uint64, vid, errStr string, ts map[
 	}
 	count := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	// Every tensor takes at least a name length and a rank word, so a forged
+	// count cannot size the map beyond what the payload could hold.
+	if uint64(count)*(2+4) > uint64(len(b)) {
+		return 0, 0, "", "", nil, fmt.Errorf("%w: %d tensors in %d bytes", ErrDecode, count, len(b))
+	}
 	ts = make(map[string]*tensor.Tensor, count)
 	for i := uint32(0); i < count; i++ {
 		var name string

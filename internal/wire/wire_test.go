@@ -2,15 +2,27 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/securechan"
 	"repro/internal/tensor"
 )
+
+// marshal returns m's encoding in fresh memory, for tests that keep the bytes.
+func marshal(m Msg) ([]byte, error) {
+	b, err := MarshalBuf(m)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Free()
+	return append([]byte(nil), b.Payload()...), nil
+}
 
 func TestControlMessagesRoundtrip(t *testing.T) {
 	msgs := []Msg{
@@ -27,7 +39,7 @@ func TestControlMessagesRoundtrip(t *testing.T) {
 		&Error{Message: "boom"},
 	}
 	for _, m := range msgs {
-		b, err := Marshal(m)
+		b, err := marshal(m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
@@ -47,7 +59,7 @@ func TestBatchResultRoundtrip(t *testing.T) {
 		"b": tensor.MustFromSlice([]float32{-1.5}, 1),
 	}
 	b := &Batch{ID: 42, Tensors: ts}
-	buf, err := Marshal(b)
+	buf, err := marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +76,7 @@ func TestBatchResultRoundtrip(t *testing.T) {
 	}
 
 	r := &Result{ID: 7, VariantID: "v3", Err: "kernel exploded", Tensors: ts}
-	buf, err = Marshal(r)
+	buf, err = marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestBatchResultRoundtrip(t *testing.T) {
 
 func TestEmptyTensorsAllowed(t *testing.T) {
 	b := &Batch{ID: 1, Tensors: map[string]*tensor.Tensor{}}
-	buf, _ := Marshal(b)
+	buf, _ := marshal(b)
 	got, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +103,12 @@ func TestEmptyTensorsAllowed(t *testing.T) {
 }
 
 func TestUnmarshalMalformed(t *testing.T) {
-	good, _ := Marshal(&Batch{ID: 1, Tensors: map[string]*tensor.Tensor{
+	good, _ := marshal(&Batch{ID: 1, Tensors: map[string]*tensor.Tensor{
 		"x": tensor.MustFromSlice([]float32{1}, 1),
 	}})
+	// A tensor count far beyond what the payload holds.
+	forgedCount := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(forgedCount[1+8+8+2+2:], 0x05000002)
 	cases := [][]byte{
 		nil,
 		{0},
@@ -101,10 +116,20 @@ func TestUnmarshalMalformed(t *testing.T) {
 		good[:5],           // truncated header
 		good[:len(good)-2], // truncated tensor
 		append([]byte{byte(TAck)}, []byte("not json")...),
+		forgedCount,
 	}
 	for i, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
+		// A message is refused before the decoder commits memory sized by
+		// a field it has not checked against the payload.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(c)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("case %d: malformed message accepted", i)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("case %d: refusing %d bytes allocated %d", i, len(c), grew)
 		}
 	}
 }
@@ -144,7 +169,7 @@ func TestQuickBatchRoundtrip(t *testing.T) {
 			}
 			ts[n] = x
 		}
-		buf, err := Marshal(&Batch{ID: id, Tensors: ts})
+		buf, err := marshal(&Batch{ID: id, Tensors: ts})
 		if err != nil {
 			return false
 		}
@@ -170,7 +195,7 @@ func TestQuickBatchRoundtrip(t *testing.T) {
 }
 
 func TestMarshalTypeTag(t *testing.T) {
-	b, _ := Marshal(&Ack{})
+	b, _ := marshal(&Ack{})
 	if Type(b[0]) != TAck {
 		t.Fatalf("tag = %d", b[0])
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -72,9 +73,36 @@ func tensorsBitwiseEqual(a, b map[string]*tensor.Tensor) bool {
 	return true
 }
 
-// TestCodecEquivalence pins the pooled encoder to the legacy codec: a message
-// marshalled through MarshalBuf must decode to tensors bitwise-identical to
-// those produced by the legacy Marshal path, in both cross directions.
+// referenceTensorMsg is an append-style encoder of the tensor-message layout
+// written independently of encodeTensorMsg. It walks the tensor map in Go's
+// random order, so the decoder must not depend on tensor order either.
+func referenceTensorMsg(t Type, id, trace uint64, vid, errStr string, ts map[string]*tensor.Tensor) []byte {
+	putStr := func(buf []byte, s string) []byte {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+		return append(buf, s...)
+	}
+	buf := []byte{byte(t)}
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf = binary.LittleEndian.AppendUint64(buf, trace)
+	buf = putStr(buf, vid)
+	buf = putStr(buf, errStr)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
+	for name, tt := range ts {
+		buf = putStr(buf, name)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(tt.Dims()))
+		for _, d := range tt.Shape() {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+		}
+		for _, v := range tt.Data() {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+	}
+	return buf
+}
+
+// TestCodecEquivalence pins the pooled encoder to an independent reference
+// encoder: a message marshalled through MarshalBuf must decode to tensors
+// bitwise-identical to those the reference encoding decodes to.
 func TestCodecEquivalence(t *testing.T) {
 	batch := checkpointBatch(t, 1)
 	// Include pathological float values: the codec must be bit-transparent.
@@ -82,10 +110,7 @@ func TestCodecEquivalence(t *testing.T) {
 	batch.Tensors["aux"].Data()[1] = float32(math.Inf(-1))
 	batch.Tensors["aux"].Data()[2] = -0.0
 
-	legacy, err := Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceTensorMsg(TBatch, batch.ID, batch.Trace, "", "", batch.Tensors)
 	pooled, err := MarshalBuf(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -97,28 +122,25 @@ func TestCodecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Legacy encoding decoded likewise.
-	fromLegacy, err := Unmarshal(legacy)
+	// Reference encoding decoded likewise.
+	fromLegacy, err := Unmarshal(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pb, lb := fromPooled.(*Batch), fromLegacy.(*Batch)
 	if pb.ID != batch.ID || lb.ID != batch.ID {
-		t.Fatalf("IDs: pooled=%d legacy=%d", pb.ID, lb.ID)
+		t.Fatalf("IDs: pooled=%d reference=%d", pb.ID, lb.ID)
 	}
 	if !tensorsBitwiseEqual(pb.Tensors, batch.Tensors) {
 		t.Fatal("pooled path tensors differ from source")
 	}
 	if !tensorsBitwiseEqual(pb.Tensors, lb.Tensors) {
-		t.Fatal("pooled and legacy paths decode differently")
+		t.Fatal("pooled and reference encodings decode differently")
 	}
 
 	// Same check for Result, which additionally carries strings.
 	res := &Result{ID: 5, VariantID: "variant-α", Err: "kernel α failed", Tensors: batch.Tensors}
-	legacy, err = Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref = referenceTensorMsg(TResult, res.ID, res.Trace, res.VariantID, res.Err, res.Tensors)
 	pooledR, err := MarshalBuf(res)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +150,7 @@ func TestCodecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Unmarshal(legacy)
+	d2, err := Unmarshal(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +160,7 @@ func TestCodecEquivalence(t *testing.T) {
 		t.Fatal("result metadata drifted")
 	}
 	if !tensorsBitwiseEqual(r1.Tensors, r2.Tensors) {
-		t.Fatal("result tensors differ between codecs")
+		t.Fatal("result tensors differ between encoders")
 	}
 }
 
@@ -190,7 +212,7 @@ func TestSendRecvZeroCopySecure(t *testing.T) {
 }
 
 // TestEncodeOnceFanOut models the monitor's dispatch: one MarshalBatch, then
-// SendEncoded of the same payload to several secure connections. Every
+// Conn.Send of the same payload to several secure connections. Every
 // variant must decode identical tensors, and the shared payload must be
 // untouched afterwards.
 func TestEncodeOnceFanOut(t *testing.T) {
@@ -204,7 +226,7 @@ func TestEncodeOnceFanOut(t *testing.T) {
 	for v := 0; v < variants; v++ {
 		cli, srv := securePipe(t)
 		errCh := make(chan error, 1)
-		go func() { errCh <- SendEncoded(cli, payload) }()
+		go func() { errCh <- cli.Send(payload) }()
 		msg, err := Recv(srv)
 		if err != nil {
 			t.Fatalf("variant %d: %v", v, err)
@@ -270,7 +292,7 @@ func TestWarmSendAllocs(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if _, err := srv.RecvBuf(); err != nil {
+			if _, err := srv.Recv(); err != nil {
 				return
 			}
 		}

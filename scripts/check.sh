@@ -12,12 +12,13 @@ go test -race ./...
 
 # The GEMM kernels, the conv lowering over them, the serving scheduler's
 # submit/demux hand-off, the transcript recorder's post/Close, the cluster
-# router's failover and the engine's submit path must hold at every core
-# count: run them at GOMAXPROCS 1, 2 and 4.
-go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core
+# router's failover, the engine's submit path and the record layer's
+# concurrent sender and receiver must hold at every core count: run them at
+# GOMAXPROCS 1, 2 and 4.
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/securechan ./internal/wire
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
-# replacement, channel retry), the lock-free telemetry core, the adaptive
+# replacement), the lock-free telemetry core, the adaptive
 # control plane, the cluster router (failover, digest voting) and the
 # transcript recorder (hot-path posts racing the worker and audit reads) are
 # concurrency-heavy: run their packages twice under the race detector to

@@ -32,22 +32,36 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	write(filepath.Join(root, "internal/securechan/testdata/fuzz/FuzzFrame"), frameSeeds())
-	write(filepath.Join(root, "internal/wire/testdata/fuzz/FuzzWireUnmarshal"), wireSeeds())
-	write(filepath.Join(root, "internal/wire/testdata/fuzz/FuzzPublicRequest"), publicSeeds())
-	write(filepath.Join(root, "internal/transcript/testdata/fuzz/FuzzTranscriptProof"), proofSeeds())
-	write(filepath.Join(root, "internal/transcript/testdata/fuzz/FuzzTranscriptLeaf"), leafSeeds())
+	for _, c := range corpora {
+		write(filepath.Join(root, c.dir), c.seeds())
+	}
 }
 
-// write emits each seed in the `go test fuzz v1` corpus-file format.
+// corpora pairs each fuzz target's corpus directory, relative to the
+// repository root, with the generator of its seeds.
+var corpora = []struct {
+	dir   string
+	seeds func() map[string][]byte
+}{
+	{"internal/securechan/testdata/fuzz/FuzzFrame", frameSeeds},
+	{"internal/wire/testdata/fuzz/FuzzWireUnmarshal", wireSeeds},
+	{"internal/wire/testdata/fuzz/FuzzPublicRequest", publicSeeds},
+	{"internal/transcript/testdata/fuzz/FuzzTranscriptProof", proofSeeds},
+	{"internal/transcript/testdata/fuzz/FuzzTranscriptLeaf", leafSeeds},
+}
+
+// corpusFile renders one seed in the `go test fuzz v1` corpus-file format.
+func corpusFile(data []byte) []byte {
+	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
+}
+
+// write emits each seed as a corpus file in dir.
 func write(dir string, seeds map[string][]byte) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	for name, data := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), corpusFile(data), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -95,11 +109,12 @@ func frameSeeds() map[string][]byte {
 }
 
 func mustMarshal(m wire.Msg) []byte {
-	b, err := wire.Marshal(m)
+	b, err := wire.MarshalBuf(m)
 	if err != nil {
 		panic(err)
 	}
-	return b
+	defer b.Free()
+	return append([]byte(nil), b.Payload()...)
 }
 
 // wireSeeds targets the tagged-message decoder: every message type, hostile
