@@ -137,9 +137,8 @@ func Compare(a, b *tensor.Tensor, c Criterion) (float64, bool, error) {
 	}
 }
 
-// maxFusedAllClose bounds the allclose tolerance pairs the fused sweep tracks
-// in stack storage; policies with more fall back to per-criterion Compare.
-const maxFusedAllClose = 4
+// allCloseTol is one allclose criterion's tolerance pair.
+type allCloseTol struct{ rtol, atol float64 }
 
 // Evaluate reports whether the tensor pair satisfies every criterion of the
 // policy (the default policy when p is empty). Unlike running Compare per
@@ -169,8 +168,10 @@ func Evaluate(a, b *tensor.Tensor, p Policy) (bool, error) {
 	// strictest bound so the sweep evaluates each accumulator once.
 	var needCos, needMSE, needMax bool
 	var cosTh, mseTh, maxTh float64
-	var acR, acA [maxFusedAllClose]float64
-	nAC := 0
+	// The first four allclose pairs live on the stack; a policy with more
+	// still takes the fused sweep, at one allocation.
+	var acBuf [4]allCloseTol
+	ac := acBuf[:0]
 	for _, c := range crits {
 		switch c.Metric {
 		case Cosine:
@@ -189,12 +190,7 @@ func Evaluate(a, b *tensor.Tensor, p Policy) (bool, error) {
 			}
 			needMax = true
 		case AllClose:
-			if nAC == maxFusedAllClose {
-				// Degenerate policy; keep correctness via the slow path.
-				return evaluateSlow(a, b, crits)
-			}
-			acR[nAC], acA[nAC] = c.RTol, c.ATol
-			nAC++
+			ac = append(ac, allCloseTol{c.RTol, c.ATol})
 		default:
 			return false, fmt.Errorf("check: unknown metric %d", int(c.Metric))
 		}
@@ -204,8 +200,8 @@ func Evaluate(a, b *tensor.Tensor, p Policy) (bool, error) {
 	bd = bd[:len(ad)] // SameShape holds; let the compiler drop bounds checks
 	// Fast path for the shape of the default policy — one allclose tolerance
 	// plus a cosine floor — with a branch-free inner loop.
-	if nAC == 1 && needCos && !needMSE && !needMax {
-		rtol, atol := acR[0], acA[0]
+	if len(ac) == 1 && needCos && !needMSE && !needMax {
+		rtol, atol := ac[0].rtol, ac[0].atol
 		// Two independent accumulator sets break the loop-carried FP-add
 		// latency chains; without them the three serial sums cap the sweep
 		// well below the load/multiply throughput of the core.
@@ -266,8 +262,8 @@ func Evaluate(a, b *tensor.Tensor, p Policy) (bool, error) {
 		if d > maxd {
 			maxd = d
 		}
-		for t := 0; t < nAC; t++ {
-			if d > acA[t]+acR[t]*math.Abs(y) {
+		for _, t := range ac {
+			if d > t.atol+t.rtol*math.Abs(y) {
 				return false, nil
 			}
 		}
@@ -297,24 +293,6 @@ func cosinePasses(dot, na, nb, threshold float64) bool {
 	}
 	sim := dot / (math.Sqrt(na) * math.Sqrt(nb))
 	return sim >= threshold && !math.IsNaN(sim)
-}
-
-// evaluateSlow is the criterion-by-criterion fallback for policies too exotic
-// for the fused sweep.
-func evaluateSlow(a, b *tensor.Tensor, crits []Criterion) (bool, error) {
-	for _, c := range crits {
-		_, ok, err := Compare(a, b, c)
-		if err != nil {
-			if errors.Is(err, ErrShapeMismatch) {
-				return false, nil
-			}
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Consistent reports whether two named-tensor result sets agree under the

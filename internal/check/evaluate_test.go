@@ -37,7 +37,7 @@ func TestEvaluateMatchesCompare(t *testing.T) {
 			{Metric: Cosine, Threshold: 0.99},
 			{Metric: AllClose, RTol: 1e-2, ATol: 1e-3},
 		}},
-		// More allclose criteria than the fused sweep tracks: slow path.
+		// More allclose criteria than the fused sweep keeps on the stack.
 		{Criteria: []Criterion{
 			{Metric: AllClose, RTol: 1e-1, ATol: 1e-2},
 			{Metric: AllClose, RTol: 1e-2, ATol: 1e-3},

@@ -184,15 +184,14 @@ func TestClusterHaltedLeaderFailsOver(t *testing.T) {
 	engA := newClusterEngine(t, nil)
 	engB := newEngineOf(t, e2eVariant{dissent: hasValue(poison)}, nil)
 	reg := telemetry.NewRegistry()
-	router, err := NewRouter(RouterConfig{
+	router, err := newRouter(RouterConfig{
 		Replicas: []Replica{
 			startRemoteReplica(t, "replica-a", engA),
 			startRemoteReplica(t, "replica-b", engB),
 		},
-		PlacementKey:    keyLeading([]string{"replica-a", "replica-b"}, 1),
-		Metrics:         reg,
-		MetricsInterval: -1,
-	})
+		PlacementKey: keyLeading([]string{"replica-a", "replica-b"}, 1),
+		Metrics:      reg,
+	}, voteTimeout, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +233,12 @@ func TestClusterReplicaFailoverE2E(t *testing.T) {
 	repB := startRemoteReplica(t, "replica-b", engB)
 
 	reg := telemetry.NewRegistry()
-	router, err := NewRouter(RouterConfig{
-		Replicas:    []Replica{repA, repB},
-		Verify:      1,
-		Sync:        true,
-		VoteTimeout: 500 * time.Millisecond,
-		Metrics:     reg,
-	})
+	router, err := newRouter(RouterConfig{
+		Replicas: []Replica{repA, repB},
+		Verify:   1,
+		Sync:     true,
+		Metrics:  reg,
+	}, 500*time.Millisecond, metricsInterval)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,18 +57,16 @@ func TestClusterTraceFederationE2E(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	rtr := telemetry.NewTracer(8192)
-	router, err := NewRouter(RouterConfig{
+	router, err := newRouter(RouterConfig{
 		Replicas: []Replica{repA, repB},
 		Verify:   1,
 		Sync:     true,
 		// B leads on an idle router, so B leads the poisoned batch below by
 		// construction, not by timing.
-		PlacementKey:    keyLeading([]string{"replica-a", "replica-b"}, 1),
-		VoteTimeout:     500 * time.Millisecond,
-		Metrics:         reg,
-		Tracer:          rtr,
-		MetricsInterval: -1,
-	})
+		PlacementKey: keyLeading([]string{"replica-a", "replica-b"}, 1),
+		Metrics:      reg,
+		Tracer:       rtr,
+	}, 500*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +219,11 @@ func TestClusterMetricsFederation(t *testing.T) {
 	remoteB := startRemoteReplicaOpts(t, engB, ReplicaServerOptions{Hello: hello("remote-b"), Metrics: regB})
 
 	reg := telemetry.NewRegistry()
-	router, err := NewRouter(RouterConfig{
-		Replicas:        []Replica{remoteA, remoteB},
-		Metrics:         reg,
-		Tracer:          telemetry.NewTracer(64),
-		MetricsInterval: 5 * time.Millisecond,
-	})
+	router, err := newRouter(RouterConfig{
+		Replicas: []Replica{remoteA, remoteB},
+		Metrics:  reg,
+		Tracer:   telemetry.NewTracer(64),
+	}, voteTimeout, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +282,10 @@ func TestClusterFailoverFlightIncident(t *testing.T) {
 	bus := telemetry.NewBus[monitor.Event](16)
 	sub := bus.Subscribe(4)
 	t.Cleanup(sub.Close)
+	// The sampler is driven by hand (Step), never started: the incident's
+	// windows fill exactly when the test says so.
 	fr := telemetry.NewFlightRecorder(telemetry.FlightConfig{
-		Interval:    2 * time.Millisecond,
-		Window:      16,
-		PostSamples: 4,
-		Metrics:     freg,
+		Metrics: freg,
 		OnIncident: func(inc telemetry.Incident) {
 			bus.Publish(monitor.Event{
 				Kind:   monitor.EventFlightIncident,
@@ -302,25 +298,24 @@ func TestClusterFailoverFlightIncident(t *testing.T) {
 	var up atomic.Int64
 	up.Store(2)
 	fr.AddSource("replicas_up", up.Load)
-	fr.Start()
-	t.Cleanup(fr.Stop)
 
 	reg := telemetry.NewRegistry()
-	router, err := NewRouter(RouterConfig{
-		Replicas:        []Replica{a, b},
-		Verify:          1,
-		Metrics:         reg,
-		Tracer:          telemetry.NewTracer(64),
-		MetricsInterval: -1,
-		Flight:          fr,
-	})
+	router, err := newRouter(RouterConfig{
+		Replicas: []Replica{a, b},
+		Verify:   1,
+		Metrics:  reg,
+		Tracer:   telemetry.NewTracer(64),
+		Flight:   fr,
+	}, voteTimeout, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = router.Close() })
 
-	// Let the sampler build a before-window, then kill the leader mid-batch.
-	time.Sleep(20 * time.Millisecond)
+	// Build a before-window, then kill the leader mid-batch.
+	for i := 0; i < 3; i++ {
+		fr.Step()
+	}
 	id, err := router.Submit(testInputs(1))
 	if err != nil {
 		t.Fatal(err)
@@ -335,19 +330,27 @@ func TestClusterFailoverFlightIncident(t *testing.T) {
 		t.Fatalf("failed-over batch: row %d err=%v", row.ID, row.Err)
 	}
 
-	waitUntil(t, "a complete flight incident", func() bool {
-		incs := fr.Incidents()
-		return len(incs) == 1 && incs[0].Complete
-	})
-	inc := fr.Incidents()[0]
+	// The incident stays open until the sampler fills its after-window.
+	after := 0
+	for ; after < 1000; after++ {
+		if incs := fr.Incidents(); len(incs) == 1 && incs[0].Complete {
+			break
+		}
+		fr.Step()
+	}
+	incs := fr.Incidents()
+	if len(incs) != 1 || !incs[0].Complete {
+		t.Fatalf("no complete flight incident after %d samples: %+v", after, incs)
+	}
+	inc := incs[0]
 	if inc.Reason != telemetry.FlightReasonReplicaDown {
 		t.Fatalf("incident reason %q, want %q", inc.Reason, telemetry.FlightReasonReplicaDown)
 	}
 	if len(inc.Before) == 0 {
 		t.Fatal("incident has no before-window — the ring was empty at trigger time")
 	}
-	if len(inc.After) != 4 {
-		t.Fatalf("after-window has %d samples, want 4", len(inc.After))
+	if len(inc.After) == 0 || len(inc.After) != after {
+		t.Fatalf("after-window has %d samples, want the %d taken after the trigger", len(inc.After), after)
 	}
 	if last := inc.After[len(inc.After)-1]; last.Values[0] != 1 {
 		t.Fatalf("after-window missed the replica loss: last sample %v, want replicas_up=1", last.Values)

@@ -21,23 +21,25 @@ type ReplicaServerOptions struct {
 	// Spares reports the local spare pool size for status heartbeats; nil
 	// reports zero.
 	Spares func() int
-	// HoldTTL bounds how long a cross-check digest (or an early announce)
-	// waits for its counterpart before the batch is abandoned replica-side.
-	// Zero means 30 seconds.
-	HoldTTL time.Duration
 	// Metrics is the registry served to the router's metrics-federation
 	// polls; nil uses telemetry.Default (the daemon's process registry).
 	Metrics *telemetry.Registry
-	// MaxSpans bounds the spans harvested and shipped per batch in a
-	// SpanReport. Zero means 64.
-	MaxSpans int
 }
 
-// spanScanWindow bounds how far back in the engine's span ring a per-batch
-// harvest scans. A just-delivered batch's spans sit at the young end of the
-// ring, within (in-flight depth x spans per batch) entries; 1024 covers that
-// comfortably while keeping the per-batch cost independent of -trace-ring.
-const spanScanWindow = 1024
+const (
+	// holdTTL bounds how long a cross-check digest (or an early announce)
+	// waits for its counterpart before the batch is abandoned replica-side.
+	holdTTL = 30 * time.Second
+	// maxSpans bounds the spans harvested and shipped per batch in a
+	// SpanReport.
+	maxSpans = 64
+	// spanScanWindow bounds how far back in the engine's span ring a
+	// per-batch harvest scans. A just-delivered batch's spans sit at the
+	// young end of the ring, within (in-flight depth x spans per batch)
+	// entries; 1024 covers that comfortably while keeping the per-batch cost
+	// independent of -trace-ring.
+	spanScanWindow = 1024
+)
 
 // ReplicaServer runs one replica's end of the router protocol over a
 // securechan connection: it registers with a hello, executes Batch frames as
@@ -84,17 +86,11 @@ type heldDigest struct {
 // so the daemon can wire the engine's DigestSink to StageDigestSink before
 // starting the protocol.
 func NewReplicaServer(conn securechan.Conn, eng *monitor.Engine, opts ReplicaServerOptions) *ReplicaServer {
-	if opts.HoldTTL <= 0 {
-		opts.HoldTTL = 30 * time.Second
-	}
 	if opts.Spares == nil {
 		opts.Spares = func() int { return 0 }
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = telemetry.Default
-	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = 64
 	}
 	return &ReplicaServer{
 		conn:         conn,
@@ -275,7 +271,7 @@ func (s *ReplicaServer) reportSpans(sub repSub) {
 	if sub.trace == 0 || !telemetry.Enabled() {
 		return
 	}
-	spans := s.eng.Tracer().SpansForRecent(sub.trace, spanScanWindow, s.opts.MaxSpans)
+	spans := s.eng.Tracer().SpansForRecent(sub.trace, spanScanWindow, maxSpans)
 	if len(spans) == 0 {
 		return
 	}
@@ -375,19 +371,19 @@ func (s *ReplicaServer) pumpStatus() {
 // (router failed the batch over, or the announce was lost with its leader).
 func (s *ReplicaServer) sweep() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.HoldTTL / 2)
+	t := time.NewTicker(holdTTL / 2)
 	defer t.Stop()
 	for {
 		select {
 		case now := <-t.C:
 			s.mu.Lock()
 			for id, h := range s.held {
-				if now.Sub(h.born) > s.opts.HoldTTL {
+				if now.Sub(h.born) > holdTTL {
 					delete(s.held, id)
 				}
 			}
 			for id, a := range s.announces {
-				if now.Sub(a.born) > s.opts.HoldTTL {
+				if now.Sub(a.born) > holdTTL {
 					delete(s.announces, id)
 				}
 			}

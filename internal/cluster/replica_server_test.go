@@ -56,7 +56,7 @@ func TestReplicaSessionDropsPreviousSessionResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.router, err = NewRouter(RouterConfig{Replicas: []Replica{rem}, MetricsInterval: -1})
+		s.router, err = newRouter(RouterConfig{Replicas: []Replica{rem}}, voteTimeout, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,25 +35,12 @@ type RouterConfig struct {
 	// PlacementKey seeds the rendezvous candidate order (typically the model
 	// ID); routers sharing a key and replica set prefer the same leaders.
 	PlacementKey string
-	// MaxInFlight caps batches the router holds open; Submit blocks at the
-	// cap. Default 64. Keep below each engine's own in-flight ceiling so
-	// replica submission never wedges on engine backpressure.
-	MaxInFlight int
-	// MaxRetries bounds failover resubmissions per batch. Default 2.
-	MaxRetries int
-	// VoteTimeout bounds how long a delivered-or-deliverable batch waits for
-	// follower votes before the stragglers are counted as abstentions.
-	// Default 2s.
-	VoteTimeout time.Duration
 	// Metrics receives the cluster series; nil disables.
 	Metrics *telemetry.Registry
 	// Tracer receives the router's own spans and the merged replica span
 	// reports (trace federation); nil uses telemetry.DefaultTracer, so
 	// /trace on the router process serves the full cross-node tree.
 	Tracer *telemetry.Tracer
-	// MetricsInterval is the metrics-federation poll cadence over each
-	// replica's status channel. Zero means 2s; negative disables polling.
-	MetricsInterval time.Duration
 	// Flight, when set, receives incident triggers (failover, dissent,
 	// replica down, ladder demotion) so /debug/flight captures a
 	// before/after window around every cluster health event. Optional.
@@ -184,9 +171,31 @@ const (
 	planeDigest
 )
 
+const (
+	// maxInFlight caps batches the router holds open; Submit blocks at the
+	// cap. It stays below each engine's own in-flight ceiling so replica
+	// submission never wedges on engine backpressure.
+	maxInFlight = 64
+	// maxRetries bounds failover resubmissions per batch.
+	maxRetries = 2
+	// voteTimeout bounds how long a delivered-or-deliverable batch waits for
+	// follower votes before the stragglers are counted as abstentions.
+	voteTimeout = 2 * time.Second
+	// metricsInterval is the metrics-federation poll cadence over each
+	// replica's status channel.
+	metricsInterval = 2 * time.Second
+)
+
 // NewRouter validates the configuration, attaches every replica and starts
 // the routing loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
+	return newRouter(cfg, voteTimeout, metricsInterval)
+}
+
+// newRouter is NewRouter with the follower-vote timeout and the
+// metrics-federation poll cadence as parameters (a non-positive poll turns
+// federation polling off), so tests can shorten or silence them.
+func newRouter(cfg RouterConfig, vote, poll time.Duration) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: no replicas")
 	}
@@ -197,20 +206,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Verify < 0 {
 		return nil, errors.New("cluster: negative verify")
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.VoteTimeout <= 0 {
-		cfg.VoteTimeout = 2 * time.Second
-	}
 	if cfg.PlacementKey == "" {
 		cfg.PlacementKey = "default"
-	}
-	if cfg.MetricsInterval == 0 {
-		cfg.MetricsInterval = 2 * time.Second
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.DefaultTracer
@@ -233,10 +230,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		// under the router lock can never block: every open batch owns one
 		// slot and delivers at most once. The delivery goroutine moves rows
 		// to out, so consumer backpressure stalls slots, never the lock.
-		out:      make(chan monitor.BatchResult, cfg.MaxInFlight),
-		deliverq: make(chan monitor.BatchResult, cfg.MaxInFlight),
+		out:      make(chan monitor.BatchResult, maxInFlight),
+		deliverq: make(chan monitor.BatchResult, maxInFlight),
 		events:   make(chan replicaEvent, 4*len(cfg.Replicas)+64),
-		slots:    make(chan struct{}, cfg.MaxInFlight),
+		slots:    make(chan struct{}, maxInFlight),
 		stop:     make(chan struct{}),
 		state:    make([]replicaState, len(cfg.Replicas)),
 		pending:  make(map[uint64]*pendingBatch),
@@ -254,10 +251,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r.wg.Add(3)
 	go r.loop()
 	go r.delivery()
-	go r.sweeper()
-	if cfg.MetricsInterval > 0 {
+	go r.sweeper(vote)
+	if poll > 0 {
 		r.wg.Add(1)
-		go r.collector()
+		go r.collector(poll)
 	}
 	return r, nil
 }
@@ -416,7 +413,7 @@ func (r *Router) place(exclude int) (leader int, followers []int, err error) {
 // their own goroutine — the marshal, seal and socket writes must not ride the
 // caller's critical path, or the serving scheduler's flush loop serializes
 // with the wire and a multi-replica tier can never out-run one engine.
-// Blocks at MaxInFlight.
+// Blocks at maxInFlight.
 func (r *Router) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	select {
 	case r.slots <- struct{}{}:
@@ -601,7 +598,7 @@ func (r *Router) onResult(ev replicaEvent) {
 		r.mu.Unlock()
 		return // else: stale pre-failover leader result — first delivery won
 	}
-	if res.Err != nil && pb.retries < r.cfg.MaxRetries && !r.state[ev.idx].healthy() {
+	if res.Err != nil && pb.retries < maxRetries && !r.state[ev.idx].healthy() {
 		// The leader failed the batch and its engine is degraded past
 		// serving: treat as replica failure, not batch failure.
 		r.mu.Unlock()
@@ -776,7 +773,7 @@ func (r *Router) completeLocked(pb *pendingBatch) bool {
 
 // deliverLocked enqueues the result row; the delivery goroutine moves it to
 // the output stream and releases the batch's slot. deliverq is sized to
-// MaxInFlight and each slot delivers at most once, so the enqueue never
+// maxInFlight and each slot delivers at most once, so the enqueue never
 // blocks. Caller holds r.mu.
 func (r *Router) deliverLocked(pb *pendingBatch, res *monitor.BatchResult) {
 	pb.delivered = true
@@ -905,9 +902,9 @@ func (r *Router) ClusterMetrics() []ReplicaMetrics {
 // collector drives metrics federation: on each tick it polls every up
 // replica's registry over its existing status channel; answers land as
 // metrics events. Skips entirely while telemetry is disabled.
-func (r *Router) collector() {
+func (r *Router) collector(every time.Duration) {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.MetricsInterval)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -975,7 +972,7 @@ func (r *Router) failover(id uint64, from int, cause error) {
 		r.mu.Unlock()
 		return // resolved or already re-placed by a concurrent path
 	}
-	if pb.retries >= r.cfg.MaxRetries {
+	if pb.retries >= maxRetries {
 		r.resolveFailedLocked(pb, fmt.Errorf("cluster: batch %d exhausted failover retries: %w", id, cause))
 		r.mu.Unlock()
 		return
@@ -1035,10 +1032,10 @@ func (r *Router) resolveFailedLocked(pb *pendingBatch, err error) {
 }
 
 // sweeper resolves batches whose follower votes never arrived: after
-// VoteTimeout past the leader result, stragglers count as abstentions.
-func (r *Router) sweeper() {
+// timeout past the leader result, stragglers count as abstentions.
+func (r *Router) sweeper(timeout time.Duration) {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.VoteTimeout / 2)
+	t := time.NewTicker(timeout / 2)
 	defer t.Stop()
 	for {
 		select {
@@ -1046,7 +1043,7 @@ func (r *Router) sweeper() {
 			r.mu.Lock()
 			var expired []*pendingBatch
 			for _, pb := range r.pending {
-				if pb.res != nil && len(pb.followers) > 0 && now.Sub(pb.resAt) > r.cfg.VoteTimeout {
+				if pb.res != nil && len(pb.followers) > 0 && now.Sub(pb.resAt) > timeout {
 					expired = append(expired, pb)
 				}
 			}

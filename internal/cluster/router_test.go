@@ -419,9 +419,8 @@ func TestRouterNoHealthyReplica(t *testing.T) {
 
 func TestRouterVoteTimeoutAbstains(t *testing.T) {
 	a, b := newFake("a"), newFake("b")
-	r, err := NewRouter(RouterConfig{
-		Replicas: []Replica{a, b}, Verify: 1, Sync: true, VoteTimeout: 50 * time.Millisecond,
-	})
+	r, err := newRouter(RouterConfig{Replicas: []Replica{a, b}, Verify: 1, Sync: true},
+		50*time.Millisecond, metricsInterval)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,13 @@ func TestVerifyPlaneBytesDigestVsTensor(t *testing.T) {
 			reps[i] = startRemoteReplica(t, fmt.Sprintf("rep-%d", i), newClusterEngine(t, nil))
 		}
 		reg := telemetry.NewRegistry()
-		router, err := NewRouter(RouterConfig{
-			Replicas:        reps,
-			Verify:          replicas - 1,
-			Mode:            mode,
-			Sync:            true, // every vote is on the wire before the row is delivered
-			Metrics:         reg,
-			MetricsInterval: -1,
-		})
+		router, err := newRouter(RouterConfig{
+			Replicas: reps,
+			Verify:   replicas - 1,
+			Mode:     mode,
+			Sync:     true, // every vote is on the wire before the row is delivered
+			Metrics:  reg,
+		}, voteTimeout, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +116,12 @@ func TestTwoReplicasOutserveOneEngine(t *testing.T) {
 	}
 	single := serve.New(newEngineOf(t, proto, nil), serveConfig)
 	t.Cleanup(single.Close)
-	router, err := NewRouter(RouterConfig{
+	router, err := newRouter(RouterConfig{
 		Replicas: []Replica{
 			startRemoteReplica(t, "rep-0", newEngineOf(t, proto, nil)),
 			startRemoteReplica(t, "rep-1", newEngineOf(t, proto, nil)),
 		},
-		MetricsInterval: -1,
-	})
+	}, voteTimeout, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,43 +48,34 @@ type Limits struct {
 	MinWeight, MaxWeight int
 }
 
-func (l *Limits) fill() {
-	if l.MinBatch <= 0 {
-		l.MinBatch = 1
-	}
-	if l.MaxBatch <= 0 {
-		l.MaxBatch = 64
-	}
-	if l.MinDelay <= 0 {
-		l.MinDelay = 50 * time.Microsecond
-	}
-	if l.MaxDelay <= 0 {
-		l.MaxDelay = 20 * time.Millisecond
-	}
-	if l.MinWindow <= 0 {
-		l.MinWindow = 1
-	}
-	if l.MaxWindow <= 0 {
-		l.MaxWindow = 64
-	}
-	if l.MinSpares < 0 {
-		l.MinSpares = 0
-	}
-	if l.MaxSpares <= 0 {
-		l.MaxSpares = 8
-	}
-	if l.MinWeight <= 0 {
-		l.MinWeight = 1
-	}
-	if l.MaxWeight <= 0 {
-		l.MaxWeight = 64
+// DefaultLimits returns the clamps the live controller runs inside. The
+// pure laws take a Limits so the simulator (internal/pipesim) replays them
+// inside the same box.
+func DefaultLimits() Limits {
+	return Limits{
+		MinBatch: 1, MaxBatch: 64,
+		MinDelay: 50 * time.Microsecond, MaxDelay: 20 * time.Millisecond,
+		MinWindow: 1, MaxWindow: 64,
+		MinSpares: 0, MaxSpares: 8,
+		MinWeight: 1, MaxWeight: 64,
 	}
 }
 
+const (
+	// headroom pads the Little's-law window target so the window does not
+	// throttle the steady state it was measured from.
+	headroom = 1.25
+	// breachEpochs is how many consecutive breached (or clean) epochs the
+	// SLO and queue loops require before escalating (or relaxing).
+	breachEpochs = 2
+	// spareLead is how many epochs of death-rate coverage the spare pool
+	// targets.
+	spareLead = 2
+)
+
 // Config wires a Controller to its signals and actuators. Any nil actuator
-// disables the loops that drive it; the Disable* switches turn individual
-// loops off even when the actuator is present (the -adaptive=false kill
-// switch simply never constructs a Controller at all).
+// disables the loops that drive it (the -adaptive=false kill switch simply
+// never constructs a Controller at all).
 type Config struct {
 	// Epoch is the control tick. Default 500ms — slow enough that the
 	// histogram deltas carry real samples, fast enough to react to an SLO
@@ -101,29 +92,6 @@ type Config struct {
 	// Engine.EventBus(). Nil disables the spare loop's burst response (the
 	// rate EWMA then only ever sees zero deaths).
 	Events *telemetry.Bus[monitor.Event]
-
-	Limits Limits
-	// Headroom pads the Little's-law window target so the window does not
-	// throttle the steady state it was measured from. Default 1.25.
-	Headroom float64
-	// BreachEpochs is how many consecutive breached (or clean) epochs the
-	// SLO loop requires before escalating (or relaxing). Default 2.
-	BreachEpochs int
-	// SpareLead is how many epochs of death-rate coverage the spare pool
-	// targets. Default 2.
-	SpareLead int
-	// QueueHighWater is the per-stage queue depth (batches waiting behind the
-	// credit window) above which the queue loop raises the shed floor — a
-	// leading indicator that trips before the latency histograms show a p99
-	// breach. Default Limits.MaxWindow: a stage backlog as deep as the widest
-	// inflight window means the pipeline is saturated.
-	QueueHighWater int
-
-	DisableBatch     bool
-	DisableInflight  bool
-	DisableSpares    bool
-	DisableSLO       bool
-	DisableQueueShed bool
 }
 
 func (c *Config) fill() {
@@ -132,19 +100,6 @@ func (c *Config) fill() {
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 1.25
-	}
-	if c.BreachEpochs <= 0 {
-		c.BreachEpochs = 2
-	}
-	if c.SpareLead <= 0 {
-		c.SpareLead = 2
-	}
-	c.Limits.fill()
-	if c.QueueHighWater <= 0 {
-		c.QueueHighWater = c.Limits.MaxWindow
 	}
 }
 
@@ -177,6 +132,7 @@ type tenantSLO struct {
 // or explicit deterministic ticks via Step for tests.
 type Controller struct {
 	cfg Config
+	lim Limits // DefaultLimits
 
 	// Signal handles, resolved once at construction.
 	flushSize  *telemetry.Counter
@@ -227,6 +183,7 @@ func New(cfg Config) *Controller {
 	reg := cfg.Registry
 	c := &Controller{
 		cfg:        cfg,
+		lim:        DefaultLimits(),
 		flushSize:  reg.Counter(telemetry.MetricServeFlushes, telemetry.L("reason", telemetry.FlushReasonSize)),
 		flushTimer: reg.Counter(telemetry.MetricServeFlushes, telemetry.L("reason", telemetry.FlushReasonTimer)),
 		fill:       reg.Histogram(telemetry.MetricServeBatchFill),
@@ -349,20 +306,20 @@ func (c *Controller) Step(elapsed time.Duration) []Decision {
 	c.epochs.Inc()
 	c.out = c.out[:0]
 	deaths, replaceFailed := c.drainEvents()
-	if !c.cfg.DisableBatch && c.cfg.Frontend != nil {
+	if c.cfg.Frontend != nil {
 		c.stepBatch()
 	}
-	if !c.cfg.DisableInflight && c.cfg.Pipeline != nil {
+	if c.cfg.Pipeline != nil {
 		c.stepInflight(elapsed)
 	}
-	if !c.cfg.DisableSpares && c.cfg.Spares != nil {
+	if c.cfg.Spares != nil {
 		c.stepSpares(deaths, replaceFailed)
 	}
-	if !c.cfg.DisableSLO && c.cfg.Frontend != nil {
+	if c.cfg.Frontend != nil {
 		c.stepSLO()
-	}
-	if !c.cfg.DisableQueueShed && c.cfg.Frontend != nil && len(c.qdepth) > 0 {
-		c.stepQueueShed()
+		if len(c.qdepth) > 0 {
+			c.stepQueueShed()
+		}
 	}
 	return append([]Decision(nil), c.out...)
 }
@@ -419,7 +376,7 @@ func (c *Controller) stepBatch() {
 
 	mb, md := c.cfg.Frontend.BatchWindow()
 	cur := BatchKnobs{MaxBatch: mb, MaxDelay: md}
-	next := BatchStep(sig, cur, c.cfg.Limits, &c.batchState)
+	next := BatchStep(sig, cur, c.lim, &c.batchState)
 	if next == cur {
 		return
 	}
@@ -466,8 +423,8 @@ func (c *Controller) stepInflight(elapsed time.Duration) {
 		return // idle epoch: no signal, hold
 	}
 	lambda := float64(delta) / elapsed.Seconds()
-	target := LittleWindow(lambda, time.Duration(p90), c.cfg.Headroom)
-	target = clampInt(target, c.cfg.Limits.MinWindow, c.cfg.Limits.MaxWindow)
+	target := LittleWindow(lambda, time.Duration(p90), headroom)
+	target = clampInt(target, c.lim.MinWindow, c.lim.MaxWindow)
 	// Hysteresis: act only outside a ±25% (and at least ±1) band.
 	band := cur / 4
 	if band < 1 {
@@ -495,8 +452,8 @@ func (c *Controller) stepSpares(deaths int, replaceFailed bool) {
 		// otherwise keep one phantom death alive forever.
 		c.deathEWMA = 0
 	}
-	lim := c.cfg.Limits
-	target := SpareTarget(c.deathEWMA, c.cfg.SpareLead, lim.MinSpares, lim.MaxSpares)
+	lim := c.lim
+	target := SpareTarget(c.deathEWMA, spareLead, lim.MinSpares, lim.MaxSpares)
 	cur := c.cfg.Spares.SpareCount()
 	if replaceFailed && target <= cur {
 		target = clampInt(cur+1, lim.MinSpares, lim.MaxSpares)
@@ -528,7 +485,6 @@ func (c *Controller) stepSpares(deaths int, replaceFailed bool) {
 // the degradation ladder shed). De-escalation reverses: floor first, then
 // weights back to their configured base.
 func (c *Controller) stepSLO() {
-	be := c.cfg.BreachEpochs
 	allClean := len(c.tenants) > 0
 	for name, t := range c.tenants {
 		st := t.hist.State()
@@ -548,17 +504,17 @@ func (c *Controller) stepSLO() {
 			t.under = 0
 			t.breached = true
 			allClean = false
-			if t.over >= be {
+			if t.over >= breachEpochs {
 				t.over = 0
 				c.escalate(name, t)
 			}
 		} else {
 			t.under++
 			t.over = 0
-			if t.under >= be {
+			if t.under >= breachEpochs {
 				t.breached = false
 				if w := c.cfg.Frontend.TenantWeight(name); t.base > 0 && w > t.base && c.cfg.Frontend.ShedFloor() == serve.ShedNone {
-					to := clampInt(w/2, t.base, c.cfg.Limits.MaxWeight)
+					to := clampInt(w/2, t.base, c.lim.MaxWeight)
 					c.cfg.Frontend.SetTenantWeight(name, to)
 					t.weight.Set(int64(to))
 					c.emit(Decision{Loop: telemetry.ControlLoopSLO, Knob: "weight",
@@ -575,7 +531,7 @@ func (c *Controller) stepSLO() {
 	// been clean long enough.
 	if allClean {
 		for _, t := range c.tenants {
-			if t.under < be {
+			if t.under < breachEpochs {
 				allClean = false
 				break
 			}
@@ -603,8 +559,8 @@ func (c *Controller) escalate(name string, t *tenantSLO) {
 	if t.base == 0 {
 		t.base = w // remember the configured weight to restore after recovery
 	}
-	if w < c.cfg.Limits.MaxWeight {
-		to := clampInt(w*2, c.cfg.Limits.MinWeight, c.cfg.Limits.MaxWeight)
+	if w < c.lim.MaxWeight {
+		to := clampInt(w*2, c.lim.MinWeight, c.lim.MaxWeight)
 		c.cfg.Frontend.SetTenantWeight(name, to)
 		t.weight.Set(int64(to))
 		c.emit(Decision{Loop: telemetry.ControlLoopSLO, Knob: "weight",
@@ -635,19 +591,20 @@ func (c *Controller) stepQueueShed() {
 			depth = v
 		}
 	}
-	hw := int64(c.cfg.QueueHighWater)
+	// A stage backlog as deep as the widest inflight window means the
+	// pipeline is saturated: that is the high water.
+	hw := int64(c.lim.MaxWindow)
 	floor := c.cfg.Frontend.ShedFloor()
 	if floor == serve.ShedNone {
 		// Someone (the SLO loop, an operator) already unwound the floor:
 		// nothing left for this loop to undo.
 		c.qRaised = 0
 	}
-	be := c.cfg.BreachEpochs
 	switch {
 	case depth > hw:
 		c.qOver++
 		c.qUnder = 0
-		if c.qOver >= be {
+		if c.qOver >= breachEpochs {
 			c.qOver = 0
 			if floor < serve.ShedToHigh {
 				c.cfg.Frontend.SetShedFloor(floor + 1)
@@ -661,7 +618,7 @@ func (c *Controller) stepQueueShed() {
 	case depth*2 <= hw:
 		c.qUnder++
 		c.qOver = 0
-		if c.qUnder >= be && c.qRaised > 0 {
+		if c.qUnder >= breachEpochs && c.qRaised > 0 {
 			c.qUnder = 0
 			c.qRaised--
 			if floor > serve.ShedNone {

@@ -94,8 +94,7 @@ func feedback(k BatchKnobs, ratePerSec float64) BatchSignals {
 // probe cadence (one speculative grow per batchProbeEpochs, reverted the
 // next round) — never a sustained oscillation.
 func TestBatchStepConvergesWithinBoundedRounds(t *testing.T) {
-	lim := Limits{}
-	lim.fill()
+	lim := DefaultLimits()
 	const rounds = 40
 	for _, tc := range []struct {
 		name string
@@ -151,8 +150,7 @@ func TestBatchStepConvergesWithinBoundedRounds(t *testing.T) {
 // batch, light load shrinks the delay, timer stalls at half fill shrink the
 // batch, no traffic holds everything.
 func TestBatchLawDirection(t *testing.T) {
-	lim := Limits{}
-	lim.fill()
+	lim := DefaultLimits()
 	cur := BatchKnobs{MaxBatch: 8, MaxDelay: 2 * time.Millisecond}
 
 	sat := BatchLaw(BatchSignals{FlushSize: 95, FlushTimer: 5, MeanFill: 8}, cur, lim)
@@ -193,8 +191,7 @@ func closedLoopFeedback(k BatchKnobs, conc int) BatchSignals {
 // limited to the bounded probe cadence (one speculative epoch per
 // batchProbeEpochs), never a sustained stall state.
 func TestBatchStepConvergesAtConcurrency(t *testing.T) {
-	lim := Limits{}
-	lim.fill()
+	lim := DefaultLimits()
 	const conc = 16
 	const rounds = 3 * batchProbeEpochs
 	k := BatchKnobs{MaxBatch: 8, MaxDelay: 500 * time.Microsecond}
@@ -229,8 +226,7 @@ func TestBatchStepConvergesAtConcurrency(t *testing.T) {
 // far above the offered concurrency (every flush a deadline stall) must walk
 // back down to the concurrency instead of holding in the degraded state.
 func TestBatchStepRecoversFromOvershotStart(t *testing.T) {
-	lim := Limits{}
-	lim.fill()
+	lim := DefaultLimits()
 	const conc = 16
 	k := BatchKnobs{MaxBatch: 64, MaxDelay: 500 * time.Microsecond}
 	st := &BatchState{}
@@ -295,7 +291,7 @@ func feedServeLoad(reg *telemetry.Registry, sizeFlushes, timerFlushes uint64, fi
 func TestStepBatchLoop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fe := newFakeFrontend()
-	c := New(Config{Registry: reg, Frontend: fe, DisableSLO: true})
+	c := New(Config{Registry: reg, Frontend: fe})
 
 	feedServeLoad(reg, 95, 5, 8, 100)
 	dec := c.Step(time.Second)
@@ -340,25 +336,26 @@ func TestStepBatchLoop(t *testing.T) {
 func TestStepInflightLoop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pl := &fakePipeline{window: 2, stages: 2}
-	lim := Limits{MaxWindow: 16}
-	c := New(Config{Registry: reg, Pipeline: pl, Limits: lim})
+	maxWindow := DefaultLimits().MaxWindow
+	c := New(Config{Registry: reg, Pipeline: pl})
 
-	// 200 batches/s at ~64ms p90 gather => target ~ 1.25*200*0.064 = 16+.
-	reg.Counter(telemetry.MetricEngineBatches).Add(200)
+	// 1000 batches/s at ~64ms p90 gather => target ~ 1.25*1000*0.064 = 80+,
+	// past the MaxWindow clamp.
+	reg.Counter(telemetry.MetricEngineBatches).Add(1000)
 	g := reg.Histogram(telemetry.MetricEngineGatherNs, telemetry.L("stage", "1"))
 	for i := 0; i < 100; i++ {
 		g.Observe(64_000_000)
 	}
 	dec := c.Step(time.Second)
-	if pl.window != 16 {
-		t.Fatalf("window = %d, want clamp at 16", pl.window)
+	if pl.window != maxWindow {
+		t.Fatalf("window = %d, want clamp at %d", pl.window, maxWindow)
 	}
 	if len(dec) != 1 || dec[0].Loop != telemetry.ControlLoopInflight || dec[0].Direction != "up" {
 		t.Fatalf("decisions = %+v, want one inflight up", dec)
 	}
 
-	// Same load again: target equals current -> inside the band, hold.
-	reg.Counter(telemetry.MetricEngineBatches).Add(200)
+	// Same load again: target clamps to current -> inside the band, hold.
+	reg.Counter(telemetry.MetricEngineBatches).Add(1000)
 	for i := 0; i < 100; i++ {
 		g.Observe(64_000_000)
 	}
@@ -367,7 +364,7 @@ func TestStepInflightLoop(t *testing.T) {
 	}
 
 	// Idle epoch: hold (never drive the window from no data).
-	if dec := c.Step(time.Second); len(dec) != 0 || pl.window != 16 {
+	if dec := c.Step(time.Second); len(dec) != 0 || pl.window != maxWindow {
 		t.Fatalf("idle epoch moved the window: %+v w=%d", dec, pl.window)
 	}
 }
@@ -448,7 +445,7 @@ func breachEpoch(reg *telemetry.Registry, tenant string, lat time.Duration, n in
 }
 
 // TestStepSLOBreachRespondsWithinEpochs: a sustained p99 breach must produce
-// a response within BreachEpochs epochs — first weight, then (saturated)
+// a response within breachEpochs epochs — first weight, then (saturated)
 // shed floor, which never passes ShedToHigh no matter how long the breach
 // lasts (the chaos invariant: the controller can add shedding, but High
 // lanes stay admitted and the ladder-derived level is never undercut because
@@ -458,16 +455,12 @@ func TestStepSLOBreachRespondsWithinEpochs(t *testing.T) {
 	fe := newFakeFrontend()
 	fe.weights["gold"] = 2
 	fe.slos = map[string]time.Duration{"gold": time.Millisecond}
-	c := New(Config{
-		Registry: reg, Frontend: fe,
-		BreachEpochs: 2,
-		Limits:       Limits{MaxWeight: 8},
-		DisableBatch: true,
-	})
+	c := New(Config{Registry: reg, Frontend: fe})
+	maxWeight := DefaultLimits().MaxWeight
 
-	// Breach continuously; the first actuation must land within BreachEpochs.
+	// Breach continuously; the first actuation must land within breachEpochs.
 	var first int
-	for epoch := 1; epoch <= 20; epoch++ {
+	for epoch := 1; epoch <= 30; epoch++ {
 		breachEpoch(reg, "gold", 20*time.Millisecond, 50)
 		dec := c.Step(time.Second)
 		if len(dec) > 0 && first == 0 {
@@ -477,11 +470,11 @@ func TestStepSLOBreachRespondsWithinEpochs(t *testing.T) {
 			}
 		}
 	}
-	if first == 0 || first > 2 {
-		t.Fatalf("first SLO response at epoch %d, want within BreachEpochs=2", first)
+	if first == 0 || first > breachEpochs {
+		t.Fatalf("first SLO response at epoch %d, want within breachEpochs=%d", first, breachEpochs)
 	}
-	if fe.weights["gold"] != 8 {
-		t.Fatalf("sustained breach: weight = %d, want saturated at 8", fe.weights["gold"])
+	if fe.weights["gold"] != maxWeight {
+		t.Fatalf("sustained breach: weight = %d, want saturated at %d", fe.weights["gold"], maxWeight)
 	}
 	if fe.floor != serve.ShedToHigh {
 		t.Fatalf("sustained breach after weight saturation: floor = %v, want ShedToHigh", fe.floor)
@@ -497,7 +490,7 @@ func TestStepSLOBreachRespondsWithinEpochs(t *testing.T) {
 
 	// Recovery: clean epochs lower the floor back to ShedNone first, then
 	// restore the weight to its pre-breach base.
-	for epoch := 0; epoch < 20; epoch++ {
+	for epoch := 0; epoch < 30; epoch++ {
 		breachEpoch(reg, "gold", 100*time.Microsecond, 50)
 		c.Step(time.Second)
 	}
@@ -509,41 +502,12 @@ func TestStepSLOBreachRespondsWithinEpochs(t *testing.T) {
 	}
 }
 
-// TestStepDisabledLoopsHold: with every loop disabled the controller ticks
-// (epoch counter moves) but never actuates, whatever the telemetry says.
-func TestStepDisabledLoopsHold(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	fe := newFakeFrontend()
-	fe.slos = map[string]time.Duration{"gold": time.Millisecond}
-	pl := &fakePipeline{window: 2, stages: 1}
-	pool := &fakePool{spares: 3}
-	bus := telemetry.NewBus[monitor.Event](16)
-	c := New(Config{
-		Registry: reg, Frontend: fe, Pipeline: pl, Spares: pool, Events: bus,
-		DisableBatch: true, DisableInflight: true, DisableSpares: true, DisableSLO: true,
-	})
-	feedServeLoad(reg, 95, 5, 8, 100)
-	reg.Counter(telemetry.MetricEngineBatches).Add(500)
-	breachEpoch(reg, "gold", 50*time.Millisecond, 100)
-	bus.Publish(monitor.Event{Kind: monitor.EventVariantTimeout, Stage: 0})
-
-	if dec := c.Step(time.Second); len(dec) != 0 {
-		t.Fatalf("disabled loops actuated: %+v", dec)
-	}
-	if fe.batch != 8 || pl.window != 2 || pool.spares != 3 || fe.floor != serve.ShedNone {
-		t.Fatal("disabled controller moved a knob")
-	}
-	if got := reg.Counter(telemetry.MetricControlEpochs).Value(); got != 1 {
-		t.Fatalf("epoch counter = %d, want 1", got)
-	}
-}
-
 // TestRunTicksAndStops exercises the goroutine path: the ticker drives
 // epochs, decisions reach bus subscribers, and Stop is idempotent.
 func TestRunTicksAndStops(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fe := newFakeFrontend()
-	c := New(Config{Registry: reg, Frontend: fe, Epoch: 5 * time.Millisecond, DisableSLO: true})
+	c := New(Config{Registry: reg, Frontend: fe, Epoch: 5 * time.Millisecond})
 	sub := c.Decisions().Subscribe(16)
 	defer sub.Close()
 
@@ -593,23 +557,21 @@ func TestGatherStageLabels(t *testing.T) {
 
 // TestQueueShedClampAndUnwind drives the queue-depth loop deterministically:
 // sustained backlog above the high water raises the shed floor one level per
-// BreachEpochs, never past ShedToHigh; draining queues unwind it at the same
+// breachEpochs, never past ShedToHigh; draining queues unwind it at the same
 // cadence, never below ShedNone, and the loop only ever undoes its own
 // escalations.
 func TestQueueShedClampAndUnwind(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fe := newFakeFrontend()
 	pl := &fakePipeline{window: 8, stages: 2}
-	c := New(Config{
-		Registry: reg, Frontend: fe, Pipeline: pl,
-		QueueHighWater: 16, BreachEpochs: 2,
-		DisableBatch: true, DisableInflight: true, DisableSLO: true,
-	})
+	c := New(Config{Registry: reg, Frontend: fe, Pipeline: pl})
+	// The high water is the widest inflight window.
+	hw := int64(DefaultLimits().MaxWindow)
 	// The loop takes the max over stages: stage 0 stays idle, stage 1 backs up.
 	q := reg.Gauge(telemetry.MetricEngineQueueDepth, telemetry.L("stage", "1"))
 
 	// One epoch over the high water is not enough evidence.
-	q.Set(17)
+	q.Set(hw + 1)
 	if ds := c.Step(0); len(ds) != 0 {
 		t.Fatalf("acted on a single breached epoch: %+v", ds)
 	}
@@ -635,10 +597,10 @@ func TestQueueShedClampAndUnwind(t *testing.T) {
 		}
 	}
 
-	// Queues drain to half the high water: one level back per BreachEpochs,
+	// Queues drain to half the high water: one level back per breachEpochs,
 	// stopping at ShedNone with no further decisions once its own raises are
 	// spent.
-	q.Set(8)
+	q.Set(hw / 2)
 	downs := 0
 	for i := 0; i < 12; i++ {
 		for _, d := range c.Step(0) {

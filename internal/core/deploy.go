@@ -31,6 +31,10 @@ const (
 	TCPLoopback
 )
 
+// epcBytes sizes each simulated platform's secure memory: 128 GiB, the
+// paper's testbed EPC.
+const epcBytes = 128 << 30
+
 // DeployConfig drives the online phase.
 type DeployConfig struct {
 	// MVX is the runtime-provisioned configuration (partition set choice,
@@ -41,9 +45,6 @@ type DeployConfig struct {
 	// Encrypt enables the RA-TLS-style secure channels (default in the
 	// paper; disable only for the Figure 10 no-encryption baseline).
 	Encrypt bool
-	// EPCBytes sizes each simulated platform's secure memory; zero means
-	// 128 GiB (the paper's testbed EPC).
-	EPCBytes int64
 	// VariantOptions, if set, customizes each variant's construction —
 	// the hook fault-injection experiments use.
 	VariantOptions func(variantID string, e Entry) variant.Options
@@ -81,7 +82,7 @@ func (d *Deployment) platform(tt enclave.TEEType) (*enclave.Platform, error) {
 	if p, ok := d.platforms[tt]; ok {
 		return p, nil
 	}
-	p, err := enclave.NewPlatform(fmt.Sprintf("plat-%s", tt), tt, d.cfg.EPCBytes)
+	p, err := enclave.NewPlatform(fmt.Sprintf("plat-%s", tt), tt, epcBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -265,9 +266,6 @@ func Deploy(b *Bundle, setIdx int, cfg DeployConfig) (*Deployment, error) {
 	}
 	if cfg.Transport == 0 {
 		cfg.Transport = InProc
-	}
-	if cfg.EPCBytes == 0 {
-		cfg.EPCBytes = 128 << 30
 	}
 
 	d := &Deployment{Bundle: b, SetIdx: setIdx, cfg: cfg, platforms: make(map[enclave.TEEType]*enclave.Platform)}

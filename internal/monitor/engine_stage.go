@@ -401,7 +401,9 @@ func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now tim
 		// path (outputs are immutable once forwarded).
 		rec.CheckpointTensors(g.id, st.s.idx, outs)
 	}
-	st.e.post(routerMsg{done: true, stageIdx: st.s.idx, id: g.id, outs: outs})
+	// The span is recorded before the release is posted: once the last
+	// stage posts, the batch can complete and a caller that snapshots the
+	// tracer when Infer returns must already see it.
 	if !g.dispatchedAt.IsZero() {
 		st.e.met.stages[st.s.idx].forwards.Inc()
 		if now.IsZero() {
@@ -413,6 +415,7 @@ func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now tim
 			Start: ns, End: ns,
 		})
 	}
+	st.e.post(routerMsg{done: true, stageIdx: st.s.idx, id: g.id, outs: outs})
 }
 
 // evaluateGather applies the checkpoint decision logic:

@@ -25,12 +25,11 @@ import (
 )
 
 // Adaptive-window replay parameters, mirroring the live controller's
-// defaults (control.Config.Headroom, Limits.MaxWindow) with the epoch
-// expressed in batches — the simulator has no wall clock.
+// Little's-law headroom with the epoch expressed in batches — the simulator
+// has no wall clock. The window clamps are control.DefaultLimits.
 const (
 	adaptEveryBatches = 32
 	adaptHeadroom     = 1.25
-	adaptMaxWindow    = 64
 )
 
 // StageProfile carries the calibrated costs of one pipeline stage.
@@ -366,7 +365,8 @@ func Simulate(p *Profile, batches int, sequential bool, inFlight int) (Metrics, 
 				sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 				p90 := durs[(len(durs)*9+9)/10-1]
 				if w := control.LittleWindow(lambda, p90, adaptHeadroom); w > 0 {
-					effWindow = min(max(w, 1), adaptMaxWindow)
+					lim := control.DefaultLimits()
+					effWindow = min(max(w, lim.MinWindow), lim.MaxWindow)
 				}
 			}
 		}

@@ -20,24 +20,6 @@ type ServeMetrics struct {
 	Knobs      []control.BatchKnobs
 }
 
-// serveLimits mirrors the live controller's default clamps
-// (control.Limits.fill) so the replayed law moves inside the same box.
-func serveLimits(lim control.Limits) control.Limits {
-	if lim.MinBatch <= 0 {
-		lim.MinBatch = 1
-	}
-	if lim.MaxBatch <= 0 {
-		lim.MaxBatch = 64
-	}
-	if lim.MinDelay <= 0 {
-		lim.MinDelay = 50 * time.Microsecond
-	}
-	if lim.MaxDelay <= 0 {
-		lim.MaxDelay = 20 * time.Millisecond
-	}
-	return lim
-}
-
 // SimulateServe runs a closed-loop serving simulation over the profile:
 // `clients` zero-think-time clients each hold one outstanding request; the
 // front door collects arrivals into micro-batches (flush on MaxBatch fill or
@@ -53,14 +35,16 @@ func serveLimits(lim control.Limits) control.Limits {
 // adaptEveryBatches flushes from that epoch's flush mix; the returned
 // trajectory replays deterministically because the whole simulation is a pure
 // function of (profile, clients, batches, starting knobs).
-func SimulateServe(p *Profile, clients, batches int, knobs control.BatchKnobs, lim control.Limits) (ServeMetrics, error) {
+func SimulateServe(p *Profile, clients, batches int, knobs control.BatchKnobs) (ServeMetrics, error) {
 	if err := p.Validate(); err != nil {
 		return ServeMetrics{}, err
 	}
 	if clients <= 0 || batches <= 0 {
 		return ServeMetrics{}, fmt.Errorf("pipesim: need at least one client and one batch")
 	}
-	lim = serveLimits(lim)
+	// The live controller's clamps, so the replayed law moves inside the
+	// same box.
+	lim := control.DefaultLimits()
 	if knobs.MaxBatch <= 0 {
 		knobs.MaxBatch = lim.MinBatch
 	}

@@ -23,7 +23,7 @@ func TestAdaptiveBatchReplaysOvershootDiscovery(t *testing.T) {
 	batches := epochs * adaptEveryBatches
 	start := control.BatchKnobs{MaxBatch: 4, MaxDelay: 2 * time.Millisecond}
 
-	m, err := SimulateServe(p, clients, batches, start, control.Limits{})
+	m, err := SimulateServe(p, clients, batches, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAdaptiveBatchReplaysOvershootDiscovery(t *testing.T) {
 	}
 
 	// Deterministic replay: same inputs, same everything.
-	m2, err := SimulateServe(p, clients, batches, start, control.Limits{})
+	m2, err := SimulateServe(p, clients, batches, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAdaptiveBatchReplaysOvershootDiscovery(t *testing.T) {
 	// static window, while the adaptive loop converges its fill toward the
 	// offered concurrency (8 clients) — the thing the batch loop is for.
 	p.AdaptiveBatch = false
-	open, err := SimulateServe(p, clients, batches, start, control.Limits{})
+	open, err := SimulateServe(p, clients, batches, start)
 	if err != nil {
 		t.Fatal(err)
 	}

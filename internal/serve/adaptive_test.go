@@ -16,7 +16,7 @@ import (
 func TestTenantEvictionBoundsUndeclaredState(t *testing.T) {
 	fe := newFakeEngine()
 	s := newTestServer(t, fe, Config{
-		MaxBatch: 1, MaxDelay: time.Millisecond, MaxTenants: 4,
+		MaxBatch: 1, MaxDelay: time.Millisecond,
 		Tenants: map[string]TenantConfig{"vip": {Weight: 3}},
 	})
 
@@ -24,7 +24,7 @@ func TestTenantEvictionBoundsUndeclaredState(t *testing.T) {
 	if _, err := s.Infer(ctx, itemReq("vip", Normal, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < maxTenants+40; i++ {
 		if _, err := s.Infer(ctx, itemReq(fmt.Sprintf("rot-%d", i), Normal, 1)); err != nil {
 			t.Fatalf("rotated tenant %d: %v", i, err)
 		}
@@ -37,11 +37,11 @@ func TestTenantEvictionBoundsUndeclaredState(t *testing.T) {
 	_, vipAlive := s.tenants["vip"]
 	s.mu.Unlock()
 
-	if undeclared > 4 {
-		t.Errorf("undeclared tenants = %d, want <= MaxTenants (4)", undeclared)
+	if undeclared > maxTenants {
+		t.Errorf("undeclared tenants = %d, want <= maxTenants (%d)", undeclared, maxTenants)
 	}
-	if resident > 5 { // 4 undeclared + vip
-		t.Errorf("resident tenant states = %d, want <= 5", resident)
+	if resident > maxTenants+1 { // maxTenants undeclared + vip
+		t.Errorf("resident tenant states = %d, want <= %d", resident, maxTenants+1)
 	}
 	if ringLen != resident {
 		t.Errorf("ring length %d != tenant map size %d", ringLen, resident)
@@ -64,7 +64,7 @@ func TestTenantEvictionBoundsUndeclaredState(t *testing.T) {
 // told to back off much longer than one rejected at mild shedding.
 func TestShedRetryAfterScalesWithLevel(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{ShedInterval: time.Millisecond})
+	s := newTestServer(t, fe, Config{})
 
 	prev := time.Duration(0)
 	for _, lvl := range []ShedLevel{ShedLow, ShedToHigh, ShedAll} {
@@ -170,7 +170,7 @@ func TestSetBatchWindowRetunesScheduler(t *testing.T) {
 // no floor setting can re-admit lanes the ladder shed.
 func TestShedFloorNeverAdmitsPastLadder(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{ShedInterval: time.Millisecond})
+	s := newTestServer(t, fe, Config{})
 
 	fe.setLadder(monitor.LadderSingle) // → ShedToHigh
 	waitFor(t, func() bool { return s.Shed() == ShedToHigh })

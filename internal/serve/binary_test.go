@@ -315,7 +315,7 @@ func TestHTTPBinaryShapeRejectedAtAdmission(t *testing.T) {
 		{"y": tensor.New(1, 4)},    // unknown input
 		{"x": tensor.New(1, 3)},    // wrong item width
 		{"x": tensor.New(1, 4, 1)}, // wrong rank
-		{"x": tensor.New(65, 4)},   // over MaxItems
+		{"x": tensor.New(65, 4)},   // over maxItems
 	}
 	for i, in := range bad {
 		_, err := binClient(ts.URL).Infer(context.Background(), Request{Tenant: "t", Inputs: in})

@@ -77,7 +77,7 @@ const (
 //	GET  /healthz   — serving status, shed level, ladder, queues, protocols
 func Handler(s *Server) http.Handler {
 	jsonLimit := maxBodyBytes(s.cfg)
-	binLimit := wire.MaxRequestSize(s.cfg.ItemShapes, s.cfg.MaxItems)
+	binLimit := wire.MaxRequestSize(s.cfg.ItemShapes, maxItems)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -254,14 +254,14 @@ func decodeJSON(r *http.Request) (Request, error) {
 
 // decodeBinary decodes a binary request body, streaming payloads into
 // pooled scratch. Shapes are vetted against the declared input interface
-// and MaxItems before any payload byte of the frame is read, so a hostile
+// and maxItems before any payload byte of the frame is read, so a hostile
 // frame costs its header, not its body.
 func (s *Server) decodeBinary(r *http.Request) (Request, error) {
 	prio, err := ParsePriority(r.Header.Get(HeaderPriority))
 	if err != nil {
 		return Request{}, err
 	}
-	limit := wire.MaxRequestSize(s.cfg.ItemShapes, s.cfg.MaxItems)
+	limit := wire.MaxRequestSize(s.cfg.ItemShapes, maxItems)
 	validate := func(name string, shape []int) error {
 		// A declared payload that alone exceeds the body cap can never arrive
 		// intact; refusing it here (before the decoder allocates the backing
@@ -270,9 +270,9 @@ func (s *Server) decodeBinary(r *http.Request) (Request, error) {
 		if vol, err := wire.CheckPublicShape(shape); err == nil && 4*int64(vol) > limit {
 			return &http.MaxBytesError{Limit: limit}
 		}
-		if shape[0] > s.cfg.MaxItems {
+		if shape[0] > maxItems {
 			return fmt.Errorf("%w: input %q item count %d exceeds max %d",
-				ErrBadRequest, name, shape[0], s.cfg.MaxItems)
+				ErrBadRequest, name, shape[0], maxItems)
 		}
 		if s.cfg.ItemShapes == nil {
 			return nil
@@ -357,7 +357,7 @@ func errStatus(err error) (status int, retryAfter time.Duration) {
 
 // maxBodyBytes sizes the /v1/infer JSON request-body cap. With a declared
 // input interface the bound follows from the largest admissible request:
-// the per-item volumes times MaxItems, at a generous ~24 bytes per float of
+// the per-item volumes times maxItems, at a generous ~24 bytes per float of
 // JSON text, plus fixed envelope overhead. Without declared shapes a flat
 // 64 MiB cap still stops unbounded bodies at the door. (Binary bodies use
 // wire.MaxRequestSize instead — exact 4-byte floats, tight framing.)
@@ -376,7 +376,7 @@ func maxBodyBytes(cfg Config) int64 {
 		for _, d := range shape[1:] {
 			per *= int64(d)
 		}
-		floats += per * int64(cfg.MaxItems)
+		floats += per * int64(maxItems)
 	}
 	return floats*perFloat + envelope
 }

@@ -157,11 +157,6 @@ type Config struct {
 	// MaxBatch is the most requests coalesced into one engine batch
 	// (default 8).
 	MaxBatch int
-	// MaxItems bounds a single request's item count (the shared leading
-	// dimension of its inputs); larger requests are rejected at admission
-	// with ErrBadRequest so an adversarial leading dimension can never
-	// reach batch assembly or the engine (default 64).
-	MaxItems int
 	// MaxDelay is the batching window: a partially filled batch flushes
 	// this long after its first request (default 2ms).
 	MaxDelay time.Duration
@@ -180,35 +175,36 @@ type Config struct {
 	// reaching the engine, where a malformed batch would fail — and, under
 	// the Halt response, take the pipeline down for every tenant.
 	ItemShapes map[string][]int
-	// MaxTenants caps how many undeclared tenants may hold resident state:
-	// above the cap, admitting a request from a brand-new tenant name first
-	// evicts the least-recently-active idle undeclared tenant. Declared
-	// Config.Tenants are permanent and never counted against the cap
-	// (default 256).
-	MaxTenants int
-	// RetryAfterHint is the base backoff suggested to rejected callers; the
-	// hint scales with queue depth (default 25ms).
-	RetryAfterHint time.Duration
 	// DisableBinary turns off the application/x-mvtee-tensor content type
 	// on the HTTP front door; JSON stays available (compatibility gate for
 	// staged rollouts).
 	DisableBinary bool
-	// ShedDisabled turns off ladder-driven load shedding.
-	ShedDisabled bool
-	// ShedInterval is how often the ladder is polled for shedding
-	// decisions (default 10ms).
-	ShedInterval time.Duration
 	// Metrics receives the server's telemetry series; nil uses
 	// telemetry.Default.
 	Metrics *telemetry.Registry
 }
 
+const (
+	// maxItems bounds a single request's item count (the shared leading
+	// dimension of its inputs); larger requests are rejected at admission
+	// with ErrBadRequest so an adversarial leading dimension can never
+	// reach batch assembly or the engine.
+	maxItems = 64
+	// maxTenants caps how many undeclared tenants may hold resident state:
+	// above the cap, admitting a request from a brand-new tenant name first
+	// evicts the least-recently-active idle undeclared tenant. Declared
+	// Config.Tenants are permanent and never counted against the cap.
+	maxTenants = 256
+	// retryAfterHint is the base backoff suggested to rejected callers; the
+	// hint scales with queue depth or shed level.
+	retryAfterHint = 25 * time.Millisecond
+	// shedInterval is how often the ladder is polled for shedding decisions.
+	shedInterval = 10 * time.Millisecond
+)
+
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxItems <= 0 {
-		c.MaxItems = 64
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Millisecond
@@ -218,15 +214,6 @@ func (c *Config) fill() {
 	}
 	if c.GlobalQueue <= 0 {
 		c.GlobalQueue = 1024
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 256
-	}
-	if c.RetryAfterHint <= 0 {
-		c.RetryAfterHint = 25 * time.Millisecond
-	}
-	if c.ShedInterval <= 0 {
-		c.ShedInterval = 10 * time.Millisecond
 	}
 }
 
@@ -348,13 +335,10 @@ func New(engine Engine, cfg Config) *Server {
 	s.dynBatch.Store(int64(cfg.MaxBatch))
 	s.dynDelayNs.Store(int64(cfg.MaxDelay))
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(2)
+	s.wg.Add(3)
 	go func() { defer s.wg.Done(); s.scheduler() }()
 	go func() { defer s.wg.Done(); s.demux() }()
-	if !cfg.ShedDisabled {
-		s.wg.Add(1)
-		go func() { defer s.wg.Done(); s.shedWatcher() }()
-	}
+	go func() { defer s.wg.Done(); s.shedWatcher() }()
 	go func() { s.wg.Wait(); close(s.stopped) }()
 	return s
 }
@@ -362,7 +346,7 @@ func New(engine Engine, cfg Config) *Server {
 // tenant returns (creating if needed) the tenant's state. Caller holds mu.
 //
 // Undeclared tenant names are attacker-controlled (the X-MVTEE-Tenant
-// header), so their resident state must be bounded: above Config.MaxTenants,
+// header), so their resident state must be bounded: above maxTenants,
 // creating a new undeclared tenant first evicts the least-recently-active
 // idle one. Tenants with queued work are never evicted — their count is
 // already bounded by GlobalQueue — and declared tenants are permanent.
@@ -383,7 +367,7 @@ func (s *Server) tenant(name string) *tenantState {
 		tc.QueueCap = s.cfg.TenantQueue
 	}
 	if !declared {
-		if s.undeclared >= s.cfg.MaxTenants {
+		if s.undeclared >= maxTenants {
 			s.evictIdleTenant()
 		}
 		s.undeclared++
@@ -501,8 +485,8 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rows > s.cfg.MaxItems {
-		return nil, fmt.Errorf("%w: item count %d exceeds max %d", ErrBadRequest, rows, s.cfg.MaxItems)
+	if rows > maxItems {
+		return nil, fmt.Errorf("%w: item count %d exceeds max %d", ErrBadRequest, rows, maxItems)
 	}
 	if req.Priority < High || req.Priority >= numLanes {
 		return nil, fmt.Errorf("%w: priority %d", ErrBadRequest, req.Priority)
@@ -587,7 +571,7 @@ func (s *Server) retryAfter(depth int) time.Duration {
 		maxBatch = 1
 	}
 	windows := depth/maxBatch + 1
-	return time.Duration(windows) * s.cfg.RetryAfterHint
+	return time.Duration(windows) * retryAfterHint
 }
 
 // shedRetryAfter scales the backoff hint with the shedding severity: queue
@@ -602,7 +586,7 @@ func (s *Server) shedRetryAfter(lvl ShedLevel) time.Duration {
 	if lvl > ShedAll {
 		lvl = ShedAll
 	}
-	return s.cfg.RetryAfterHint << (2 * uint(lvl))
+	return retryAfterHint << (2 * uint(lvl))
 }
 
 // QueueDepths snapshots per-tenant queue depths (for /healthz).

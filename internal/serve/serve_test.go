@@ -334,21 +334,18 @@ func TestSubmitRejectsOversizedItemCount(t *testing.T) {
 	fe := newFakeEngine()
 	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
 
-	// The default MaxItems (64) refuses an outsized leading dimension at the
-	// door instead of letting it reach batch assembly.
-	big := Request{Inputs: map[string]*tensor.Tensor{"x": tensor.New(65, 2)}}
+	// maxItems refuses an outsized leading dimension at the door instead of
+	// letting it reach batch assembly.
+	big := Request{Inputs: map[string]*tensor.Tensor{"x": tensor.New(maxItems+1, 2)}}
 	if _, err := s.Submit(big); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversized request: %v, want ErrBadRequest", err)
 	}
 
-	// MaxItems is configurable, independent of MaxBatch.
-	s2 := newTestServer(t, newFakeEngine(), Config{MaxBatch: 2, MaxItems: 8, MaxDelay: time.Millisecond})
-	ok := Request{Inputs: map[string]*tensor.Tensor{"x": tensor.MustFromSlice(make([]float32, 16), 8, 2)}}
-	if _, err := s2.Infer(context.Background(), ok); err != nil {
-		t.Fatalf("8-item request under MaxItems=8: %v", err)
-	}
-	if _, err := s2.Submit(Request{Inputs: map[string]*tensor.Tensor{"x": tensor.New(9, 2)}}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("9-item request under MaxItems=8: %v, want ErrBadRequest", err)
+	// The item bound is independent of MaxBatch: a request of exactly
+	// maxItems rows is admitted and served by a 4-request batch window.
+	ok := Request{Inputs: map[string]*tensor.Tensor{"x": tensor.New(maxItems, 2)}}
+	if _, err := s.Infer(context.Background(), ok); err != nil {
+		t.Fatalf("%d-item request: %v", maxItems, err)
 	}
 }
 
@@ -386,8 +383,7 @@ func TestDrainWaitsForAssemblingBatch(t *testing.T) {
 
 func TestShedFollowsLadder(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond,
-		ShedInterval: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond})
 
 	if _, err := s.Infer(context.Background(), itemReq("t", Low, 1)); err != nil {
 		t.Fatalf("healthy engine shed a Low request: %v", err)

@@ -77,7 +77,7 @@ func shedLevelFor(ladder []monitor.LadderRung) ShedLevel {
 
 // shedWatcher polls the ladder and publishes the level admission reads.
 func (s *Server) shedWatcher() {
-	tick := time.NewTicker(s.cfg.ShedInterval)
+	tick := time.NewTicker(shedInterval)
 	defer tick.Stop()
 	for {
 		select {

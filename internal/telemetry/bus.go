@@ -12,10 +12,7 @@ import (
 // be able to wedge checkpoint processing.
 type Bus[T any] struct {
 	mu      sync.Mutex
-	ring    []T
-	n       int // valid entries
-	pos     int // next write index
-	total   uint64
+	ring    ring[T]
 	subs    []*Sub[T]
 	dropped atomic.Uint64
 }
@@ -32,10 +29,7 @@ type Sub[T any] struct {
 // NewBus returns a bus retaining the most recent capacity entries for
 // snapshots and replay.
 func NewBus[T any](capacity int) *Bus[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Bus[T]{ring: make([]T, capacity)}
+	return &Bus[T]{ring: newRing[T](capacity)}
 }
 
 // Publish appends v to the ring and fans it out to every subscriber whose
@@ -45,15 +39,7 @@ func (b *Bus[T]) Publish(v T) {
 		return
 	}
 	b.mu.Lock()
-	b.ring[b.pos] = v
-	b.pos++
-	if b.pos == len(b.ring) {
-		b.pos = 0
-	}
-	if b.n < len(b.ring) {
-		b.n++
-	}
-	b.total++
+	b.ring.push(v)
 	for _, s := range b.subs {
 		select {
 		case s.C <- v:
@@ -72,15 +58,7 @@ func (b *Bus[T]) Snapshot() []T {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]T, 0, b.n)
-	start := b.pos - b.n
-	if start < 0 {
-		start += len(b.ring)
-	}
-	for i := 0; i < b.n; i++ {
-		out = append(out, b.ring[(start+i)%len(b.ring)])
-	}
-	return out
+	return b.ring.snapshot()
 }
 
 // Len returns how many entries the ring currently retains.
@@ -90,7 +68,7 @@ func (b *Bus[T]) Len() int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.n
+	return b.ring.n
 }
 
 // Total returns the number of entries ever published.
@@ -100,7 +78,7 @@ func (b *Bus[T]) Total() uint64 {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total
+	return b.ring.total
 }
 
 // Dropped returns the number of fan-out sends lost to full subscriber

@@ -23,7 +23,7 @@ type FlightNote struct {
 
 // Incident is one frozen before/after window around a trigger. Before is the
 // sample ring as it stood when the trigger fired (oldest first); After is
-// filled by the sampler over the next PostSamples ticks, at which point
+// filled by the sampler over the next flightPostSamples ticks, at which point
 // Complete flips true. Notes carries the annotation ring captured at trigger
 // time plus anything noted while the incident was open.
 type Incident struct {
@@ -37,20 +37,18 @@ type Incident struct {
 	Complete bool           `json:"complete"`
 }
 
-// FlightConfig sizes a FlightRecorder. The defaults give a ~16s lookback
-// (64 samples x 250ms) and a ~4s post-trigger window.
+// The flight recorder's fixed sizes: a 16s lookback (64 samples x 250ms)
+// and a 4s post-trigger window.
+const (
+	flightInterval     = 250 * time.Millisecond // sampling cadence
+	flightWindow       = 64                     // sample ring (the "before" depth)
+	flightPostSamples  = 16                     // ticks that complete an incident
+	flightMaxIncidents = 8                      // retained incidents, oldest evicted
+	flightMaxNotes     = 64                     // annotation ring
+)
+
+// FlightConfig wires a FlightRecorder to its outputs.
 type FlightConfig struct {
-	// Interval is the sampling cadence. Zero means 250ms.
-	Interval time.Duration
-	// Window is the sample ring size (the "before" depth). Zero means 64.
-	Window int
-	// PostSamples is how many post-trigger ticks complete an incident.
-	// Zero means 16.
-	PostSamples int
-	// MaxIncidents bounds retained incidents (oldest evicted). Zero means 8.
-	MaxIncidents int
-	// MaxNotes bounds the annotation ring. Zero means 64.
-	MaxNotes int
 	// Metrics receives the per-reason incident counter; nil disables.
 	Metrics *Registry
 	// OnIncident, when set, is invoked once per new incident (not for
@@ -76,10 +74,8 @@ type FlightRecorder struct {
 	started   bool
 	names     []string
 	fns       []func() int64
-	ring      []FlightSample
-	n, pos    int
-	notes     []FlightNote
-	nn, npos  int
+	samples   ring[FlightSample]
+	notes     ring[FlightNote]
 	incidents []*Incident
 	active    *Incident
 	remaining int
@@ -92,26 +88,11 @@ type FlightRecorder struct {
 // NewFlightRecorder builds a recorder; register sources with AddSource, then
 // Start it.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 250 * time.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.PostSamples <= 0 {
-		cfg.PostSamples = 16
-	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 8
-	}
-	if cfg.MaxNotes <= 0 {
-		cfg.MaxNotes = 64
-	}
 	return &FlightRecorder{
-		cfg:   cfg,
-		ring:  make([]FlightSample, cfg.Window),
-		notes: make([]FlightNote, cfg.MaxNotes),
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		samples: newRing[FlightSample](flightWindow),
+		notes:   newRing[FlightNote](flightMaxNotes),
+		stop:    make(chan struct{}),
 	}
 }
 
@@ -157,22 +138,25 @@ func (f *FlightRecorder) Stop() {
 
 func (f *FlightRecorder) sampler() {
 	defer f.wg.Done()
-	t := time.NewTicker(f.cfg.Interval)
+	t := time.NewTicker(flightInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			f.tick()
+			f.Step()
 		case <-f.stop:
 			return
 		}
 	}
 }
 
-// tick reads every source outside the recorder lock (sources may take their
-// own locks — engine ladders, router state) and stores one sample.
-func (f *FlightRecorder) tick() {
-	if !Enabled() {
+// Step takes one sample now: it reads every source outside the recorder
+// lock (sources may take their own locks — engine ladders, router state) and
+// stores the sample, feeding an open incident's after-window. The sampler
+// calls it every flightInterval; exported so tests can drive the recorder
+// deterministically without the ticker.
+func (f *FlightRecorder) Step() {
+	if f == nil || !Enabled() {
 		return
 	}
 	vals := make([]int64, len(f.fns))
@@ -181,14 +165,7 @@ func (f *FlightRecorder) tick() {
 	}
 	s := FlightSample{At: time.Now().UnixNano(), Values: vals}
 	f.mu.Lock()
-	f.ring[f.pos] = s
-	f.pos++
-	if f.pos == len(f.ring) {
-		f.pos = 0
-	}
-	if f.n < len(f.ring) {
-		f.n++
-	}
+	f.samples.push(s)
 	if f.active != nil {
 		f.active.After = append(f.active.After, s)
 		f.remaining--
@@ -208,14 +185,7 @@ func (f *FlightRecorder) Note(text string) {
 	}
 	n := FlightNote{At: time.Now().UnixNano(), Text: text}
 	f.mu.Lock()
-	f.notes[f.npos] = n
-	f.npos++
-	if f.npos == len(f.notes) {
-		f.npos = 0
-	}
-	if f.nn < len(f.notes) {
-		f.nn++
-	}
+	f.notes.push(n)
 	if f.active != nil {
 		f.active.Notes = append(f.active.Notes, n)
 	}
@@ -241,17 +211,17 @@ func (f *FlightRecorder) Trigger(reason string) {
 		Reason:   reason,
 		At:       now,
 		Sources:  f.names,
-		Interval: int64(f.cfg.Interval),
-		Before:   f.ringLocked(),
-		Notes:    f.notesLocked(),
-		After:    make([]FlightSample, 0, f.cfg.PostSamples),
+		Interval: int64(flightInterval),
+		Before:   f.samples.snapshot(),
+		Notes:    f.notes.snapshot(),
+		After:    make([]FlightSample, 0, flightPostSamples),
 	}
 	f.incidents = append(f.incidents, inc)
-	if len(f.incidents) > f.cfg.MaxIncidents {
-		f.incidents = append(f.incidents[:0], f.incidents[len(f.incidents)-f.cfg.MaxIncidents:]...)
+	if len(f.incidents) > flightMaxIncidents {
+		f.incidents = append(f.incidents[:0], f.incidents[len(f.incidents)-flightMaxIncidents:]...)
 	}
 	f.active = inc
-	f.remaining = f.cfg.PostSamples
+	f.remaining = flightPostSamples
 	snap := *inc
 	snap.Before = append([]FlightSample(nil), inc.Before...)
 	snap.Notes = append([]FlightNote(nil), inc.Notes...)
@@ -263,35 +233,6 @@ func (f *FlightRecorder) Trigger(reason string) {
 	if f.cfg.OnIncident != nil {
 		f.cfg.OnIncident(snap)
 	}
-}
-
-// ringLocked copies the sample ring oldest-first. Caller holds f.mu.
-func (f *FlightRecorder) ringLocked() []FlightSample {
-	out := make([]FlightSample, 0, f.n)
-	start := f.pos - f.n
-	if start < 0 {
-		start += len(f.ring)
-	}
-	for i := 0; i < f.n; i++ {
-		out = append(out, f.ring[(start+i)%len(f.ring)])
-	}
-	return out
-}
-
-// notesLocked copies the annotation ring oldest-first. Caller holds f.mu.
-func (f *FlightRecorder) notesLocked() []FlightNote {
-	if f.nn == 0 {
-		return nil
-	}
-	out := make([]FlightNote, 0, f.nn)
-	start := f.npos - f.nn
-	if start < 0 {
-		start += len(f.notes)
-	}
-	for i := 0; i < f.nn; i++ {
-		out = append(out, f.notes[(start+i)%len(f.notes)])
-	}
-	return out
 }
 
 // Incidents returns deep copies of the retained incidents, oldest first —
@@ -334,8 +275,8 @@ func (f *FlightRecorder) Handler() http.Handler {
 		f.mu.Unlock()
 		v := flightView{
 			Sources:    names,
-			IntervalNs: int64(f.cfg.Interval),
-			Window:     f.cfg.Window,
+			IntervalNs: int64(flightInterval),
+			Window:     flightWindow,
 			Incidents:  f.Incidents(),
 		}
 		_ = json.NewEncoder(w).Encode(v)

@@ -2,61 +2,57 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func flightWait(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// steps drives n sampler ticks deterministically.
+func steps(fr *FlightRecorder, n int) {
+	for i := 0; i < n; i++ {
+		fr.Step()
 	}
-	t.Fatalf("timeout waiting for %s", what)
 }
 
 func TestFlightTriggerFreezesAndCompletes(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(FlightConfig{
-		Interval: 2 * time.Millisecond, Window: 8, PostSamples: 3, Metrics: reg,
-	})
+	fr := NewFlightRecorder(FlightConfig{Metrics: reg})
 	var v atomic.Int64
 	v.Store(10)
 	fr.AddSource("depth", v.Load)
-	fr.Start()
-	defer fr.Stop()
 
-	time.Sleep(20 * time.Millisecond) // let the before-ring fill
+	steps(fr, flightWindow+5) // fill the before-ring past its bound
 	v.Store(42)
 	fr.Trigger(FlightReasonFailover)
-	flightWait(t, "incident completion", func() bool {
-		incs := fr.Incidents()
-		return len(incs) == 1 && incs[0].Complete
-	})
-	inc := fr.Incidents()[0]
+	steps(fr, flightPostSamples-1)
+	if incs := fr.Incidents(); len(incs) != 1 || incs[0].Complete {
+		t.Fatalf("incident complete before %d after-samples: %+v", flightPostSamples, incs)
+	}
+	fr.Step()
+	incs := fr.Incidents()
+	if len(incs) != 1 || !incs[0].Complete {
+		t.Fatalf("incident not complete after %d after-samples", flightPostSamples)
+	}
+	inc := incs[0]
 	if inc.Reason != FlightReasonFailover {
 		t.Fatalf("reason %q", inc.Reason)
 	}
 	if len(inc.Sources) != 1 || inc.Sources[0] != "depth" {
 		t.Fatalf("sources %v", inc.Sources)
 	}
-	if inc.Interval != int64(2*time.Millisecond) {
+	if inc.Interval != int64(flightInterval) {
 		t.Fatalf("interval %d", inc.Interval)
 	}
-	if len(inc.Before) == 0 || len(inc.Before) > 8 {
-		t.Fatalf("before-window %d samples, want 1..8", len(inc.Before))
+	if len(inc.Before) != flightWindow {
+		t.Fatalf("before-window %d samples, want the ring bound %d", len(inc.Before), flightWindow)
 	}
 	if inc.Before[0].Values[0] != 10 {
 		t.Fatalf("before sample %v, want pre-incident value 10", inc.Before[0].Values)
 	}
-	if len(inc.After) != 3 {
-		t.Fatalf("after-window %d samples, want 3", len(inc.After))
+	if len(inc.After) != flightPostSamples {
+		t.Fatalf("after-window %d samples, want %d", len(inc.After), flightPostSamples)
 	}
 	for _, s := range inc.After {
 		if s.Values[0] != 42 {
@@ -69,9 +65,9 @@ func TestFlightTriggerFreezesAndCompletes(t *testing.T) {
 }
 
 func TestFlightTriggerCoalescesWhileOpen(t *testing.T) {
-	// An hour-long interval keeps the incident open for the whole test: the
-	// sampler never ticks, so the after-window never fills.
-	fr := NewFlightRecorder(FlightConfig{Interval: time.Hour, Window: 4, PostSamples: 2})
+	// The sampler is never started, so the after-window never fills and the
+	// incident stays open for the whole test.
+	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("x", func() int64 { return 1 })
 	fr.Trigger(FlightReasonFailover)
 	fr.Trigger(FlightReasonDissent) // storm: must coalesce, not open a second record
@@ -98,38 +94,36 @@ func TestFlightTriggerCoalescesWhileOpen(t *testing.T) {
 }
 
 func TestFlightNotesPreTriggerRing(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Interval: time.Hour, MaxNotes: 2})
-	fr.Note("first")  // evicted by the ring bound
-	fr.Note("second") //
-	fr.Note("third")  // retained: ["second", "third"]
+	fr := NewFlightRecorder(FlightConfig{})
+	fr.Note("first") // evicted by the ring bound
+	for i := 0; i < flightMaxNotes; i++ {
+		fr.Note(fmt.Sprintf("note-%d", i)) // retained
+	}
 	fr.Trigger(FlightReasonDemotion)
 	inc := fr.Incidents()[0]
-	if len(inc.Notes) != 2 || inc.Notes[0].Text != "second" || inc.Notes[1].Text != "third" {
-		t.Fatalf("notes %v, want the 2 newest pre-trigger annotations", inc.Notes)
+	if len(inc.Notes) != flightMaxNotes || inc.Notes[0].Text != "note-0" ||
+		inc.Notes[flightMaxNotes-1].Text != fmt.Sprintf("note-%d", flightMaxNotes-1) {
+		t.Fatalf("notes %v, want the %d newest pre-trigger annotations", inc.Notes, flightMaxNotes)
 	}
 }
 
 func TestFlightIncidentEviction(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{
-		Interval: time.Millisecond, Window: 2, PostSamples: 1, MaxIncidents: 2,
-	})
+	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("x", func() int64 { return 0 })
-	fr.Start()
-	defer fr.Stop()
-	for _, reason := range []string{"one", "two", "three"} {
-		fr.Trigger(reason)
-		flightWait(t, "incident "+reason+" completion", func() bool {
-			incs := fr.Incidents()
-			return len(incs) > 0 && incs[len(incs)-1].Reason == reason && incs[len(incs)-1].Complete
-		})
+	for i := 0; i <= flightMaxIncidents; i++ {
+		fr.Trigger(fmt.Sprintf("r%d", i))
+		steps(fr, flightPostSamples)
+		if incs := fr.Incidents(); !incs[len(incs)-1].Complete {
+			t.Fatalf("incident r%d not complete", i)
+		}
 	}
 	incs := fr.Incidents()
-	if len(incs) != 2 || incs[0].Reason != "two" || incs[1].Reason != "three" {
-		got := make([]string, len(incs))
-		for i := range incs {
-			got[i] = incs[i].Reason
-		}
-		t.Fatalf("retained incidents %v, want [two three]", got)
+	got := make([]string, len(incs))
+	for i := range incs {
+		got[i] = incs[i].Reason
+	}
+	if len(incs) != flightMaxIncidents || got[0] != "r1" || got[len(got)-1] != fmt.Sprintf("r%d", flightMaxIncidents) {
+		t.Fatalf("retained incidents %v, want r1..r%d (r0 evicted)", got, flightMaxIncidents)
 	}
 }
 
@@ -139,6 +133,7 @@ func TestFlightNilReceiverSafe(t *testing.T) {
 	fr.Start()
 	fr.Note("n")
 	fr.Trigger("r")
+	fr.Step()
 	fr.Stop()
 	if fr.Incidents() != nil {
 		t.Fatal("nil recorder returned incidents")
@@ -153,23 +148,24 @@ func TestFlightNilReceiverSafe(t *testing.T) {
 func TestFlightDisabledRecordsNothing(t *testing.T) {
 	SetEnabled(false)
 	defer SetEnabled(true)
-	fr := NewFlightRecorder(FlightConfig{Interval: time.Millisecond, PostSamples: 1})
+	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("x", func() int64 { return 1 })
-	fr.Start()
-	defer fr.Stop()
 	fr.Note("dropped")
 	fr.Trigger(FlightReasonSLOBreach)
-	time.Sleep(10 * time.Millisecond)
+	steps(fr, flightPostSamples)
 	if incs := fr.Incidents(); len(incs) != 0 {
 		t.Fatalf("disabled recorder kept %d incidents", len(incs))
 	}
 	// Re-enabled, the same recorder works and the pre-toggle note is gone.
 	SetEnabled(true)
 	fr.Trigger(FlightReasonSLOBreach)
-	flightWait(t, "post-enable incident", func() bool {
-		incs := fr.Incidents()
-		return len(incs) == 1 && incs[0].Complete
-	})
+	steps(fr, flightPostSamples)
+	if incs := fr.Incidents(); len(incs) != 1 || !incs[0].Complete {
+		t.Fatalf("post-enable incidents %+v, want one complete", incs)
+	}
+	if n := len(fr.Incidents()[0].Before); n != 0 {
+		t.Fatalf("before-window has %d samples taken while disabled", n)
+	}
 	for _, n := range fr.Incidents()[0].Notes {
 		if n.Text == "dropped" {
 			t.Fatal("note recorded while disabled")
@@ -178,7 +174,7 @@ func TestFlightDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestFlightHandlerJSON(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Interval: time.Hour})
+	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("queue", func() int64 { return 5 })
 	fr.Trigger(FlightReasonSLOBreach)
 	rr := httptest.NewRecorder()
@@ -198,8 +194,8 @@ func TestFlightHandlerJSON(t *testing.T) {
 	if len(v.Sources) != 1 || v.Sources[0] != "queue" {
 		t.Fatalf("sources %v", v.Sources)
 	}
-	if v.Window != 64 { // config default
-		t.Fatalf("window %d", v.Window)
+	if v.Window != flightWindow || v.IntervalNs != int64(flightInterval) {
+		t.Fatalf("window %d interval %d", v.Window, v.IntervalNs)
 	}
 	if len(v.Incidents) != 1 || v.Incidents[0].Reason != FlightReasonSLOBreach {
 		t.Fatalf("incidents %+v", v.Incidents)
@@ -207,16 +203,16 @@ func TestFlightHandlerJSON(t *testing.T) {
 }
 
 func TestFlightAddSourceAfterStartIgnored(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Interval: time.Millisecond, PostSamples: 1})
+	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("early", func() int64 { return 1 })
 	fr.Start()
 	defer fr.Stop()
 	fr.AddSource("late", func() int64 { return 2 }) // would tear sample shape
 	fr.Trigger("x")
-	flightWait(t, "incident completion", func() bool {
-		incs := fr.Incidents()
-		return len(incs) == 1 && incs[0].Complete
-	})
+	steps(fr, flightPostSamples)
+	if incs := fr.Incidents(); len(incs) != 1 || !incs[0].Complete {
+		t.Fatalf("incidents %+v, want one complete", incs)
+	}
 	inc := fr.Incidents()[0]
 	if len(inc.Sources) != 1 || inc.Sources[0] != "early" {
 		t.Fatalf("sources %v, want only the pre-Start registration", inc.Sources)

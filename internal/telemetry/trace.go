@@ -30,19 +30,13 @@ type Span struct {
 // pre-allocated storage — no allocation per span — and a no-op for zero trace
 // IDs (the disabled sentinel) so untraced batches cost one branch.
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []Span
-	n     int // valid spans, == len(ring) once wrapped
-	pos   int // next write index
-	total uint64
+	mu   sync.Mutex
+	ring ring[Span]
 }
 
 // NewTracer returns a tracer retaining the most recent capacity spans.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]Span, capacity)}
+	return &Tracer{ring: newRing[Span](capacity)}
 }
 
 // DefaultTracer is the process-wide span ring, served by /trace. In-process
@@ -57,15 +51,7 @@ func (t *Tracer) Record(s Span) {
 		return
 	}
 	t.mu.Lock()
-	t.ring[t.pos] = s
-	t.pos++
-	if t.pos == len(t.ring) {
-		t.pos = 0
-	}
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.total++
+	t.ring.push(s)
 	t.mu.Unlock()
 }
 
@@ -76,7 +62,7 @@ func (t *Tracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.total
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -86,15 +72,7 @@ func (t *Tracer) Snapshot() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, t.n)
-	start := t.pos - t.n
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
-	}
-	return out
+	return t.ring.snapshot()
 }
 
 // Dropped returns how many recorded spans have been evicted from the ring —
@@ -106,7 +84,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total - uint64(t.n)
+	return t.ring.total - uint64(t.ring.n)
 }
 
 // SpansFor returns the retained spans with the given trace ID, oldest first.
@@ -133,18 +111,14 @@ func (t *Tracer) SpansForRecent(trace uint64, maxScan, maxSpans int) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.n
+	n := t.ring.n
 	if maxScan > 0 && n > maxScan {
 		n = maxScan
 	}
 	var out []Span
 	for i := 0; i < n; i++ {
-		idx := t.pos - 1 - i
-		if idx < 0 {
-			idx += len(t.ring)
-		}
-		if t.ring[idx].Trace == trace {
-			out = append(out, t.ring[idx])
+		if s := t.ring.newest(i); s.Trace == trace {
+			out = append(out, *s)
 			if maxSpans > 0 && len(out) == maxSpans {
 				break
 			}

@@ -346,7 +346,18 @@ func ReadPayloadInto(r io.Reader, dst []float32, scratch []byte) error {
 	return nil
 }
 
-// ReadFrom deserializes a tensor from r in the wire format.
+// readChunk is how many floats ReadFrom's first read may allocate for. The
+// backing array then at most doubles per read, capped at the declared
+// volume, so a header that declares a huge tensor costs memory in proportion
+// to the payload bytes that actually arrive. The payload is staged through
+// at most readScratch floats.
+const (
+	readChunk   = 1 << 14
+	readScratch = 1 << 10
+)
+
+// ReadFrom deserializes a tensor from r in the wire format. The shape is
+// checked like Unmarshal's before anything is allocated for the payload.
 func ReadFrom(r io.Reader) (*Tensor, error) {
 	var rankBuf [4]byte
 	if _, err := io.ReadFull(r, rankBuf[:]); err != nil {
@@ -361,18 +372,28 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: read dims: %w", err)
 	}
 	shape := make([]int, rank)
-	vol := 1
 	for i := range shape {
 		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
-		vol *= shape[i]
 	}
-	payload := make([]byte, 4*vol)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("tensor: read payload: %w", err)
+	vol, err := CheckedVolume(shape)
+	if err != nil {
+		return nil, err
 	}
-	data := make([]float32, vol)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+	scratch := make([]byte, 4*max(min(vol, readScratch), 1))
+	data := make([]float32, 0, min(vol, readChunk))
+	for {
+		if err := ReadPayloadInto(r, data[len(data):cap(data)], scratch); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised a payload
+			}
+			return nil, fmt.Errorf("tensor: read payload: %w", err)
+		}
+		data = data[:cap(data)]
+		if len(data) == vol {
+			return &Tensor{shape: shape, data: data}, nil
+		}
+		grown := make([]float32, len(data), min(vol, 2*len(data)))
+		copy(grown, data)
+		data = grown
 	}
-	return &Tensor{shape: shape, data: data}, nil
 }

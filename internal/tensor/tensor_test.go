@@ -3,9 +3,11 @@ package tensor
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +214,90 @@ func TestWriteToReadFromRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(x.Data(), y.Data()) || !x.SameShape(y) {
 		t.Error("stream roundtrip mismatch")
 	}
+}
+
+// overflowHeader is a 16-byte tensor encoding whose rank-2 header declares
+// dims 0x41303030 x 0x80303030: an unchecked volume product overflows the
+// payload size. It is committed as a FuzzTensorReadFrom seed too.
+var overflowHeader = []byte{2, 0, 0, 0, 0x30, 0x30, 0x30, 0x41, 0x30, 0x30, 0x30, 0x80, 0, 0, 0, 0}
+
+func TestReadFromRejectsOverflowingShape(t *testing.T) {
+	if _, err := ReadFrom(bytes.NewReader(overflowHeader)); !errors.Is(err, ErrShape) {
+		t.Fatalf("ReadFrom(overflowing dims) = %v, want ErrShape", err)
+	}
+}
+
+// TestReadFromTruncatedHugePayload: a header declaring 2^28 elements (1 GiB
+// of payload) followed by 8 bytes must fail as truncated, having allocated
+// memory for the bytes that arrived, not for the volume the header claims.
+func TestReadFromTruncatedHugePayload(t *testing.T) {
+	in := []byte{1, 0, 0, 0, 0, 0, 0, 0x10, 1, 2, 3, 4, 5, 6, 7, 8}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadFrom(truncated 2^28-element tensor) = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Fatalf("allocated %d bytes for 8 payload bytes, want <= 256 KiB", got)
+	}
+}
+
+// TestReadFromGrowsToExactVolume streams a tensor several read chunks long:
+// the payload decodes bit-exactly into a backing array of exactly its volume.
+func TestReadFromGrowsToExactVolume(t *testing.T) {
+	x := New(3, readChunk+5)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	y, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !x.SameShape(y) || !reflect.DeepEqual(x.Data(), y.Data()) {
+		t.Fatal("multi-chunk stream roundtrip mismatch")
+	}
+	if cap(y.Data()) != len(y.Data()) {
+		t.Fatalf("backing array cap %d for volume %d", cap(y.Data()), len(y.Data()))
+	}
+}
+
+// FuzzTensorReadFrom checks the streaming decoder model graphs load through
+// against the buffer decoder: both accept exactly the same inputs, consume
+// the same bytes and decode the same bits.
+func FuzzTensorReadFrom(f *testing.F) {
+	f.Add(encode(MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)))
+	f.Add(encode(MustFromSlice([]float32{float32(math.NaN()), -0}, 2)))
+	f.Add(encode(New()))
+	f.Add(encode(New(0, 4)))
+	f.Add(overflowHeader)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		got, errR := ReadFrom(r)
+		want, n, errU := Unmarshal(data)
+		if (errR == nil) != (errU == nil) {
+			t.Fatalf("ReadFrom err %v, Unmarshal err %v", errR, errU)
+		}
+		if errR != nil {
+			return
+		}
+		if used := len(data) - r.Len(); used != n {
+			t.Fatalf("ReadFrom consumed %d bytes, Unmarshal %d", used, n)
+		}
+		if !got.SameShape(want) {
+			t.Fatalf("shape %v, Unmarshal %v", got.Shape(), want.Shape())
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("element %d: %x, Unmarshal %x", i, math.Float32bits(v), math.Float32bits(want.Data()[i]))
+			}
+		}
+	})
 }
 
 func TestUnmarshalMalformed(t *testing.T) {

@@ -29,20 +29,22 @@ type Config struct {
 	// HeadEvery signs a fresh tree head every N appended leaves. Zero means
 	// 32.
 	HeadEvery int
-	// Buffer is the event channel capacity between the hot path and the
-	// transcript worker. Zero means 1024.
-	Buffer int
 	// SampleEvery retains every Nth leaf's input tensors for offline
 	// replay. Zero means 16; negative disables sampling.
 	SampleEvery int
-	// SampleRing bounds retained replay samples. Zero means 8.
-	SampleRing int
-	// MaxPending bounds batches awaiting delivery in the worker. Zero means
-	// 4096.
-	MaxPending int
 	// Metrics receives the transcript series; nil uses telemetry.Default.
 	Metrics *telemetry.Registry
 }
+
+const (
+	// eventBuffer is the event channel capacity between the hot path and
+	// the transcript worker.
+	eventBuffer = 1024
+	// sampleRing bounds retained replay samples.
+	sampleRing = 8
+	// maxPending bounds batches awaiting delivery in the worker.
+	maxPending = 4096
+)
 
 // Sample is one retained replay candidate: a leaf plus the input tensors
 // that produced it, served to auditors who replay the batch locally.
@@ -117,20 +119,17 @@ type Recorder struct {
 
 // NewRecorder starts a recorder's worker goroutine. Close releases it.
 func NewRecorder(cfg Config) *Recorder {
+	return newRecorder(cfg, eventBuffer)
+}
+
+// newRecorder is NewRecorder with the event channel capacity as a
+// parameter, so tests can make drops and close races likelier or rarer.
+func newRecorder(cfg Config, buffer int) *Recorder {
 	if cfg.HeadEvery <= 0 {
 		cfg.HeadEvery = 32
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 1024
-	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 16
-	}
-	if cfg.SampleRing <= 0 {
-		cfg.SampleRing = 8
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 4096
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -138,7 +137,7 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	r := &Recorder{
 		cfg:      cfg,
-		ch:       make(chan recEvent, cfg.Buffer),
+		ch:       make(chan recEvent, buffer),
 		done:     make(chan struct{}),
 		log:      NewLog(),
 		mLeaves:  reg.Counter(telemetry.MetricTranscriptLeaves),
@@ -239,7 +238,7 @@ func (r *Recorder) worker() {
 	for ev := range r.ch {
 		switch ev.kind {
 		case 'b':
-			if len(pending) >= r.cfg.MaxPending {
+			if len(pending) >= maxPending {
 				// Evict the oldest half-built batch rather than grow without
 				// bound when deliveries stop arriving.
 				for len(order) > 0 {
@@ -337,7 +336,7 @@ func (r *Recorder) append(leaf Leaf, inputs map[string]*tensor.Tensor) {
 	r.mu.Lock()
 	if r.cfg.SampleEvery > 0 && idx == r.nextSmp && inputs != nil {
 		r.samples = append(r.samples, Sample{Index: idx, Leaf: leaf, Inputs: inputs})
-		if len(r.samples) > r.cfg.SampleRing {
+		if len(r.samples) > sampleRing {
 			r.samples = r.samples[1:]
 		}
 		r.nextSmp = idx + uint64(r.cfg.SampleEvery)

@@ -13,7 +13,7 @@ import (
 // Close must not reach the log.
 func TestPostRacingClose(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		rec := NewRecorder(Config{Buffer: 8, Metrics: telemetry.NewRegistry()})
+		rec := newRecorder(Config{Metrics: telemetry.NewRegistry()}, 8)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

@@ -87,7 +87,7 @@ func TestProofsDoNotTakeAppendLock(t *testing.T) {
 // a worker that waits for proofs falls behind at any such pace.
 func TestProofFloodDuringBurstDropsNothing(t *testing.T) {
 	const warm, total = 4096, 50_000
-	rec := NewRecorder(Config{Metrics: telemetry.NewRegistry(), Buffer: 4096})
+	rec := newRecorder(Config{Metrics: telemetry.NewRegistry()}, 4096)
 	defer rec.Close()
 	start := time.Now()
 	feed(t, rec, 0, warm)

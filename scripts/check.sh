@@ -31,8 +31,9 @@ go test -run='TestWarmAllocsPin' -count=1 ./internal/monitor
 
 # Short fuzz smoke over the attacker-facing parsers: the pre-auth record
 # framing, the tagged wire decoder, the public binary request decoder on
-# the serving front door, and the audit-plane proof and leaf decoders
-# (audit documents cross trust boundaries from an untrusted serving host).
+# the serving front door, the audit-plane proof and leaf decoders (audit
+# documents cross trust boundaries from an untrusted serving host), and the
+# tensor decoder model graphs load through.
 # A few seconds each catches gross regressions; longer campaigns run
 # out-of-band (weekly long-fuzz in CI; crashers recycle into testdata/fuzz/
 # via scripts/fuzzrecycle.sh).
@@ -41,6 +42,7 @@ go test -run='^$' -fuzz=FuzzWireUnmarshal -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzPublicRequest -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzTranscriptProof -fuzztime=5s ./internal/transcript
 go test -run='^$' -fuzz=FuzzTranscriptLeaf -fuzztime=5s ./internal/transcript
+go test -run='^$' -fuzz=FuzzTensorReadFrom -fuzztime=5s ./internal/tensor
 
 # Audit round-trip smoke: opt-in because it boots the full serving daemon
 # and replays a sampled batch (about a minute). CHECK_AUDIT=1 runs it.
