@@ -329,3 +329,80 @@ func TestChaosHangPipelined(t *testing.T) {
 		t.Fatalf("%d pipelined batches took %v, want < %v: the stage waited for the hung variant", len(batches), elapsed, limit)
 	}
 }
+
+// TestStreamReturnsWhenEngineHalts streams more batches than the pipeline
+// holds through an engine that halts mid-stream: a stage-1 variant corrupts
+// its output from its third batch on, the synchronous unanimous vote fails
+// the stage, and the Halt response stops the engine accepting work. Stream
+// must return the results of the batches it did submit plus the Submit
+// failure, instead of waiting for results of batches that never entered the
+// engine.
+func TestStreamReturnsWhenEngineHalts(t *testing.T) {
+	bundle, err := BuildBundle(OfflineConfig{
+		ModelName:        "mnasnet",
+		PartitionTargets: []int{3},
+		Specs:            RealSetupSpecs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []PartitionPlan{
+		{Variants: []string{"ort-cpu"}},
+		{Variants: []string{"ort-cpu", "ort-altep", "tvm-graph"}},
+		{Variants: []string{"ort-cpu"}},
+	}
+	inj := Injection{Class: FaultCorruptAfterQuorum, After: 2}
+	dep, err := Deploy(bundle, 0, DeployConfig{
+		MVX: &MVXConfig{
+			Plans:    plans,
+			Response: Halt,
+			Criteria: []Criterion{{Metric: AllClose, RTol: 5e-2, ATol: 1e-3}},
+		},
+		Encrypt:        true,
+		VariantOptions: ArmVariantIDs(inj, "p1-ort-altep-1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+
+	rng := rand.New(rand.NewPCG(5, 5))
+	batches := make([]map[string]*Tensor, 20)
+	for i := range batches {
+		in := NewTensor(1, 3, 32, 32)
+		for j := range in.Data() {
+			in.Data()[j] = float32(rng.NormFloat64())
+		}
+		batches[i] = map[string]*Tensor{"image": in}
+	}
+	type streamed struct {
+		results []monitor.BatchResult
+		err     error
+	}
+	done := make(chan streamed, 1)
+	go func() {
+		results, err := dep.Stream(batches)
+		done <- streamed{results, err}
+	}()
+	var got streamed
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stream still blocked 10s after the engine halted")
+	}
+	if got.err == nil {
+		t.Fatal("Stream reported no error although the engine halted")
+	}
+	if len(got.results) == 0 || len(got.results) >= len(batches) {
+		t.Fatalf("got %d results, want one per submitted batch (fewer than %d)", len(got.results), len(batches))
+	}
+	failed := 0
+	for _, r := range got.results {
+		if r.Err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no streamed batch carries the divergence that halted the engine")
+	}
+}

@@ -18,13 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/models"
-	"repro/internal/telemetry"
+	"repro/internal/node"
 )
 
 func main() {
@@ -44,13 +43,8 @@ func main() {
 		"telemetry HTTP listen address serving /metrics, /trace and /debug/pprof/ during the run; empty disables")
 	flag.Parse()
 
-	if *telemetryAddr != "" {
-		mux := telemetry.NewMux(telemetry.Default, telemetry.DefaultTracer)
-		go func() {
-			if err := http.ListenAndServe(*telemetryAddr, mux); err != nil {
-				log.Printf("mvtee-bench: telemetry server: %v", err)
-			}
-		}()
+	if _, err := node.ListenOperator(*telemetryAddr, nil); err != nil {
+		log.Printf("mvtee-bench: %v", err)
 	}
 
 	o := bench.Options{

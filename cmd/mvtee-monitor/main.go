@@ -20,33 +20,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/attest"
-	"repro/internal/check"
-	"repro/internal/cluster"
-	"repro/internal/control"
-	"repro/internal/core"
-	"repro/internal/enclave"
 	"repro/internal/monitor"
-	"repro/internal/securechan"
+	"repro/internal/node"
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/transcript"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -72,7 +58,7 @@ func main() {
 	demo := flag.Int("demo", 4, "demo batches to run after bring-up (0 = wait forever)")
 	pipelined := flag.Bool("pipelined", false, "stream demo batches (pipelined) instead of sequential")
 	telemetryAddr := flag.String("telemetry-addr", "",
-		"operator telemetry HTTP listen address (e.g. 127.0.0.1:9090) serving /metrics, /trace, /events, /audit and /debug/pprof/; empty disables")
+		"operator telemetry HTTP listen address (e.g. 127.0.0.1:9090) serving /metrics, /trace, /events, /debug/flight, /audit and /debug/pprof/; empty disables")
 	audit := flag.Bool("audit", true,
 		"record a verifiable inference transcript (signed Merkle audit log) served at GET /audit on -telemetry-addr")
 	traceRing := flag.Int("trace-ring", 8192,
@@ -91,12 +77,7 @@ func main() {
 	flag.Parse()
 	log.SetPrefix("mvtee-monitor: ")
 	log.SetFlags(0)
-
-	// Resize the process span ring before the engine exists: replica-mode
-	// span harvesting and /trace both read DefaultTracer.
-	if *traceRing > 0 {
-		telemetry.DefaultTracer = telemetry.NewTracer(*traceRing)
-	}
+	node.SetTraceRing(*traceRing)
 
 	if *bundleDir == "" || (*plansStr == "" && !*awaitOwner) {
 		flag.Usage()
@@ -109,419 +90,106 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := runOptions{
-		dir:            *bundleDir,
-		listen:         *listen,
-		setIdx:         *setIdx,
-		plansStr:       *plansStr,
-		sparesStr:      *sparesStr,
-		async:          *async,
-		response:       resp,
-		stageTimeout:   *stageTimeout,
-		inflightWindow: *inflightWindow,
-		awaitOwner:     *awaitOwner,
-		replicaListen:  *replicaListen,
-		replicaID:      *replicaID,
-		demo:           *demo,
-		pipelined:      *pipelined,
-		telemetryAddr:  *telemetryAddr,
-		audit:          *audit,
-		serveAddr:      *serveAddr,
-		serveMaxBatch:  *serveMaxBatch,
-		serveMaxDelay:  *serveMaxDelay,
-		serveTenants:   *serveTenants,
-		serveBinary:    *serveBinary,
-		serveAdaptive:  *serveAdaptive,
-		serveSLOms:     *serveSLODefault,
+	tenants, err := serve.ParseTenants(*serveTenants, *serveSLODefault)
+	if err != nil {
+		log.Fatalf("-serve-tenants: %v", err)
 	}
-	if err := run(opts); err != nil {
+	o := node.Options{
+		BundleDir:      *bundleDir,
+		VariantListen:  *listen,
+		SetIdx:         *setIdx,
+		Async:          *async,
+		Response:       resp,
+		StageTimeout:   *stageTimeout,
+		InflightWindow: *inflightWindow,
+		AwaitOwner:     *awaitOwner,
+		ReplicaListen:  *replicaListen,
+		ReplicaID:      *replicaID,
+		TelemetryAddr:  *telemetryAddr,
+		Audit:          *audit,
+		Listen:         *serveAddr,
+		Serve: serve.Config{
+			MaxBatch:      *serveMaxBatch,
+			MaxDelay:      *serveMaxDelay,
+			Tenants:       tenants,
+			DisableBinary: !*serveBinary,
+		},
+		Adaptive:     *serveAdaptive,
+		DrainTimeout: 10 * time.Second,
+		Plans:        monitor.ParsePlans(*plansStr),
+	}
+	if *sparesStr != "" {
+		o.Spares = monitor.ParsePlans(*sparesStr)
+	}
+	if err := run(o, *demo, *pipelined); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runOptions collects the parsed command line.
-type runOptions struct {
-	dir, listen         string
-	setIdx              int
-	plansStr, sparesStr string
-	async               bool
-	response            monitor.ResponseMode
-	stageTimeout        time.Duration
-	inflightWindow      int
-	awaitOwner          bool
-	replicaListen       string
-	replicaID           string
-	demo                int
-	pipelined           bool
-	telemetryAddr       string
-	audit               bool
-	serveAddr           string
-	serveMaxBatch       int
-	serveMaxDelay       time.Duration
-	serveTenants        string
-	serveBinary         bool
-	serveAdaptive       bool
-	serveSLOms          float64
-}
-
-func parsePlans(s string) []monitor.PartitionPlan {
-	var plans []monitor.PartitionPlan
-	for _, part := range strings.Split(s, ";") {
-		var p monitor.PartitionPlan
-		for _, v := range strings.Split(part, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				p.Variants = append(p.Variants, v)
-			}
-		}
-		plans = append(plans, p)
-	}
-	return plans
-}
-
-func run(opts runOptions) error {
-	dir, setIdx := opts.dir, opts.setIdx
-	meta, err := core.LoadMeta(dir)
+// run brings the monitor up and then, by mode, serves its engine to cluster
+// routers or over the multi-tenant front door until SIGINT/SIGTERM, or runs
+// the demo workload.
+func run(o node.Options, demo int, pipelined bool) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	n, err := node.Monitor(o)
 	if err != nil {
 		return err
 	}
-	plat, err := core.LoadPlatform(dir)
+	defer n.Close()
+	op, err := node.ListenOperator(o.TelemetryAddr, n.Handlers(o))
 	if err != nil {
 		return err
 	}
-	verifier := enclave.NewVerifier()
-	verifier.Trust(plat)
+	defer op.Close()
 
-	monEncl, err := plat.Launch(core.MonitorImage())
-	if err != nil {
-		return err
-	}
-	defer monEncl.Destroy()
-	mon := monitor.New(monEncl, verifier)
-
-	ln, err := net.Listen("tcp", opts.listen)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-
-	// Provisioning: either a connecting model owner (Figure 6 steps 2–3)
-	// or local flags + the on-disk key table.
-	var ownerConn securechan.Conn
-	keyFor := func(entryKey string) ([]byte, bool) { return mon.KeyFor(entryKey) }
-	if opts.awaitOwner {
-		log.Printf("listening on %s, awaiting model owner", ln.Addr())
-		raw, err := ln.Accept()
+	switch {
+	case o.Listen != "":
+		f, err := node.StartFrontend(o, n)
 		if err != nil {
-			return err
+			return fmt.Errorf("front door: %w", err)
 		}
-		ownerConn, err = securechan.Server(raw, monEncl, nil)
-		if err != nil {
-			return fmt.Errorf("owner handshake: %w", err)
-		}
-		msg, err := wire.Recv(ownerConn)
-		if err != nil {
-			return fmt.Errorf("await provision: %w", err)
-		}
-		prov, ok := msg.(*wire.Provision)
-		if !ok {
-			return fmt.Errorf("expected Provision, got %T", msg)
-		}
-		if err := mon.Provision(prov); err != nil {
-			_ = wire.Send(ownerConn, &wire.Error{Message: err.Error()})
-			return err
-		}
-		setIdx = mon.Config().PartitionSet
-		log.Printf("owner provisioned MVX config (%d partitions) and keys", len(mon.Config().Plans))
-	} else {
-		keys, err := core.LoadKeys(dir)
-		if err != nil {
-			return err
-		}
-		keyFor = func(entryKey string) ([]byte, bool) {
-			k, ok := keys[entryKey]
-			return k, ok
-		}
-		nonce, err := attest.NewNonce()
-		if err != nil {
-			return err
-		}
-		mvx := &monitor.MVXConfig{
-			Model:          meta.Model,
-			PartitionSet:   setIdx,
-			Plans:          parsePlans(opts.plansStr),
-			Async:          opts.async,
-			Response:       opts.response,
-			StageTimeoutMS: int(opts.stageTimeout / time.Millisecond),
-			InflightWindow: opts.inflightWindow,
-		}
-		if opts.sparesStr != "" {
-			mvx.Spares = parsePlans(opts.sparesStr)
-		}
-		cfgJSON, err := mvx.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := mon.Provision(&wire.Provision{Nonce: nonce, Config: cfgJSON}); err != nil {
-			return err
-		}
-	}
-
-	if setIdx < 0 || setIdx >= len(meta.Sets) {
-		return fmt.Errorf("set %d out of range (%d sets)", setIdx, len(meta.Sets))
-	}
-	set := meta.Sets[setIdx]
-	plans := mon.Config().Plans
-	if len(plans) != len(set.Partitions) {
-		return fmt.Errorf("%d plans for %d partitions", len(plans), len(set.Partitions))
-	}
-
-	// Flatten the plans into connection-order assignments: the claimed
-	// variants first, then any spares (which idle pre-attested until a
-	// recover response promotes them).
-	assignment := func(idPrefix string, pi, vi int, spec string) (monitor.Assignment, error) {
-		e := core.Entry{Set: setIdx, Partition: pi, Spec: spec}
-		key := core.EntryKeyFor(setIdx, pi, spec)
-		kdk, ok := keyFor(key)
-		if !ok {
-			return monitor.Assignment{}, fmt.Errorf("no pool key for %s", key)
-		}
-		return monitor.Assignment{
-			VariantID:  fmt.Sprintf("%sp%d-%s-%d", idPrefix, pi, spec, vi),
-			Partition:  pi,
-			Spec:       spec,
-			KDK:        kdk,
-			Manifest:   e.ManifestPath(),
-			Files:      []string{e.GraphPath(), e.SpecPath()},
-			Entrypoint: e.EntrypointPath(),
-			Evidence:   meta.Evidence[key],
-		}, nil
-	}
-	var assignments, spareAssignments []monitor.Assignment
-	for pi, plan := range plans {
-		for vi, spec := range plan.Variants {
-			a, err := assignment("", pi, vi, spec)
-			if err != nil {
-				return err
-			}
-			assignments = append(assignments, a)
-		}
-	}
-	for pi, plan := range mon.Config().Spares {
-		for vi, spec := range plan.Variants {
-			a, err := assignment("spare-", pi, vi, spec)
-			if err != nil {
-				return err
-			}
-			spareAssignments = append(spareAssignments, a)
-		}
-	}
-	log.Printf("listening on %s, awaiting %d variant TEEs (+%d spares)",
-		ln.Addr(), len(assignments), len(spareAssignments))
-
-	verify := func(r *enclave.Report) error {
-		if r == nil {
-			return fmt.Errorf("variant presented no attestation report")
-		}
-		return verifier.Verify(r, nil)
-	}
-	accept := func(id string) (securechan.Conn, error) {
-		raw, err := ln.Accept()
-		if err != nil {
-			return nil, err
-		}
-		if tc, ok := raw.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
-		}
-		conn, err := securechan.Server(raw, monEncl, verify)
-		if err != nil {
-			return nil, fmt.Errorf("handshake for %s: %w", id, err)
-		}
-		return conn, nil
-	}
-	for _, a := range assignments {
-		conn, err := accept(a.VariantID)
-		if err != nil {
-			return err
-		}
-		if _, err := mon.Bind(conn, a); err != nil {
-			return fmt.Errorf("bind %s: %w", a.VariantID, err)
-		}
-		log.Printf("bound %s (partition %d, spec %s)", a.VariantID, a.Partition, a.Spec)
-	}
-	for _, a := range spareAssignments {
-		conn, err := accept(a.VariantID)
-		if err != nil {
-			return err
-		}
-		mon.AddSpare(conn, a)
-		log.Printf("spare %s registered (partition %d, spec %s)", a.VariantID, a.Partition, a.Spec)
-	}
-
-	// Real spare factory: scale-up provisions (the adaptive controller's
-	// actuator, or an operator request) synthesize fresh pre-attested variant
-	// TEEs in-process from the bundle directory instead of failing because no
-	// spare happened to be connected at startup.
-	factory, err := core.DirSpareFactory(core.SpareFactoryConfig{
-		Dir:            dir,
-		SetIdx:         setIdx,
-		Monitor:        mon,
-		MonitorEnclave: monEncl,
-		Platform:       plat,
-		Verifier:       verifier,
-		KeyFor:         keyFor,
-	})
-	if err != nil {
-		return err
-	}
-	mon.SetSpareFactory(factory)
-
-	// Cluster mode streams per-checkpoint digests to the active router
-	// session (early-dissent signal); the tap must be installed before the
-	// engine is built.
-	var activeReplica atomic.Pointer[cluster.ReplicaServer]
-	if opts.replicaListen != "" {
-		mon.SetDigestSink(func(batchID uint64, stage int, d check.Digest) {
-			if s := activeReplica.Load(); s != nil {
-				s.StageDigestSink(batchID, stage, d)
-			}
-		})
-	}
-
-	// Verifiable transcript: heads are signed by this monitor enclave, so an
-	// offline auditor holding the bundle's platform identity can verify them
-	// without trusting the serving host. Installed before the engine build
-	// (EngineConfig snapshots the recorder).
-	var rec *transcript.Recorder
-	if opts.audit {
-		rec = transcript.NewRecorder(transcript.Config{
-			Signer:   monEncl,
-			Model:    meta.ModelDigest(),
-			Bindings: func() transcript.Hash { return mon.BindingsDigest() },
-			Metrics:  telemetry.Default,
-		})
-		defer rec.Close()
-		mon.SetTranscript(rec)
-	}
-
-	stages := make([]monitor.StageSpec, len(set.Partitions))
-	for pi, p := range set.Partitions {
-		for _, in := range p.Inputs {
-			stages[pi].Inputs = append(stages[pi].Inputs, in.Name)
-		}
-		for _, out := range p.Outputs {
-			stages[pi].Outputs = append(stages[pi].Outputs, out.Name)
-		}
-	}
-	var gin []string
-	for _, vi := range meta.ModelInputs {
-		gin = append(gin, vi.Name)
-	}
-	eng, err := mon.BuildEngine(gin, meta.ModelOutputs, stages)
-	if err != nil {
-		return err
-	}
-	eng.Start()
-	defer eng.Stop()
-	log.Printf("engine started (%d stages)", len(stages))
-
-	// Operator telemetry endpoint: process-wide metrics and spans plus this
-	// engine's event stream. Serving failures are logged, never fatal — the
-	// inference plane does not depend on the observability plane.
-	if opts.telemetryAddr != "" {
-		mux := telemetry.NewMux(telemetry.Default, telemetry.DefaultTracer)
-		mux.Handle("/events", telemetry.SSE(eng.EventBus()))
-		if rec != nil {
-			mux.Handle("/audit", transcript.Handler(rec,
-				transcript.HandlerConfig{Bindings: func() any { return mon.Bindings() }}))
-		}
-		tln, err := net.Listen("tcp", opts.telemetryAddr)
-		if err != nil {
-			return fmt.Errorf("telemetry listen: %w", err)
-		}
-		defer tln.Close()
-		go func() {
-			if err := http.Serve(tln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("telemetry server: %v", err)
-			}
-		}()
-		log.Printf("telemetry on http://%s (/metrics /trace /events /debug/pprof/)", tln.Addr())
-	}
-
-	// Figure 6 step 8: send the initialization results, echoing the owner's
-	// nonce for freshness.
-	if ownerConn != nil {
-		var ids []string
-		for _, rec := range mon.Bindings() {
-			ids = append(ids, rec.VariantID)
-		}
-		detail := fmt.Sprintf("%x:%s", mon.Nonce(), strings.Join(ids, ","))
-		if err := wire.Send(ownerConn, &wire.Ack{Detail: detail}); err != nil {
-			return fmt.Errorf("report results to owner: %w", err)
-		}
-		_ = ownerConn.Close()
-		log.Printf("initialization results sent to owner")
-	}
-
-	shapes := make(map[string][]int, len(meta.ModelInputs))
-	for _, vi := range meta.ModelInputs {
-		shapes[vi.Name] = vi.Shape
-	}
-
-	// Cluster replica mode: serve the engine to an mvtee-serve router until
-	// killed. The engine's output stream is dedicated to the router session,
-	// so both the serving front door and the demo workload are skipped.
-	if opts.replicaListen != "" {
-		rln, err := net.Listen("tcp", opts.replicaListen)
-		if err != nil {
-			return fmt.Errorf("replica listen: %w", err)
-		}
-		defer rln.Close()
-		id := opts.replicaID
-		if id == "" {
-			id = rln.Addr().String()
-		}
-		hello := wire.ReplicaHello{
-			ID:           id,
-			Variants:     len(assignments),
-			GraphInputs:  gin,
-			GraphOutputs: meta.ModelOutputs,
-			ItemShapes:   shapes,
-		}
-		go serveReplicas(rln, monEncl, eng, mon, &activeReplica, hello)
-		log.Printf("cluster replica %q on %s, awaiting router", id, rln.Addr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		got := <-sig
-		log.Printf("%v: replica shutting down", got)
+		return f.Run(ctx)
+	case o.ReplicaListen != "" || demo <= 0:
+		// Serve until killed; a replica's engine output stream belongs to
+		// its router session.
+		<-ctx.Done()
+		log.Printf("shutting down")
 		return nil
 	}
+	return runDemo(n, demo, pipelined)
+}
 
-	// Serving mode: multiplex concurrent tenants onto the engine with
-	// dynamic batching and admission control instead of the demo workload.
-	if opts.serveAddr != "" {
-		return serveFrontend(mon, eng, shapes, opts)
+// runDemo pushes demo batches of one random input through the engine,
+// sequentially or pipelined, and logs the security events.
+func runDemo(n *node.Node, demo int, pipelined bool) error {
+	eng := n.Local
+	rng := rand.New(rand.NewPCG(42, 42))
+	inputs := make(map[string]*tensor.Tensor, len(n.ItemShapes))
+	for name, shape := range n.ItemShapes {
+		in := tensor.New(shape...)
+		d := in.Data()
+		for i := range d {
+			d[i] = float32(rng.NormFloat64())
+		}
+		inputs[name] = in
 	}
-
-	if opts.demo <= 0 {
-		select {} // serve until killed
-	}
-	demo := opts.demo
-
-	in := demoInput(meta)
-	inputs := map[string]*tensor.Tensor{meta.ModelInputs[0].Name: in}
-	start := time.Now()
-	if opts.pipelined {
+	mode, start := "sequential", time.Now()
+	if pipelined {
+		mode = "pipelined"
 		batches := make([]map[string]*tensor.Tensor, demo)
 		for i := range batches {
 			batches[i] = inputs
 		}
-		results, err := streamAll(eng, batches)
+		results, err := eng.Stream(batches)
 		if err != nil {
 			return err
 		}
-		el := time.Since(start)
-		log.Printf("pipelined: %d batches in %v (%.2f batches/s)", len(results), el,
-			float64(len(results))/el.Seconds())
+		for _, r := range results {
+			if r.Err != nil {
+				return r.Err
+			}
+		}
 	} else {
 		for i := 0; i < demo; i++ {
 			r, err := eng.Infer(inputs)
@@ -530,121 +198,11 @@ func run(opts runOptions) error {
 			}
 			log.Printf("batch %d done in %v", r.ID, r.Latency)
 		}
-		el := time.Since(start)
-		log.Printf("sequential: %d batches in %v (%.2f batches/s)", demo, el, float64(demo)/el.Seconds())
 	}
+	el := time.Since(start)
+	log.Printf("%s: %d batches in %v (%.2f batches/s)", mode, demo, el, float64(demo)/el.Seconds())
 	for _, ev := range eng.Events() {
 		log.Printf("event: %s stage=%d batch=%d variants=%v", ev.Kind, ev.Stage, ev.BatchID, ev.Variants)
 	}
 	return nil
-}
-
-// serveFrontend runs the multi-tenant serving front door over the engine
-// until SIGINT/SIGTERM, then drains gracefully (in-flight batches complete,
-// new work gets 503).
-func serveFrontend(mon *monitor.Monitor, eng *monitor.Engine, itemShapes map[string][]int, opts runOptions) error {
-	tenants, err := serve.ParseTenants(opts.serveTenants, opts.serveSLOms)
-	if err != nil {
-		return fmt.Errorf("-serve-tenants: %w", err)
-	}
-	srv := serve.New(eng, serve.Config{
-		MaxBatch:      opts.serveMaxBatch,
-		MaxDelay:      opts.serveMaxDelay,
-		Tenants:       tenants,
-		ItemShapes:    itemShapes,
-		DisableBinary: !opts.serveBinary,
-	})
-	defer srv.Close()
-
-	if opts.serveAdaptive {
-		// Spare scale-up needs a provisioning factory; a process-separated
-		// monitor has none (spares arrive over the network), in which case
-		// the spare loop's provision attempts fail harmlessly and the other
-		// three loops still run.
-		ctl := control.New(control.Config{
-			Frontend: srv,
-			Pipeline: eng,
-			Spares:   mon,
-			Events:   eng.EventBus(),
-		})
-		decSub := ctl.Decisions().Subscribe(64)
-		go func() {
-			for d := range decSub.C {
-				log.Printf("control: %s %s %s %d -> %d (%s)", d.Loop, d.Direction, d.Knob, d.From, d.To, d.Reason)
-			}
-		}()
-		ctl.Start()
-		defer func() { ctl.Stop(); decSub.Close() }()
-		log.Printf("adaptive control plane on; disable with -serve-adaptive=false")
-	}
-
-	ln, err := net.Listen("tcp", opts.serveAddr)
-	if err != nil {
-		return fmt.Errorf("serve listen: %w", err)
-	}
-	// Bound slow clients on the public front door (see cmd/mvtee-serve).
-	hs := &http.Server{
-		Handler:           serve.Handler(srv),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	log.Printf("serving on http://%s (POST /v1/infer, GET /healthz; max-batch %d, window %v)",
-		ln.Addr(), opts.serveMaxBatch, opts.serveMaxDelay)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case got := <-sig:
-		log.Printf("%v: draining", got)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("drain incomplete: %v", err)
-	} else {
-		log.Printf("drain complete")
-	}
-	return hs.Shutdown(ctx)
-}
-
-func streamAll(eng *monitor.Engine, batches []map[string]*tensor.Tensor) ([]monitor.BatchResult, error) {
-	results := make([]monitor.BatchResult, 0, len(batches))
-	errCh := make(chan error, 1)
-	go func() {
-		for range batches {
-			r, ok := <-eng.Outputs()
-			if !ok {
-				errCh <- fmt.Errorf("engine stopped")
-				return
-			}
-			if r.Err != nil {
-				errCh <- r.Err
-				return
-			}
-			results = append(results, r)
-		}
-		errCh <- nil
-	}()
-	for _, b := range batches {
-		if _, err := eng.Submit(b); err != nil {
-			return nil, err
-		}
-	}
-	return results, <-errCh
-}
-
-func demoInput(meta *core.BundleMeta) *tensor.Tensor {
-	shape := meta.ModelInputs[0].Shape
-	in := tensor.New(shape...)
-	rng := rand.New(rand.NewPCG(42, 42))
-	d := in.Data()
-	for i := range d {
-		d[i] = float32(rng.NormFloat64())
-	}
-	return in
 }

@@ -48,20 +48,6 @@ func main() {
 	}
 }
 
-func parsePlans(s string) []monitor.PartitionPlan {
-	var plans []monitor.PartitionPlan
-	for _, part := range strings.Split(s, ";") {
-		var p monitor.PartitionPlan
-		for _, v := range strings.Split(part, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				p.Variants = append(p.Variants, v)
-			}
-		}
-		plans = append(plans, p)
-	}
-	return plans
-}
-
 func run(dir, addr string, setIdx int, plansStr string, async bool) error {
 	meta, err := core.LoadMeta(dir)
 	if err != nil {
@@ -75,13 +61,12 @@ func run(dir, addr string, setIdx int, plansStr string, async bool) error {
 	if err != nil {
 		return err
 	}
-	verifier := enclave.NewVerifier()
-	if err := verifier.TrustIdentity(pubID); err != nil {
+	verify, err := core.MonitorPeer(pubID)
+	if err != nil {
 		return err
 	}
-	wantMeas := enclave.Measure(core.MonitorImage())
 
-	plans := parsePlans(plansStr)
+	plans := monitor.ParsePlans(plansStr)
 	if setIdx < 0 || setIdx >= len(meta.Sets) {
 		return fmt.Errorf("set %d out of range", setIdx)
 	}
@@ -96,16 +81,12 @@ func run(dir, addr string, setIdx int, plansStr string, async bool) error {
 	// Step 2 (Figure 6): challenge-response attestation of the monitor —
 	// the handshake binds the monitor's hardware-signed report to this
 	// channel; the owner checks signature, platform and measurement.
-	conn, err := securechan.Client(raw, nil, func(r *enclave.Report) error {
-		if r == nil {
-			return fmt.Errorf("monitor presented no attestation report")
-		}
-		return verifier.Verify(r, []enclave.Measurement{wantMeas})
-	})
+	conn, err := securechan.Client(raw, nil, verify)
 	if err != nil {
 		return fmt.Errorf("monitor attestation: %w", err)
 	}
-	log.Printf("monitor attested (measurement %x…)", wantMeas[:6])
+	meas := enclave.Measure(core.MonitorImage())
+	log.Printf("monitor attested (measurement %x…)", meas[:6])
 
 	// Step 3: provision MVX configuration + pool keys with a fresh nonce.
 	nonce, err := attest.NewNonce()

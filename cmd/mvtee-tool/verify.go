@@ -10,6 +10,7 @@ import (
 	mvtee "repro"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/node"
 	"repro/internal/tensor"
 	"repro/internal/transcript"
 )
@@ -170,38 +171,24 @@ func runVerify(args []string) error {
 	return nil
 }
 
-// replayEngine deploys a local single-replica pipeline from the rebuilt
-// bundle and returns a run function executing one batch through it.
+// replayEngine deploys the serving daemon's in-process pipeline from the
+// rebuilt bundle and returns a run function executing one batch through it.
 func replayEngine(bundle *mvtee.Bundle, stages, mvxStage int) (transcript.ReplayFunc, func(), error) {
 	if bundle == nil {
 		return nil, nil, fmt.Errorf("replay requires a locally rebuilt bundle")
 	}
-	plans := make([]mvtee.PartitionPlan, stages)
-	for i := range plans {
-		plans[i] = mvtee.PartitionPlan{Variants: []string{"ort-cpu"}}
-	}
-	if mvxStage >= 0 && mvxStage < stages {
-		plans[mvxStage] = mvtee.PartitionPlan{Variants: []string{"ort-cpu", "ort-altep", "tvm-graph"}}
-	}
-	dep, err := mvtee.Deploy(bundle, 0, mvtee.DeployConfig{
-		MVX: &mvtee.MVXConfig{
-			Model:    bundle.Model.Name,
-			Plans:    plans,
-			Criteria: []mvtee.Criterion{{Metric: mvtee.AllClose, RTol: 5e-2, ATol: 1e-3}},
-		},
-		Encrypt: true,
-	})
+	n, err := node.Deploy(node.Options{Model: bundle.Model.Name, Stages: stages, MVXStage: mvxStage}, bundle)
 	if err != nil {
 		return nil, nil, fmt.Errorf("deploy replay engine: %w", err)
 	}
 	run := func(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-		res, err := dep.Engine.Infer(inputs)
+		res, err := n.Local.Infer(inputs)
 		if err != nil {
 			return nil, err
 		}
 		return res.Tensors, nil
 	}
-	return run, func() { dep.Close() }, nil
+	return run, n.Close, nil
 }
 
 func loadHead(path string) (transcript.TreeHead, bool, error) {

@@ -12,16 +12,12 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/enclave"
-	"repro/internal/manifest"
+	"repro/internal/node"
 	"repro/internal/securechan"
-	"repro/internal/teeos"
-	"repro/internal/telemetry"
 	"repro/internal/variant"
 )
 
@@ -40,16 +36,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *traceRing > 0 {
-		telemetry.DefaultTracer = telemetry.NewTracer(*traceRing)
-	}
-	if *telemetryAddr != "" {
-		mux := telemetry.NewMux(telemetry.Default, telemetry.DefaultTracer)
-		go func() {
-			if err := http.ListenAndServe(*telemetryAddr, mux); err != nil {
-				log.Printf("telemetry server: %v", err)
-			}
-		}()
+	node.SetTraceRing(*traceRing)
+	if _, err := node.ListenOperator(*telemetryAddr, nil); err != nil {
+		log.Print(err)
 	}
 	if err := run(*bundleDir, *connect); err != nil {
 		log.Fatal(err)
@@ -57,35 +46,17 @@ func main() {
 }
 
 func run(dir, addr string) error {
-	imb, err := os.ReadFile(filepath.Join(dir, core.InitManFile))
-	if err != nil {
-		return err
-	}
-	im, err := manifest.Unmarshal(imb)
-	if err != nil {
-		return err
-	}
 	plat, err := core.LoadPlatform(dir)
 	if err != nil {
 		return err
 	}
 	verifier := enclave.NewVerifier()
 	verifier.Trust(plat)
-
-	host := teeos.DirFS(dir)
-	initBin, err := host.Get(core.InitEntrypoint)
-	if err != nil {
-		return err
-	}
-	encl, err := plat.Launch(enclave.Image{Name: "mvtee-variant", Code: initBin, InitialPages: 64 << 20})
+	encl, vos, err := core.LaunchDirVariant(dir, plat)
 	if err != nil {
 		return err
 	}
 	defer encl.Destroy()
-	vos, err := teeos.New(encl, im, host, nil)
-	if err != nil {
-		return err
-	}
 
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -94,12 +65,7 @@ func run(dir, addr string) error {
 	if tc, ok := raw.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	conn, err := securechan.Client(raw, encl, func(r *enclave.Report) error {
-		if r == nil {
-			return securechan.ErrHandshake
-		}
-		return verifier.Verify(r, nil)
-	})
+	conn, err := securechan.Client(raw, encl, core.AttestedPeer(verifier))
 	if err != nil {
 		return err
 	}

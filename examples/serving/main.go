@@ -14,14 +14,13 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	mvtee "repro"
 
+	"repro/internal/node"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -29,56 +28,38 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Build and deploy a 4-stage pipeline, 3-variant MVX on stage 1.
-	bundle, err := mvtee.BuildBundle(mvtee.OfflineConfig{
-		ModelName:        "resnet-50",
-		PartitionTargets: []int{4},
-		Specs:            mvtee.RealSetupSpecs(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	plans := make([]mvtee.PartitionPlan, 4)
-	for i := range plans {
-		plans[i] = mvtee.PartitionPlan{Variants: []string{"ort-cpu"}}
-	}
-	plans[1] = mvtee.PartitionPlan{Variants: []string{"ort-cpu", "ort-altep", "tvm-graph"}}
-	dep, err := mvtee.Deploy(bundle, 0, mvtee.DeployConfig{
-		MVX: &mvtee.MVXConfig{
-			Model:    "resnet-50",
-			Plans:    plans,
-			Criteria: []mvtee.Criterion{{Metric: mvtee.AllClose, RTol: 5e-2, ATol: 1e-3}},
+	// Build and deploy a 4-stage pipeline, 3-variant MVX on stage 1, behind
+	// the daemons' front door, which batches up to 8 compatible requests per
+	// 2ms window; the "pro" tenant gets 3x the scheduling share of "free".
+	// The real HTTP surface means requests exercise content negotiation and
+	// the binary streaming response path end to end.
+	o := node.Options{
+		Model: "resnet-50", Stages: 4, MVXStage: 1,
+		Listen: "127.0.0.1:0",
+		Serve: serve.Config{
+			MaxBatch: 8,
+			MaxDelay: 2 * time.Millisecond,
+			Tenants: map[string]serve.TenantConfig{
+				"pro":  {Weight: 3},
+				"free": {Weight: 1},
+			},
 		},
-	})
+	}
+	bundle, err := node.BuildBundle(o)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer dep.Close()
-
-	// Front door: batches up to 8 compatible requests per 2ms window; the
-	// "pro" tenant gets 3x the scheduling share of "free".
-	reg := telemetry.NewRegistry()
-	srv := serve.New(dep.Engine, serve.Config{
-		MaxBatch: 8,
-		MaxDelay: 2 * time.Millisecond,
-		Tenants: map[string]serve.TenantConfig{
-			"pro":  {Weight: 3},
-			"free": {Weight: 1},
-		},
-		Metrics: reg,
-	})
-	defer srv.Close()
-
-	// The real HTTP front door, so requests exercise content negotiation
-	// and the binary streaming response path end to end.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := node.Deploy(o, bundle)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: serve.Handler(srv)}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	baseURL := "http://" + ln.Addr().String()
+	defer n.Close()
+	f, err := node.StartFrontend(o, n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	baseURL := "http://" + f.Addr()
 
 	// Three client populations hammer the pipeline concurrently; "pro"
 	// clients use the binary protocol, "free" stays on JSON.
@@ -132,22 +113,22 @@ func main() {
 	wg.Wait()
 	el := time.Since(start)
 
-	n := served.Load()
+	ok := served.Load()
 	fmt.Printf("served %d requests in %v (%.1f req/s), %d rejected with retry-after\n",
-		n, el.Round(time.Millisecond), float64(n)/el.Seconds(), rejected.Load())
-	fmt.Printf("mean batch fill: %.2f requests/engine batch\n", float64(fillSum.Load())/float64(n))
+		ok, el.Round(time.Millisecond), float64(ok)/el.Seconds(), rejected.Load())
+	fmt.Printf("mean batch fill: %.2f requests/engine batch\n", float64(fillSum.Load())/float64(ok))
 
 	// Graceful drain, then show the per-tenant view the operator gets.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	if err := f.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nper-tenant telemetry:")
-	for _, m := range reg.Snapshot() {
+	for _, m := range telemetry.Default.Snapshot() {
 		if m.Name == telemetry.MetricServeRequests || m.Name == telemetry.MetricServeProto {
 			fmt.Printf("  %s %v = %v\n", m.Name, m.Labels, m.Value)
 		}
 	}
-	fmt.Printf("checkpoint events: %d (0 = all variants agreed)\n", len(dep.Engine.Events()))
+	fmt.Printf("checkpoint events: %d (0 = all variants agreed)\n", len(n.Local.Events()))
 }

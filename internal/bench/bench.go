@@ -52,35 +52,30 @@ func Input(mc models.Config, seed uint64) *tensor.Tensor {
 // MeasureBaseline times the original unpartitioned model (the evaluation
 // baseline of §6.2).
 func MeasureBaseline(ex infer.Executor, in *tensor.Tensor, warmup, n int) (Metrics, error) {
-	inputs := map[string]*tensor.Tensor{"image": in}
-	for i := 0; i < warmup; i++ {
-		if _, err := ex.Run(inputs); err != nil {
-			return Metrics{}, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := ex.Run(inputs); err != nil {
-			return Metrics{}, err
-		}
-	}
-	el := time.Since(start)
-	lat := el / time.Duration(n)
-	return Metrics{Throughput: float64(n) / el.Seconds(), Latency: lat, TransitLatency: lat}, nil
+	return measureSequential(in, warmup, n, func(x map[string]*tensor.Tensor) error {
+		_, err := ex.Run(x)
+		return err
+	})
 }
 
 // MeasureSequential times the deployment under sequential execution: each
 // batch completes all pipeline stages before the next is submitted.
 func MeasureSequential(d *core.Deployment, in *tensor.Tensor, warmup, n int) (Metrics, error) {
+	return measureSequential(in, warmup, n, func(x map[string]*tensor.Tensor) error {
+		_, err := d.Infer(x)
+		return err
+	})
+}
+
+// measureSequential runs warmup untimed batches, then times n more.
+func measureSequential(in *tensor.Tensor, warmup, n int, run func(map[string]*tensor.Tensor) error) (Metrics, error) {
 	inputs := map[string]*tensor.Tensor{"image": in}
-	for i := 0; i < warmup; i++ {
-		if _, err := d.Infer(inputs); err != nil {
-			return Metrics{}, err
+	var start time.Time
+	for i := 0; i < warmup+n; i++ {
+		if i == warmup {
+			start = time.Now()
 		}
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := d.Infer(inputs); err != nil {
+		if err := run(inputs); err != nil {
 			return Metrics{}, err
 		}
 	}

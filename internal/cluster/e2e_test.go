@@ -131,14 +131,14 @@ func startRemoteReplica(t testing.TB, id string, eng *monitor.Engine) *Remote {
 		if err != nil {
 			return
 		}
-		_ = ServeReplica(conn, eng, ReplicaServerOptions{
+		_ = NewReplicaServer(conn, eng, ReplicaServerOptions{
 			Hello: wire.ReplicaHello{
 				ID:           id,
 				Variants:     3,
 				GraphInputs:  []string{"x"},
 				GraphOutputs: []string{"y"},
 			},
-		})
+		}).Run()
 	}()
 	cc, err := securechan.Client(routerC, nil, nil)
 	if err != nil {

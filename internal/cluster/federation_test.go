@@ -24,7 +24,7 @@ func startRemoteReplicaOpts(t testing.TB, eng *monitor.Engine, opts ReplicaServe
 		if err != nil {
 			return
 		}
-		_ = ServeReplica(conn, eng, opts)
+		_ = NewReplicaServer(conn, eng, opts).Run()
 	}()
 	cc, err := securechan.Client(routerC, nil, nil)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // Remote is the router's handle to a replica engine in another process (or on
-// another node), reached over a securechan connection whose far end runs
-// ServeReplica. The connection carries both planes: input dispatch
+// another node), reached over a securechan connection whose far end runs a
+// ReplicaServer. The connection carries both planes: input dispatch
 // (Batch/Verify frames, encode-once fan-out) and verification (46-byte Digest
 // frames), plus the replica's health heartbeats and scoped controller knobs.
 type Remote struct {
@@ -30,7 +30,7 @@ type Remote struct {
 }
 
 // NewRemote completes replica registration on an established connection: it
-// reads the replica's hello (sent by ServeReplica on accept) and returns the
+// reads the replica's hello (sent by ReplicaServer.Run) and returns the
 // handle. The caller keeps ownership of the connection's lifecycle via Close.
 func NewRemote(conn securechan.Conn) (*Remote, error) {
 	m, err := wire.Recv(conn)

@@ -82,8 +82,8 @@ type heldDigest struct {
 	born time.Time
 }
 
-// NewReplicaServer builds the server; Run drives it. Split from ServeReplica
-// so the daemon can wire the engine's DigestSink to StageDigestSink before
+// NewReplicaServer builds the server; Run drives it. The two are split so
+// the daemon can point the engine's DigestSink at StageDigestSink before
 // starting the protocol.
 func NewReplicaServer(conn securechan.Conn, eng *monitor.Engine, opts ReplicaServerOptions) *ReplicaServer {
 	if opts.Spares == nil {
@@ -102,12 +102,6 @@ func NewReplicaServer(conn securechan.Conn, eng *monitor.Engine, opts ReplicaSer
 		held:         make(map[uint64]heldDigest),
 		announces:    make(map[uint64]heldDigest),
 	}
-}
-
-// ServeReplica serves the engine to a cluster router on conn until the
-// connection fails or the router sends Shutdown.
-func ServeReplica(conn securechan.Conn, eng *monitor.Engine, opts ReplicaServerOptions) error {
-	return NewReplicaServer(conn, eng, opts).Run()
 }
 
 // Run sends the hello and drives the protocol until the connection fails or

@@ -21,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/manifest"
 	"repro/internal/models"
+	"repro/internal/monitor"
 	"repro/internal/partition"
 	"repro/internal/pfcrypt"
 	"repro/internal/teeos"
@@ -71,6 +72,21 @@ func (e Entry) ManifestPath() string { return e.dir() + "/manifest.pf" }
 
 // EntrypointPath returns the entry's encrypted main-variant binary path.
 func (e Entry) EntrypointPath() string { return e.dir() + "/main.pf" }
+
+// Assignment is the monitor's binding order for a variant TEE serving the
+// entry: its key, encrypted files and expected installation evidence.
+func (e Entry) Assignment(variantID string, kdk []byte, evidence [32]byte) monitor.Assignment {
+	return monitor.Assignment{
+		VariantID:  variantID,
+		Partition:  e.Partition,
+		Spec:       e.Spec,
+		KDK:        kdk,
+		Manifest:   e.ManifestPath(),
+		Files:      []string{e.GraphPath(), e.SpecPath()},
+		Entrypoint: e.EntrypointPath(),
+		Evidence:   evidence,
+	}
+}
 
 // Bundle is the output of the offline phase: the partition sets, the variant
 // pool, the encrypted files, the per-entry keys (held by the model owner and

@@ -8,9 +8,11 @@ import (
 	"repro/internal/attest"
 	"repro/internal/diversify"
 	"repro/internal/enclave"
+	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/models"
 	"repro/internal/monitor"
+	"repro/internal/partition"
 	"repro/internal/securechan"
 	"repro/internal/teeos"
 	"repro/internal/tensor"
@@ -91,15 +93,17 @@ func (d *Deployment) platform(tt enclave.TEEType) (*enclave.Platform, error) {
 	return p, nil
 }
 
-// launchAndBind brings up one variant TEE for the pool entry and runs the
-// bootstrap/binding protocol against the monitor.
-func (d *Deployment) launchAndBind(variantID string, e Entry) error {
+// launch brings up one variant TEE for the pool entry and connects it to the
+// monitor. A claimed variant runs the bootstrap/binding protocol (Figure 6);
+// a spare registers without binding and idles in stage-1 bootstrap until a
+// Recover response promotes it into a dead slot (§2.4).
+func (d *Deployment) launch(c Claim) error {
 	b := d.Bundle
-	kdk, ok := b.Keys[e]
+	kdk, ok := b.Keys[c.Entry]
 	if !ok {
-		return fmt.Errorf("core: no pool entry %+v", e)
+		return fmt.Errorf("core: no pool entry %+v", c.Entry)
 	}
-	spec, err := findSpec(b, e.Spec)
+	spec, err := findSpec(b, c.Entry.Spec)
 	if err != nil {
 		return err
 	}
@@ -111,11 +115,7 @@ func (d *Deployment) launchAndBind(variantID string, e Entry) error {
 	if err != nil {
 		return err
 	}
-	vEncl, err := plat.Launch(enclave.Image{
-		Name:         "mvtee-variant",
-		Code:         b.InitBinary,
-		InitialPages: 64 << 20,
-	})
+	vEncl, err := plat.Launch(variantImage(b.InitBinary))
 	if err != nil {
 		return err
 	}
@@ -136,133 +136,152 @@ func (d *Deployment) launchAndBind(variantID string, e Entry) error {
 	})
 	var vopts variant.Options
 	if d.cfg.VariantOptions != nil {
-		vopts = d.cfg.VariantOptions(variantID, e)
+		vopts = d.cfg.VariantOptions(c.ID, c.Entry)
 	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		_ = variant.Run(varConn, vos, vopts) // terminates on Shutdown or conn close
 	}()
-	if _, err := d.Monitor.Bind(monConn, monitor.Assignment{
-		VariantID:  variantID,
-		Partition:  e.Partition,
-		Spec:       e.Spec,
-		KDK:        kdk,
-		Manifest:   e.ManifestPath(),
-		Files:      []string{e.GraphPath(), e.SpecPath()},
-		Entrypoint: e.EntrypointPath(),
-		Evidence:   b.Evidence[e],
-	}); err != nil {
-		return fmt.Errorf("core: bind %s: %w", variantID, err)
+	a := c.Entry.Assignment(c.ID, kdk, b.Evidence[c.Entry])
+	if c.Spare {
+		d.Monitor.AddSpare(monConn, a)
+		return nil
+	}
+	if _, err := d.Monitor.Bind(monConn, a); err != nil {
+		return fmt.Errorf("core: bind %s: %w", c.ID, err)
 	}
 	return nil
 }
 
-// launchSpare brings up a spare variant TEE (Figure 6: the pool of spares
-// pre-established for cheap recovery) and registers it with the monitor
-// without binding: the spare idles in stage-1 bootstrap, waiting for its
-// assignment, until a Recover response promotes it into a dead slot.
-func (d *Deployment) launchSpare(variantID string, e Entry) error {
-	b := d.Bundle
-	kdk, ok := b.Keys[e]
-	if !ok {
-		return fmt.Errorf("core: no pool entry %+v", e)
-	}
-	spec, err := findSpec(b, e.Spec)
+// Provision is owner provisioning (Figure 6 steps 2–3) from a locally held
+// configuration: the MVX configuration under a fresh anti-replay nonce.
+func Provision(mon *monitor.Monitor, mvx *monitor.MVXConfig) error {
+	nonce, err := attest.NewNonce()
 	if err != nil {
 		return err
 	}
-	tt, err := spec.TEEType()
+	cfgJSON, err := mvx.Marshal()
 	if err != nil {
 		return err
 	}
-	plat, err := d.platform(tt)
-	if err != nil {
-		return err
+	return mon.Provision(&wire.Provision{Nonce: nonce, Config: cfgJSON})
+}
+
+// CheckPlans checks that setIdx names one of the partition sets and that
+// mvx claims one plan per partition of it.
+func CheckPlans(sets []*partition.Set, setIdx int, mvx *monitor.MVXConfig) error {
+	if setIdx < 0 || setIdx >= len(sets) {
+		return fmt.Errorf("core: partition set %d out of range (%d sets)", setIdx, len(sets))
 	}
-	vEncl, err := plat.Launch(enclave.Image{
-		Name:         "mvtee-variant",
-		Code:         b.InitBinary,
-		InitialPages: 64 << 20,
-	})
-	if err != nil {
-		return err
+	if n := len(sets[setIdx].Partitions); len(mvx.Plans) != n {
+		return fmt.Errorf("core: %d plans for %d partitions", len(mvx.Plans), n)
 	}
-	d.enclaves = append(d.enclaves, vEncl)
-	vos, err := teeos.New(vEncl, b.InitManifest, b.FS, nil)
-	if err != nil {
-		return err
-	}
-	monConn, varConn, err := d.connect(d.cfg, d.monEncl, vEncl, d.verifier)
-	if err != nil {
-		return err
-	}
-	d.closers = append(d.closers, func() {
-		_ = monConn.Close()
-		_ = varConn.Close()
-	})
-	var vopts variant.Options
-	if d.cfg.VariantOptions != nil {
-		vopts = d.cfg.VariantOptions(variantID, e)
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		_ = variant.Run(varConn, vos, vopts) // blocks in bootstrap until promoted
-	}()
-	d.Monitor.AddSpare(monConn, monitor.Assignment{
-		VariantID:  variantID,
-		Partition:  e.Partition,
-		Spec:       e.Spec,
-		KDK:        kdk,
-		Manifest:   e.ManifestPath(),
-		Files:      []string{e.GraphPath(), e.SpecPath()},
-		Entrypoint: e.EntrypointPath(),
-		Evidence:   b.Evidence[e],
-	})
 	return nil
+}
+
+// Claim is one variant TEE an MVX configuration asks for.
+type Claim struct {
+	ID    string
+	Entry Entry
+	// Spare registers the variant idle instead of binding it.
+	Spare bool
+}
+
+// Claims flattens the configuration's variant plans, then its spare plans,
+// into launch order on partition set set.
+func Claims(set int, mvx *monitor.MVXConfig) []Claim {
+	var cs []Claim
+	add := func(prefix string, plans []monitor.PartitionPlan, spare bool) {
+		for pi, plan := range plans {
+			for vi, spec := range plan.Variants {
+				cs = append(cs, Claim{
+					ID:    fmt.Sprintf("%sp%d-%s-%d", prefix, pi, spec, vi),
+					Entry: Entry{Set: set, Partition: pi, Spec: spec},
+					Spare: spare,
+				})
+			}
+		}
+	}
+	add("", mvx.Plans, false)
+	add("spare-", mvx.Spares, true)
+	return cs
+}
+
+// nextSpare picks the pool entry for the seq-th on-demand spare of a
+// partition (a negative partition means stage 0): the spec comes from the
+// partition's spare plan when one is configured, else from its variant plan,
+// cycling through the specs so successive spares stay heterogeneous.
+func nextSpare(mvx *monitor.MVXConfig, set, partition, seq int) (Claim, error) {
+	if partition < 0 {
+		partition = 0
+	}
+	if partition >= len(mvx.Plans) {
+		return Claim{}, fmt.Errorf("core: partition %d out of range", partition)
+	}
+	specs := mvx.Plans[partition].Variants
+	if partition < len(mvx.Spares) && len(mvx.Spares[partition].Variants) > 0 {
+		specs = mvx.Spares[partition].Variants
+	}
+	if len(specs) == 0 {
+		return Claim{}, fmt.Errorf("core: partition %d has no specs to provision from", partition)
+	}
+	spec := specs[seq%len(specs)]
+	return Claim{
+		ID:    fmt.Sprintf("autospare-p%d-%s-%d", partition, spec, seq),
+		Entry: Entry{Set: set, Partition: partition, Spec: spec},
+		Spare: true,
+	}, nil
+}
+
+// variantImage is the launch image every variant TEE boots: the measured
+// init-variant payload (stage 1 of the two-stage bootstrap).
+func variantImage(initBinary []byte) enclave.Image {
+	return enclave.Image{Name: "mvtee-variant", Code: initBinary, InitialPages: 64 << 20}
+}
+
+// BuildEngine wires the monitor's bound variants into an execution engine
+// (not started) for a partition set of a model with the given interface.
+func BuildEngine(mon *monitor.Monitor, set *partition.Set, inputs []graph.ValueInfo, outputs []string) (*monitor.Engine, error) {
+	stages := make([]monitor.StageSpec, len(set.Partitions))
+	for pi, p := range set.Partitions {
+		for _, in := range p.Inputs {
+			stages[pi].Inputs = append(stages[pi].Inputs, in.Name)
+		}
+		for _, out := range p.Outputs {
+			stages[pi].Outputs = append(stages[pi].Outputs, out.Name)
+		}
+	}
+	gin := make([]string, len(inputs))
+	for i, vi := range inputs {
+		gin[i] = vi.Name
+	}
+	return mon.BuildEngine(gin, outputs, stages)
 }
 
 // ProvisionSpare launches one additional pre-attested spare for a partition
 // (the adaptive controller's spare-pool scale-up actuator; Deploy wires it
-// as the monitor's spare factory). The spec is taken from the partition's
-// spare plan when one is configured, else from its variant plan, cycling
-// through the diversified specs so successive spares stay heterogeneous.
+// as the monitor's spare factory); see nextSpare for the spec choice.
 func (d *Deployment) ProvisionSpare(partition int) error {
-	if partition < 0 {
-		partition = 0
-	}
-	if partition >= len(d.cfg.MVX.Plans) {
-		return fmt.Errorf("core: partition %d out of range", partition)
-	}
-	specs := d.cfg.MVX.Plans[partition].Variants
-	if partition < len(d.cfg.MVX.Spares) && len(d.cfg.MVX.Spares[partition].Variants) > 0 {
-		specs = d.cfg.MVX.Spares[partition].Variants
-	}
-	if len(specs) == 0 {
-		return fmt.Errorf("core: partition %d has no specs to provision from", partition)
-	}
 	d.spareMu.Lock()
 	defer d.spareMu.Unlock()
 	d.spareSeq++
-	spec := specs[d.spareSeq%len(specs)]
-	variantID := fmt.Sprintf("autospare-p%d-%s-%d", partition, spec, d.spareSeq)
-	return d.launchSpare(variantID, Entry{Set: d.SetIdx, Partition: partition, Spec: spec})
+	c, err := nextSpare(d.cfg.MVX, d.SetIdx, partition, d.spareSeq)
+	if err != nil {
+		return err
+	}
+	return d.launch(c)
 }
 
 // Deploy brings up the full system on partition set setIdx of the bundle:
 // monitor TEE, variant TEEs per the MVX plan, attested bootstrap, binding,
 // and a started execution engine.
 func Deploy(b *Bundle, setIdx int, cfg DeployConfig) (*Deployment, error) {
-	if setIdx < 0 || setIdx >= len(b.Sets) {
-		return nil, fmt.Errorf("core: partition set %d out of range", setIdx)
-	}
 	if cfg.MVX == nil {
 		return nil, fmt.Errorf("core: missing MVX config")
 	}
-	set := b.Sets[setIdx]
-	if len(cfg.MVX.Plans) != len(set.Partitions) {
-		return nil, fmt.Errorf("core: %d plans for %d partitions", len(cfg.MVX.Plans), len(set.Partitions))
+	if err := CheckPlans(b.Sets, setIdx, cfg.MVX); err != nil {
+		return nil, err
 	}
 	if cfg.Transport == 0 {
 		cfg.Transport = InProc
@@ -286,41 +305,17 @@ func Deploy(b *Bundle, setIdx int, cfg DeployConfig) (*Deployment, error) {
 	mon := monitor.New(monEncl, d.verifier)
 	d.Monitor = mon
 
-	// Owner provisioning (Figure 6 steps 2–3): config + anti-replay nonce.
-	nonce, err := attest.NewNonce()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	cfgJSON, err := cfg.MVX.Marshal()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	if err := mon.Provision(&wire.Provision{Nonce: nonce, Config: cfgJSON}); err != nil {
+	if err := Provision(mon, cfg.MVX); err != nil {
 		d.Close()
 		return nil, err
 	}
 
-	// Variant TEEs per claim.
-	for pi, plan := range cfg.MVX.Plans {
-		for vi, specName := range plan.Variants {
-			variantID := fmt.Sprintf("p%d-%s-%d", pi, specName, vi)
-			if err := d.launchAndBind(variantID, Entry{Set: setIdx, Partition: pi, Spec: specName}); err != nil {
-				d.Close()
-				return nil, err
-			}
-		}
-	}
-
-	// Spare TEEs per claim (pre-established, bound on promotion).
-	for pi, plan := range cfg.MVX.Spares {
-		for vi, specName := range plan.Variants {
-			variantID := fmt.Sprintf("spare-p%d-%s-%d", pi, specName, vi)
-			if err := d.launchSpare(variantID, Entry{Set: setIdx, Partition: pi, Spec: specName}); err != nil {
-				d.Close()
-				return nil, err
-			}
+	// Variant TEEs per claim, then the spares (pre-established, bound on
+	// promotion).
+	for _, c := range Claims(setIdx, cfg.MVX) {
+		if err := d.launch(c); err != nil {
+			d.Close()
+			return nil, err
 		}
 	}
 	// In-process deployments can synthesize further spares on demand; the
@@ -343,7 +338,7 @@ func Deploy(b *Bundle, setIdx int, cfg DeployConfig) (*Deployment, error) {
 // updates replace them). Stop the engine and Unbind the old variant first,
 // then RebuildEngine.
 func (d *Deployment) RebindVariant(variantID string, e Entry) error {
-	return d.launchAndBind(variantID, e)
+	return d.launch(Claim{ID: variantID, Entry: e})
 }
 
 // FullUpdate performs the full variant update of §4.3: it quiesces the
@@ -352,12 +347,8 @@ func (d *Deployment) RebindVariant(variantID string, e Entry) error {
 // all-new variant fleet, and starts a fresh engine. The binding log keeps
 // the retired generation's records (marked replaced) for auditing.
 func (d *Deployment) FullUpdate(newSetIdx int, mvx *monitor.MVXConfig) error {
-	if newSetIdx < 0 || newSetIdx >= len(d.Bundle.Sets) {
-		return fmt.Errorf("core: partition set %d out of range", newSetIdx)
-	}
-	if len(mvx.Plans) != len(d.Bundle.Sets[newSetIdx].Partitions) {
-		return fmt.Errorf("core: %d plans for %d partitions",
-			len(mvx.Plans), len(d.Bundle.Sets[newSetIdx].Partitions))
+	if err := CheckPlans(d.Bundle.Sets, newSetIdx, mvx); err != nil {
+		return err
 	}
 	if d.Engine != nil {
 		d.Engine.StopKeepVariants()
@@ -367,26 +358,18 @@ func (d *Deployment) FullUpdate(newSetIdx int, mvx *monitor.MVXConfig) error {
 			d.Monitor.Unbind(rec.VariantID)
 		}
 	}
-	// Re-provision the new configuration with a fresh nonce.
-	nonce, err := attest.NewNonce()
-	if err != nil {
-		return err
-	}
-	cfgJSON, err := mvx.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := d.Monitor.Provision(&wire.Provision{Nonce: nonce, Config: cfgJSON}); err != nil {
+	if err := Provision(d.Monitor, mvx); err != nil {
 		return err
 	}
 	d.SetIdx = newSetIdx
 	gen := len(d.Monitor.Bindings()) // uniquify the new generation's IDs
-	for pi, plan := range mvx.Plans {
-		for vi, specName := range plan.Variants {
-			variantID := fmt.Sprintf("g%d-p%d-%s-%d", gen, pi, specName, vi)
-			if err := d.launchAndBind(variantID, Entry{Set: newSetIdx, Partition: pi, Spec: specName}); err != nil {
-				return err
-			}
+	for _, c := range Claims(newSetIdx, mvx) {
+		if c.Spare {
+			continue
+		}
+		c.ID = fmt.Sprintf("g%d-%s", gen, c.ID)
+		if err := d.launch(c); err != nil {
+			return err
 		}
 	}
 	eng, err := d.RebuildEngine()
@@ -401,22 +384,8 @@ func (d *Deployment) FullUpdate(newSetIdx int, mvx *monitor.MVXConfig) error {
 // bindings (after initial bring-up or membership updates). The returned
 // engine is not started.
 func (d *Deployment) RebuildEngine() (*monitor.Engine, error) {
-	set := d.Bundle.Sets[d.SetIdx]
-	stages := make([]monitor.StageSpec, len(set.Partitions))
-	for pi, p := range set.Partitions {
-		for _, in := range p.Inputs {
-			stages[pi].Inputs = append(stages[pi].Inputs, in.Name)
-		}
-		for _, out := range p.Outputs {
-			stages[pi].Outputs = append(stages[pi].Outputs, out.Name)
-		}
-	}
-	var gin []string
-	for _, vi := range d.Bundle.Model.Inputs {
-		gin = append(gin, vi.Name)
-	}
 	d.Monitor.ResetEngine()
-	eng, err := d.Monitor.BuildEngine(gin, d.Bundle.Model.Outputs, stages)
+	eng, err := BuildEngine(d.Monitor, d.Bundle.Sets[d.SetIdx], d.Bundle.Model.Inputs, d.Bundle.Model.Outputs)
 	if err != nil {
 		return nil, err
 	}
@@ -467,33 +436,17 @@ func (d *Deployment) connect(cfg DeployConfig, monEncl, varEncl *enclave.Enclave
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: loopback listen: %w", err)
 		}
-		accepted := make(chan net.Conn, 1)
-		errCh := make(chan error, 1)
-		go func() {
-			c, err := ln.Accept()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			accepted <- c
-		}()
-		rawMon, err = net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			_ = ln.Close()
+		defer ln.Close()
+		// The dial completes in the listen backlog, so Accept does not block.
+		if rawMon, err = net.Dial("tcp", ln.Addr().String()); err != nil {
 			return nil, nil, fmt.Errorf("core: loopback dial: %w", err)
 		}
-		select {
-		case rawVar = <-accepted:
-		case err := <-errCh:
-			_ = ln.Close()
+		if rawVar, err = ln.Accept(); err != nil {
+			_ = rawMon.Close()
 			return nil, nil, fmt.Errorf("core: loopback accept: %w", err)
 		}
-		_ = ln.Close()
-		if tc, ok := rawMon.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
-		}
-		if tc, ok := rawVar.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
+		for _, c := range []net.Conn{rawMon, rawVar} {
+			_ = c.(*net.TCPConn).SetNoDelay(true)
 		}
 	default:
 		return nil, nil, fmt.Errorf("core: unknown transport %d", cfg.Transport)
@@ -503,12 +456,36 @@ func (d *Deployment) connect(cfg DeployConfig, monEncl, varEncl *enclave.Enclave
 		return securechan.Plain(rawMon), securechan.Plain(rawVar), nil
 	}
 
-	verify := func(r *enclave.Report) error {
+	return handshake(rawMon, rawVar, monEncl, varEncl, AttestedPeer(verifier))
+}
+
+// AttestedPeer checks a channel peer's attestation report against the
+// verifier's trusted platforms and, when want is given, the peer's
+// measurement.
+func AttestedPeer(verifier *enclave.Verifier, want ...enclave.Measurement) securechan.VerifyPeer {
+	return func(r *enclave.Report) error {
 		if r == nil {
 			return fmt.Errorf("core: peer presented no attestation report")
 		}
-		return verifier.Verify(r, nil)
+		return verifier.Verify(r, want)
 	}
+}
+
+// MonitorPeer accepts a monitor TEE launched by the platform with the given
+// public identity and running the monitor image — the check a model owner
+// (and a cluster router) applies before trusting the monitor.
+func MonitorPeer(identity []byte) (securechan.VerifyPeer, error) {
+	verifier := enclave.NewVerifier()
+	if err := verifier.TrustIdentity(identity); err != nil {
+		return nil, err
+	}
+	return AttestedPeer(verifier, enclave.Measure(MonitorImage())), nil
+}
+
+// handshake runs the mutual RA-TLS handshake over a raw monitor<->variant
+// connection pair, both ends concurrently. On failure both raw connections
+// are closed.
+func handshake(rawMon, rawVar net.Conn, monEncl, varEncl *enclave.Enclave, verify securechan.VerifyPeer) (securechan.Conn, securechan.Conn, error) {
 	type res struct {
 		c   securechan.Conn
 		err error
@@ -519,12 +496,18 @@ func (d *Deployment) connect(cfg DeployConfig, monEncl, varEncl *enclave.Enclave
 		vCh <- res{c, err}
 	}()
 	mc, err := securechan.Client(rawMon, monEncl, verify)
-	vr := <-vCh
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: monitor handshake: %w", err)
+		_ = rawMon.Close() // unblocks the variant's side
+		err = fmt.Errorf("core: monitor handshake: %w", err)
 	}
-	if vr.err != nil {
-		return nil, nil, fmt.Errorf("core: variant handshake: %w", vr.err)
+	vr := <-vCh
+	if err == nil && vr.err != nil {
+		err = fmt.Errorf("core: variant handshake: %w", vr.err)
+	}
+	if err != nil {
+		_ = rawMon.Close()
+		_ = rawVar.Close()
+		return nil, nil, err
 	}
 	return mc, vr.c, nil
 }
@@ -549,30 +532,9 @@ func (d *Deployment) Infer(inputs map[string]*tensor.Tensor) (monitor.BatchResul
 }
 
 // Stream submits all batches for pipelined execution and collects their
-// results (in completion order).
+// results in completion order (see monitor.Engine.Stream).
 func (d *Deployment) Stream(batches []map[string]*tensor.Tensor) ([]monitor.BatchResult, error) {
-	results := make([]monitor.BatchResult, 0, len(batches))
-	done := make(chan error, 1)
-	go func() {
-		for range batches {
-			r, ok := <-d.Engine.Outputs()
-			if !ok {
-				done <- fmt.Errorf("core: engine output channel closed")
-				return
-			}
-			results = append(results, r)
-		}
-		done <- nil
-	}()
-	for _, in := range batches {
-		if _, err := d.Engine.Submit(in); err != nil {
-			// Drain whatever completes, then report.
-			<-done
-			return results, err
-		}
-	}
-	err := <-done
-	return results, err
+	return d.Engine.Stream(batches)
 }
 
 // BaselineExecutor builds the original-model executor used as the evaluation

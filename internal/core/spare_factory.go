@@ -9,7 +9,6 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/manifest"
 	"repro/internal/monitor"
-	"repro/internal/securechan"
 	"repro/internal/teeos"
 	"repro/internal/variant"
 )
@@ -21,10 +20,9 @@ type SpareFactoryConfig struct {
 	Dir string
 	// SetIdx selects the partition set, matching the monitor's provisioning.
 	SetIdx int
-	// Monitor receives the synthesized spares via AddSpare.
+	// Monitor receives the synthesized spares via AddSpare; its enclave
+	// attests the monitor's side of each in-memory channel.
 	Monitor *monitor.Monitor
-	// MonitorEnclave attests the monitor's side of each in-memory channel.
-	MonitorEnclave *enclave.Enclave
 	// Platform launches the variant enclaves (the bundle's shared simulated
 	// platform, already trusted by Verifier).
 	Platform *enclave.Platform
@@ -35,39 +33,50 @@ type SpareFactoryConfig struct {
 	KeyFor func(entryKey string) ([]byte, bool)
 }
 
+// LaunchDirVariant boots a variant TEE on plat from a saved bundle's public
+// stage-1 material: the init manifest and the measured init binary every
+// variant boots with. The variant then waits for the monitor to assign it a
+// pool entry.
+func LaunchDirVariant(dir string, plat *enclave.Platform) (*enclave.Enclave, *teeos.OS, error) {
+	imb, err := os.ReadFile(filepath.Join(dir, InitManFile))
+	if err != nil {
+		return nil, nil, err
+	}
+	im, err := manifest.Unmarshal(imb)
+	if err != nil {
+		return nil, nil, err
+	}
+	host := teeos.DirFS(dir)
+	initBin, err := host.Get(InitEntrypoint)
+	if err != nil {
+		return nil, nil, err
+	}
+	encl, err := plat.Launch(variantImage(initBin))
+	if err != nil {
+		return nil, nil, err
+	}
+	vos, err := teeos.New(encl, im, host, nil)
+	if err != nil {
+		encl.Destroy()
+		return nil, nil, err
+	}
+	return encl, vos, nil
+}
+
 // DirSpareFactory builds the spare-provisioning hook for process-separated
 // monitors (cmd/mvtee-monitor): each invocation launches a fresh variant TEE
-// in-process from the bundle's init manifest — the exact boot sequence
-// cmd/mvtee-variant performs, minus the TCP socket — connects it to the
-// monitor over an in-memory attested channel, and registers it with AddSpare.
-// The synthesized spare idles in stage-1 bootstrap until a Recover response
-// promotes it into a dead slot. Specs cycle through the partition's spare
-// plan (falling back to its variant plan) so successive spares stay
-// heterogeneous, mirroring Deployment.ProvisionSpare.
+// in process with LaunchDirVariant — the boot sequence cmd/mvtee-variant
+// performs, minus the TCP socket — connects it to the monitor over an
+// in-memory attested channel, and registers it with AddSpare. The
+// synthesized spare idles in stage-1 bootstrap until a Recover response
+// promotes it into a dead slot. The spec choice is nextSpare's, as for
+// Deployment.ProvisionSpare.
 func DirSpareFactory(cfg SpareFactoryConfig) (func(partition int) error, error) {
 	meta, err := LoadMeta(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	imb, err := os.ReadFile(filepath.Join(cfg.Dir, InitManFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: spare factory: %w", err)
-	}
-	im, err := manifest.Unmarshal(imb)
-	if err != nil {
-		return nil, fmt.Errorf("core: spare factory: %w", err)
-	}
-	host := teeos.DirFS(cfg.Dir)
-	initBin, err := host.Get(InitEntrypoint)
-	if err != nil {
-		return nil, fmt.Errorf("core: spare factory: %w", err)
-	}
-	verify := func(r *enclave.Report) error {
-		if r == nil {
-			return fmt.Errorf("core: peer presented no attestation report")
-		}
-		return cfg.Verifier.Verify(r, nil)
-	}
+	verify := AttestedPeer(cfg.Verifier)
 
 	var mu sync.Mutex
 	seq := 0
@@ -76,89 +85,36 @@ func DirSpareFactory(cfg SpareFactoryConfig) (func(partition int) error, error) 
 		if mvx == nil {
 			return fmt.Errorf("core: spare factory: monitor not provisioned")
 		}
-		if partition < 0 {
-			partition = 0
-		}
-		if partition >= len(mvx.Plans) {
-			return fmt.Errorf("core: spare factory: partition %d out of range", partition)
-		}
-		specs := mvx.Plans[partition].Variants
-		if partition < len(mvx.Spares) && len(mvx.Spares[partition].Variants) > 0 {
-			specs = mvx.Spares[partition].Variants
-		}
-		if len(specs) == 0 {
-			return fmt.Errorf("core: spare factory: partition %d has no specs", partition)
-		}
 		mu.Lock()
 		seq++
-		n := seq
+		c, err := nextSpare(mvx, cfg.SetIdx, partition, seq)
 		mu.Unlock()
-		spec := specs[n%len(specs)]
-
-		key := EntryKeyFor(cfg.SetIdx, partition, spec)
+		if err != nil {
+			return err
+		}
+		key := entryKey(c.Entry)
 		kdk, ok := cfg.KeyFor(key)
 		if !ok {
 			return fmt.Errorf("core: spare factory: no pool key for %s", key)
 		}
-		e := Entry{Set: cfg.SetIdx, Partition: partition, Spec: spec}
-
-		encl, err := cfg.Platform.Launch(enclave.Image{
-			Name:         "mvtee-variant",
-			Code:         initBin,
-			InitialPages: 64 << 20,
-		})
+		encl, vos, err := LaunchDirVariant(cfg.Dir, cfg.Platform)
 		if err != nil {
 			return fmt.Errorf("core: spare factory: %w", err)
 		}
-		vos, err := teeos.New(encl, im, host, nil)
-		if err != nil {
-			encl.Destroy()
-			return fmt.Errorf("core: spare factory: %w", err)
-		}
-
 		monRaw, varRaw := bufferedPipe()
-		type hsres struct {
-			c   securechan.Conn
-			err error
-		}
-		vCh := make(chan hsres, 1)
-		go func() {
-			c, err := securechan.Server(varRaw, encl, verify)
-			vCh <- hsres{c, err}
-		}()
-		mc, err := securechan.Client(monRaw, cfg.MonitorEnclave, verify)
-		vr := <-vCh
-		if err != nil || vr.err != nil {
-			if mc != nil {
-				_ = mc.Close()
-			}
-			if vr.c != nil {
-				_ = vr.c.Close()
-			}
+		mc, vc, err := handshake(monRaw, varRaw, cfg.Monitor.Enclave(), encl, verify)
+		if err != nil {
 			encl.Destroy()
-			if err != nil {
-				return fmt.Errorf("core: spare factory handshake: %w", err)
-			}
-			return fmt.Errorf("core: spare factory handshake: %w", vr.err)
+			return fmt.Errorf("core: spare factory: %w", err)
 		}
 		// The variant serves (or idles in bootstrap) until its channel closes:
 		// RetireSpare tears an unclaimed spare down, engine shutdown a
 		// promoted one. The enclave is destroyed when the loop exits.
 		go func() {
-			_ = variant.Run(vr.c, vos, variant.Options{})
+			_ = variant.Run(vc, vos, variant.Options{})
 			encl.Destroy()
 		}()
-
-		cfg.Monitor.AddSpare(mc, monitor.Assignment{
-			VariantID:  fmt.Sprintf("autospare-p%d-%s-%d", partition, spec, n),
-			Partition:  partition,
-			Spec:       spec,
-			KDK:        kdk,
-			Manifest:   e.ManifestPath(),
-			Files:      []string{e.GraphPath(), e.SpecPath()},
-			Entrypoint: e.EntrypointPath(),
-			Evidence:   meta.Evidence[key],
-		})
+		cfg.Monitor.AddSpare(mc, c.Entry.Assignment(c.ID, kdk, meta.Evidence[key]))
 		return nil
 	}, nil
 }

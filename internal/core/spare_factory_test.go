@@ -31,7 +31,7 @@ func TestDirSpareFactoryProvisionsIdleSpare(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Process-separated bring-up, exactly as cmd/mvtee-monitor does it.
+	// Process-separated bring-up, as node.Monitor does it for cmd/mvtee-monitor.
 	meta, err := LoadMeta(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +78,10 @@ func TestDirSpareFactoryProvisionsIdleSpare(t *testing.T) {
 	}
 
 	f, err := DirSpareFactory(SpareFactoryConfig{
-		Dir:            dir,
-		Monitor:        mon,
-		MonitorEnclave: monEncl,
-		Platform:       plat,
-		Verifier:       verifier,
+		Dir:      dir,
+		Monitor:  mon,
+		Platform: plat,
+		Verifier: verifier,
 		KeyFor: func(k string) ([]byte, bool) {
 			kk, ok := keys[k]
 			return []byte(kk), ok

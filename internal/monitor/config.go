@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/check"
 )
@@ -59,6 +60,22 @@ func (r ResponseMode) String() string {
 	default:
 		return fmt.Sprintf("ResponseMode(%d)", int(r))
 	}
+}
+
+// ParsePlans parses per-partition variant claims as written on the command
+// line: partitions separated by ';', the specs of one partition by ','.
+func ParsePlans(s string) []PartitionPlan {
+	var plans []PartitionPlan
+	for _, part := range strings.Split(s, ";") {
+		var p PartitionPlan
+		for _, v := range strings.Split(part, ",") {
+			if v = strings.TrimSpace(v); v != "" {
+				p.Variants = append(p.Variants, v)
+			}
+		}
+		plans = append(plans, p)
+	}
+	return plans
 }
 
 // ParseResponse maps a response-mode name (as accepted on the command line

@@ -701,6 +701,51 @@ func (e *Engine) Infer(inputs map[string]*tensor.Tensor) (BatchResult, error) {
 	}
 }
 
+// Stream submits the batches for pipelined execution and collects one result
+// per submitted batch, in completion order; a failed batch's result carries
+// its Err. If a Submit fails (the engine halted or stopped mid-stream), the
+// batches after it are not submitted, Stream waits only for the ones that
+// were, and returns their results with the Submit error. It also returns
+// once the engine stops. Like Infer, it must be the only consumer of Outputs.
+func (e *Engine) Stream(batches []map[string]*tensor.Tensor) ([]BatchResult, error) {
+	type submitted struct {
+		n   int
+		err error
+	}
+	// Submitting runs beside collecting: Submit blocks at MaxInFlight until
+	// results are consumed.
+	subCh := make(chan submitted, 1)
+	go func() {
+		for i, in := range batches {
+			if _, err := e.Submit(in); err != nil {
+				subCh <- submitted{i, err}
+				return
+			}
+		}
+		subCh <- submitted{len(batches), nil}
+	}()
+	results := make([]BatchResult, 0, len(batches))
+	want := -1
+	var err error
+	for want < 0 || len(results) < want {
+		select {
+		case s := <-subCh:
+			want, err = s.n, s.err
+		case r := <-e.outCh:
+			results = append(results, r)
+		case <-e.ctx.Done():
+			if want < 0 {
+				err = (<-subCh).err // Submit returns at once on a stopped engine
+			}
+			if err == nil {
+				err = ErrEngineStopped
+			}
+			return results, err
+		}
+	}
+	return results, err
+}
+
 // --- router --------------------------------------------------------------------
 
 type batchState struct {

@@ -694,3 +694,44 @@ func TestNoMajorityFailsBatchWithoutHalting(t *testing.T) {
 		t.Fatal("second split batch unexpectedly succeeded")
 	}
 }
+
+// TestStreamReturnsWhenEngineStops stops the engine under a stream: Stream
+// must return the results it collected and ErrEngineStopped, not wait for
+// the batches the stopped engine will never deliver.
+func TestStreamReturnsWhenEngineStops(t *testing.T) {
+	slow := &fakeVariant{id: "slow", behave: doubler(0), delay: 20 * time.Millisecond}
+	e := buildEngine(t, EngineConfig{
+		GraphInputs:  []string{"x"},
+		GraphOutputs: []string{"y"},
+		Stages: []StageSpec{
+			{Inputs: []string{"x"}, Outputs: []string{"y"}, Handles: []*Handle{slow.start(t, 0)}},
+		},
+		MaxInFlight: 2,
+	})
+	batches := make([]map[string]*tensor.Tensor, 50)
+	for i := range batches {
+		batches[i] = input(float32(i))
+	}
+	type streamed struct {
+		n   int
+		err error
+	}
+	done := make(chan streamed, 1)
+	go func() {
+		results, err := e.Stream(batches)
+		done <- streamed{len(results), err}
+	}()
+	time.Sleep(100 * time.Millisecond)
+	e.StopKeepVariants()
+	select {
+	case got := <-done:
+		if !errors.Is(got.err, ErrEngineStopped) {
+			t.Fatalf("Stream error %v, want ErrEngineStopped", got.err)
+		}
+		if got.n >= len(batches) {
+			t.Fatalf("%d results from a stream stopped early", got.n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stream still blocked 5s after the engine stopped")
+	}
+}

@@ -12,10 +12,11 @@ go test -race ./...
 
 # The GEMM kernels, the conv lowering over them, the serving scheduler's
 # submit/demux hand-off, the transcript recorder's post/Close, the cluster
-# router's failover, the engine's submit path and the record layer's
-# concurrent sender and receiver must hold at every core count: run them at
+# router's failover, the engine's submit path, the daemon assembly's
+# bring-up and teardown and the record layer's concurrent sender and
+# receiver must hold at every core count: run them at
 # GOMAXPROCS 1, 2 and 4.
-go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/securechan ./internal/wire
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/node ./internal/securechan ./internal/wire
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement), the lock-free telemetry core, the adaptive
