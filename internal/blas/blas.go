@@ -69,15 +69,6 @@ func ParallelGemm(be Backend, r Ranger, m, n, k int, a, b, c []float32) {
 	be.Gemm(m, n, k, a, b, c)
 }
 
-// runRange dispatches to r, or runs sequentially when r is nil.
-func runRange(r Ranger, n int, f func(lo, hi int)) {
-	if r == nil {
-		f(0, n)
-		return
-	}
-	r.RunRange(n, f)
-}
-
 // Kind selects one of the built-in backends.
 type Kind int
 
@@ -146,42 +137,53 @@ func (be naiveBackend) Gemm(m, n, k int, a, b, c []float32) {
 	be.gemmPanels(nil, m, n, k, a, b, c)
 }
 
-// gemmPanels streams one C row at a time in ikj order: zero the row, then add
-// a[i,p]·B[p,:] into it for ascending p. The p loop is unrolled by four, so
-// each C element is loaded and stored once per four products; the sum still
-// runs left to right in ascending p. Deliberately unblocked and unpacked.
+// gemmPanels runs naiveRows over all of C, split across r when r is not nil.
+// The closure exists only on the branch that hands work to r: escape
+// analysis is flow-insensitive, so a closure passed to r on any path would
+// be heap-allocated on every call.
 func (naiveBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
-	runRange(r, m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : i*n+n]
-			for x := range ci {
-				ci[x] = 0
-			}
-			ai := a[i*k : i*k+k]
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-				b0 := b[p*n : p*n+n]
-				b1 := b[(p+1)*n : (p+1)*n+n]
-				b2 := b[(p+2)*n : (p+2)*n+n]
-				b3 := b[(p+3)*n : (p+3)*n+n]
-				b0 = b0[:len(ci)]
-				b1 = b1[:len(ci)]
-				b2 = b2[:len(ci)]
-				b3 = b3[:len(ci)]
-				for j, cv := range ci {
-					ci[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := ai[p]
-				bp := b[p*n : p*n+n]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
+	if r == nil {
+		naiveRows(0, m, n, k, a, b, c)
+		return
+	}
+	r.RunRange(m, func(lo, hi int) { naiveRows(lo, hi, n, k, a, b, c) })
+}
+
+// naiveRows streams C rows [lo,hi) one at a time in ikj order: zero the row,
+// then add a[i,p]·B[p,:] into it for ascending p. The p loop is unrolled by
+// four, so each C element is loaded and stored once per four products; the
+// sum still runs left to right in ascending p. Deliberately unblocked and
+// unpacked.
+func naiveRows(lo, hi, n, k int, a, b, c []float32) {
+	for i := lo; i < hi; i++ {
+		ci := c[i*n : i*n+n]
+		for x := range ci {
+			ci[x] = 0
+		}
+		ai := a[i*k : i*k+k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+			b0 := b[p*n : p*n+n]
+			b1 := b[(p+1)*n : (p+1)*n+n]
+			b2 := b[(p+2)*n : (p+2)*n+n]
+			b3 := b[(p+3)*n : (p+3)*n+n]
+			b0 = b0[:len(ci)]
+			b1 = b1[:len(ci)]
+			b2 = b2[:len(ci)]
+			b3 = b3[:len(ci)]
+			for j, cv := range ci {
+				ci[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
 		}
-	})
+		for ; p < k; p++ {
+			av := ai[p]
+			bp := b[p*n : p*n+n]
+			for j, bv := range bp {
+				ci[j] += av * bv
+			}
+		}
+	}
 }
 
 // --- blocked ------------------------------------------------------------------
@@ -203,62 +205,71 @@ func (be blockedBackend) Gemm(m, n, k int, a, b, c []float32) {
 	be.gemmPanels(nil, m, n, k, a, b, c)
 }
 
-// gemmPanels is the cache-tiled backend. For every k-block it copies each
-// 4-column strip of B once into a stack buffer interleaved as [p][4], then
-// sweeps the panel's rows: 4×4 tiles through blockedTile4x4 (the SSE
-// micro-kernel on amd64), the leftover rows through the 1×4 Go tile over the
-// same strip. The n%4 tail columns go through a 4×1 register tile
-// that reads B in place. Every tile starts each k-block's partial sums at 0,
-// accumulates them in ascending p and adds them into the zeroed C in k-block
-// order, so every output element gets the same arithmetic whichever tile or
-// row panel computes it, and results are bitwise identical at every
-// parallelism level. Products are rounded explicitly (float32(x*y)) so no
-// GOARCH or GOAMD64 level fuses them into FMAs the SSE kernel does not do.
+// gemmPanels runs blockedRows over all of C in 4-row tiles, split across r
+// when r is not nil (see naiveBackend.gemmPanels for why the closure lives
+// on that branch alone).
 func (blockedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
-	runRange(r, (m+3)/4, func(tlo, thi int) {
-		lo, hi := tlo*4, min(thi*4, m)
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : i*n+n]
-			for x := range ci {
-				ci[x] = 0
+	if r == nil {
+		blockedRows(0, m, n, k, a, b, c)
+		return
+	}
+	r.RunRange((m+3)/4, func(tlo, thi int) { blockedRows(tlo*4, min(thi*4, m), n, k, a, b, c) })
+}
+
+// blockedRows is the cache-tiled backend over C rows [lo,hi). For every
+// k-block it copies each 4-column strip of B once into a stack buffer
+// interleaved as [p][4], then sweeps the panel's rows: 4×4 tiles through
+// blockedTile4x4 (the SSE micro-kernel on amd64), the leftover rows through
+// the 1×4 Go tile over the same strip. The n%4 tail columns go through a 4×1
+// register tile that reads B in place. Every tile starts each k-block's
+// partial sums at 0, accumulates them in ascending p and adds them into the
+// zeroed C in k-block order, so every output element gets the same
+// arithmetic whichever tile or row panel computes it, and results are
+// bitwise identical at every parallelism level. Products are rounded
+// explicitly (float32(x*y)) so no GOARCH or GOAMD64 level fuses them into
+// FMAs the SSE kernel does not do.
+func blockedRows(lo, hi, n, k int, a, b, c []float32) {
+	for i := lo; i < hi; i++ {
+		ci := c[i*n : i*n+n]
+		for x := range ci {
+			ci[x] = 0
+		}
+	}
+	var buf [blockK * 4]float32
+	nAlign := n &^ 3
+	for m0 := lo; m0 < hi; m0 += panelM {
+		m1 := min(m0+panelM, hi)
+		for p0 := 0; p0 < k; p0 += blockK {
+			pMax := min(p0+blockK, k)
+			s := buf[:(pMax-p0)*4]
+			for j := 0; j < nAlign; j += 4 {
+				for p := p0; p < pMax; p++ {
+					copy(s[(p-p0)*4:(p-p0)*4+4], b[p*n+j:p*n+j+4])
+				}
+				i := m0
+				for ; i+4 <= m1; i += 4 {
+					blockedTile4x4(a[i*k+p0:], k, s, c[i*n+j:], n)
+				}
+				for ; i < m1; i++ {
+					blockedTile1x4(a[i*k+p0:i*k+pMax], s, c[i*n+j:i*n+j+4])
+				}
+			}
+			for j := nAlign; j < n; j++ {
+				i := m0
+				for ; i+4 <= m1; i += 4 {
+					blockedTile4x1(a[i*k+p0:], k, pMax-p0, b[p0*n+j:], n, c[i*n+j:])
+				}
+				for ; i < m1; i++ {
+					ai := a[i*k+p0 : i*k+pMax]
+					var s0 float32
+					for p, av := range ai {
+						s0 += float32(av * b[(p0+p)*n+j])
+					}
+					c[i*n+j] += s0
+				}
 			}
 		}
-		var buf [blockK * 4]float32
-		nAlign := n &^ 3
-		for m0 := lo; m0 < hi; m0 += panelM {
-			m1 := min(m0+panelM, hi)
-			for p0 := 0; p0 < k; p0 += blockK {
-				pMax := min(p0+blockK, k)
-				s := buf[:(pMax-p0)*4]
-				for j := 0; j < nAlign; j += 4 {
-					for p := p0; p < pMax; p++ {
-						copy(s[(p-p0)*4:(p-p0)*4+4], b[p*n+j:p*n+j+4])
-					}
-					i := m0
-					for ; i+4 <= m1; i += 4 {
-						blockedTile4x4(a[i*k+p0:], k, s, c[i*n+j:], n)
-					}
-					for ; i < m1; i++ {
-						blockedTile1x4(a[i*k+p0:i*k+pMax], s, c[i*n+j:i*n+j+4])
-					}
-				}
-				for j := nAlign; j < n; j++ {
-					i := m0
-					for ; i+4 <= m1; i += 4 {
-						blockedTile4x1(a[i*k+p0:], k, pMax-p0, b[p0*n+j:], n, c[i*n+j:])
-					}
-					for ; i < m1; i++ {
-						ai := a[i*k+p0 : i*k+pMax]
-						var s0 float32
-						for p, av := range ai {
-							s0 += float32(av * b[(p0+p)*n+j])
-						}
-						c[i*n+j] += s0
-					}
-				}
-			}
-		}
-	})
+	}
 }
 
 // blockedTile4x4Go adds the k-block partial sums of the 4×4 C tile at c (row
@@ -388,7 +399,9 @@ func (be packedBackend) Gemm(m, n, k int, a, b, c []float32) {
 // contiguous packed panels — k is the innermost loop over the entire inner
 // dimension, the opposite traversal of the other two backends. Every output
 // element is one straight ascending-p dot product in every code path, so
-// results are bitwise identical at every parallelism level.
+// results are bitwise identical at every parallelism level. Row pairs are
+// split across r when r is not nil (see naiveBackend.gemmPanels for why the
+// closure lives on that branch alone).
 func (packedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 	btp := getPacked(k * n)
 	bt := *btp
@@ -398,29 +411,33 @@ func (packedBackend) gemmPanels(r Ranger, m, n, k int, a, b, c []float32) {
 			bt[j*k+p] = bv
 		}
 	}
-	runRange(r, (m+1)/2, func(tlo, thi int) {
-		lo, hi := tlo*2, thi*2
-		if hi > m {
-			hi = m
-		}
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			packedRows2(i, n, k, a, bt, c)
-		}
-		if i < hi {
-			ai := a[i*k : i*k+k]
-			for j := 0; j < n; j++ {
-				bj := bt[j*k : j*k+k]
-				bj = bj[:len(ai)]
-				var s float32
-				for p := range ai {
-					s += ai[p] * bj[p]
-				}
-				c[i*n+j] = s
-			}
-		}
-	})
+	if r == nil {
+		packedRows(0, m, n, k, a, bt, c)
+	} else {
+		r.RunRange((m+1)/2, func(tlo, thi int) { packedRows(tlo*2, min(thi*2, m), n, k, a, bt, c) })
+	}
 	btPool.Put(btp)
+}
+
+// packedRows fills C rows [lo,hi) from the packed B: row pairs through
+// packedRows2, an odd last row as plain dot products.
+func packedRows(lo, hi, n, k int, a, bt, c []float32) {
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		packedRows2(i, n, k, a, bt, c)
+	}
+	if i < hi {
+		ai := a[i*k : i*k+k]
+		for j := 0; j < n; j++ {
+			bj := bt[j*k : j*k+k]
+			bj = bj[:len(ai)]
+			var s float32
+			for p := range ai {
+				s += ai[p] * bj[p]
+			}
+			c[i*n+j] = s
+		}
+	}
 }
 
 // packedRows2 fills C[i:i+2, :] with 2×4 dot-product tiles over packed B.

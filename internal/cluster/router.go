@@ -492,9 +492,19 @@ func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 		return err
 	}
 	if pb.trace != 0 {
+		// The leader cannot answer before the batch has left the router, so
+		// an answer already in bounds the send. Without the bound the span
+		// would end when this goroutine next ran, which on a busy host is
+		// after the leader answered and route closed.
+		end := time.Now()
+		r.mu.Lock()
+		if pb.res != nil && pb.resAt.Before(end) {
+			end = pb.resAt
+		}
+		r.mu.Unlock()
 		r.tracer.Record(telemetry.Span{
 			Trace: pb.trace, Batch: pb.id, Name: "dispatch", Stage: -1,
-			Start: start.UnixNano(), End: time.Now().UnixNano(),
+			Start: start.UnixNano(), End: end.UnixNano(),
 		})
 	}
 	verify := r.cfg.Mode == DigestForward

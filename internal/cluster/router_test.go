@@ -178,6 +178,60 @@ func TestRouterDeliversLeaderResult(t *testing.T) {
 	}
 }
 
+// answeringReplica is a fakeReplica whose submit answers the batch at once
+// and returns only after the router has delivered that answer: the schedule
+// in which the dispatch goroutine runs again only after the leader answered
+// and the route span closed.
+type answeringReplica struct {
+	*fakeReplica
+	delivered chan struct{}
+}
+
+func (a *answeringReplica) submit(rid, trace uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error) {
+	a.post(replicaEvent{res: &monitor.BatchResult{ID: rid, Tensors: testOutputs(1)}})
+	<-a.delivered
+	return a.fakeReplica.submit(rid, trace, enc, inputs, verify)
+}
+
+// TestRouterDispatchSpanEndsByLeaderAnswer pins span nesting: the router's
+// dispatch span lies inside its route span even when the leader's send
+// returns after the answer was delivered.
+func TestRouterDispatchSpanEndsByLeaderAnswer(t *testing.T) {
+	f := &answeringReplica{fakeReplica: newFake("a"), delivered: make(chan struct{})}
+	tr := telemetry.NewTracer(64)
+	r, err := NewRouter(RouterConfig{Replicas: []Replica{f}, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	id, err := r.Submit(testInputs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := readRow(t, r); row.ID != id || row.Err != nil {
+		t.Fatalf("row = %+v, want id %d", row, id)
+	}
+	close(f.delivered)
+	var route, dispatch telemetry.Span
+	waitUntil(t, "route and dispatch spans", func() bool {
+		for _, s := range tr.Snapshot() {
+			switch {
+			case s.Batch != id:
+			case s.Name == "route":
+				route = s
+			case s.Name == "dispatch":
+				dispatch = s
+			}
+		}
+		return route.End != 0 && dispatch.End != 0
+	})
+	if dispatch.Trace != route.Trace || dispatch.Start < route.Start || dispatch.End > route.End {
+		t.Fatalf("dispatch span [%d, %d] of trace %x not inside route span [%d, %d] of trace %x",
+			dispatch.Start, dispatch.End, dispatch.Trace, route.Start, route.End, route.Trace)
+	}
+}
+
 func TestRouterSyncDigestAgreeAndDissent(t *testing.T) {
 	for _, dissent := range []bool{false, true} {
 		name := "agree"

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/models"
@@ -226,4 +227,60 @@ func TestPresetSpecsAreValid(t *testing.T) {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
+}
+
+// lowered hides a backend's depthwise loop and row-panel GEMM behind the plain
+// Backend interface, so every convolution takes the per-channel im2col +
+// Gemm lowering: the reference path.
+type lowered struct{ blas.Backend }
+
+// TestDepthwiseModelsMatchIm2ColLowering runs the zoo's depthwise models
+// under every real-setup recipe at 1, 2 and 4 workers and checks their
+// outputs bit for bit against the same recipe on the reference path.
+func TestDepthwiseModelsMatchIm2ColLowering(t *testing.T) {
+	for _, name := range []string{"mobilenetv3", "mnasnet"} {
+		g := models.MustBuild(name, models.Config{BatchSize: 2})
+		x := tensor.New(g.Inputs[0].Shape...)
+		for i := range x.Data() {
+			x.Data()[i] = float32(math.Sin(float64(i)))
+		}
+		in := map[string]*tensor.Tensor{g.Inputs[0].Name: x}
+		for _, s := range RealSetupSpecs() {
+			vg, err := Apply(s, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 2, 4} {
+				s.Parallelism = par
+				cfg, err := s.RuntimeConfig()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := runOutputs(t, vg, cfg, in)
+				cfg.BLASWrapper = func(b blas.Backend) blas.Backend { return lowered{b} }
+				want := runOutputs(t, vg, cfg, in)
+				for k, w := range want {
+					for i, v := range got[k].Data() {
+						if math.Float32bits(v) != math.Float32bits(w.Data()[i]) {
+							t.Fatalf("%s/%s/par=%d: %s[%d] = %x, reference %x", name, s.Name, par, k, i,
+								math.Float32bits(v), math.Float32bits(w.Data()[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func runOutputs(t *testing.T, g *graph.Graph, cfg infer.Config, in map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+	t.Helper()
+	ex, err := infer.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ex.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/models"
+	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -231,5 +232,58 @@ func TestDelayFault(t *testing.T) {
 	cfg := Arm(infer.Config{}, inj)
 	if cfg.KernelWrapper == nil {
 		t.Fatal("delay fault did not install a kernel wrapper")
+	}
+}
+
+// countingBLAS forwards to inner and counts the Gemm calls it receives.
+type countingBLAS struct {
+	inner blas.Backend
+	calls *int
+}
+
+func (c countingBLAS) Name() string { return c.inner.Name() }
+func (c countingBLAS) Gemm(m, n, k int, a, b, cc []float32) {
+	*c.calls++
+	c.inner.Gemm(m, n, k, a, b, cc)
+}
+
+// TestCodeBitFlipSeesEveryDepthwiseChannel pins how far a BLAS code fault
+// reaches: the faulty library has no depthwise loop of its own, so its Gemm
+// still runs once per (batch, group) slab of every im2col convolution —
+// once per channel of a depthwise one — and once per Gemm node.
+func TestCodeBitFlipSeesEveryDepthwiseChannel(t *testing.T) {
+	var calls, want, depthwise int
+	cfg := infer.Config{
+		BLAS: blas.Naive, ConvAlgo: ops.ConvIm2Col,
+		BLASWrapper: func(b blas.Backend) blas.Backend { return countingBLAS{b, &calls} },
+		KernelWrapper: func(_ string, k ops.Kernel) ops.Kernel {
+			return func(ctx *ops.Context, n *graph.Node, ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
+				switch n.Op {
+				case graph.OpDepthwiseConv:
+					want += ins[0].Dim(0) * ins[0].Dim(1)
+					depthwise++
+				case graph.OpConv, graph.OpConvRelu, graph.OpConvBNRelu:
+					want += ins[0].Dim(0) * n.Int("group", 1)
+				case graph.OpGemm, graph.OpMatMul:
+					want++
+				}
+				return k(ctx, n, ins)
+			}
+		},
+	}
+	clean, err := runModel(t, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, want, depthwise = 0, 0, 0
+	out, err := runModel(t, Arm(cfg, Injection{Class: CodeBitFlip, TargetBLAS: blas.Naive, Seed: 4}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depthwise == 0 || calls != want {
+		t.Fatalf("faulty Gemm ran %d times over %d depthwise convs, want %d", calls, depthwise, want)
+	}
+	if maxAbs(out["logits"], clean["logits"]) == 0 {
+		t.Fatal("the fault had no effect")
 	}
 }

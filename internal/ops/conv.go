@@ -95,23 +95,66 @@ func applyFusedActivation(out *tensor.Tensor, p convParams) {
 	}
 }
 
-// convDirect is the straightforward nested-loop convolution.
-func convDirect(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) *tensor.Tensor {
+// convJob is one convolution call: operands, geometry and the per-algorithm
+// state its range bodies read. The bodies cover a range of output slabs, so
+// a sequential context calls them directly. A parallel one hands a copy of
+// the job to its pool inside a closure built on that branch alone: escape
+// analysis is flow-insensitive, so a closure that captured the job itself
+// would move it to the heap on every call.
+type convJob struct {
+	xd, wd, od, bias     []float32
+	p                    convParams
+	hin, win, hout, wout int
+
+	// im2col: the BLAS backend, the ranger its GEMMs split rows over (set
+	// when there is a single (batch, group) slab), and whether the conv is
+	// depthwise on a backend with a depthwise loop of its own.
+	be        blas.Backend
+	ranger    blas.Ranger
+	depthwise bool
+
+	// winograd: the transformed 4×4 filters, one per (oc, ic).
+	u []float32
+}
+
+func newConvJob(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) (convJob, *tensor.Tensor) {
 	nb, hin, win := x.Dim(0), x.Dim(2), x.Dim(3)
 	hout := convOutDim(hin, p.kh, p.stride, p.pad)
 	wout := convOutDim(win, p.kw, p.stride, p.pad)
 	out := ctx.NewTensorUninit(nb, p.cout, hout, wout)
-	xd, wd, od := x.Data(), w.Data(), out.Data()
+	return convJob{
+		xd: x.Data(), wd: w.Data(), od: out.Data(), bias: bias, p: p,
+		hin: hin, win: win, hout: hout, wout: wout,
+	}, out
+}
+
+// convDirect is the straightforward nested-loop convolution.
+func convDirect(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) *tensor.Tensor {
+	j, out := newConvJob(ctx, x, w, bias, p)
+	n := x.Dim(0) * p.cout
+	if pool := ctx.workers(); pool != nil {
+		jc := j
+		pool.RunRange(n, func(lo, hi int) { jc.direct(lo, hi) })
+	} else {
+		j.direct(0, n)
+	}
+	return out
+}
+
+// direct computes the (batch, output channel) planes [lo,hi).
+func (j *convJob) direct(lo, hi int) {
+	p := &j.p
+	hin, win, hout, wout := j.hin, j.win, j.hout, j.wout
+	xd, wd, od := j.xd, j.wd, j.od
 	cinG := p.cin / p.group
 	coutG := p.cout / p.group
-
-	ctx.parallelFor(nb*p.cout, func(idx int) {
+	for idx := lo; idx < hi; idx++ {
 		b, oc := idx/p.cout, idx%p.cout
 		g := oc / coutG
 		icBase := g * cinG
 		var bv float32
-		if bias != nil {
-			bv = bias[oc]
+		if j.bias != nil {
+			bv = j.bias[oc]
 		}
 		for oh := 0; oh < hout; oh++ {
 			ihBase := oh*p.stride - p.pad
@@ -138,8 +181,7 @@ func convDirect(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams)
 				od[((b*p.cout+oc)*hout+oh)*wout+ow] = acc
 			}
 		}
-	})
-	return out
+	}
 }
 
 // convIm2Col lowers convolution to GEMM via an im2col buffer, routing the
@@ -148,47 +190,87 @@ func convDirect(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams)
 // backend) propagates through. The GEMM writes each (batch, group) slab of
 // the output directly; one pass over the slab then adds the bias and applies
 // the fused activation, act(gemm + bias). A pointwise conv (1×1, stride 1,
-// pad 0) needs no im2col: its input channel slab already is the B matrix.
+// pad 0) needs no im2col: its input channel slab already is the B matrix. A
+// depthwise conv on a built-in backend runs that backend's own depthwise
+// loop over each channel plane (blas.DepthwiseConv), which computes what its
+// 1-row GEMM over the plane's im2col patch would, without the patch; a
+// wrapped backend keeps the per-channel im2col + GEMM lowering.
 func convIm2Col(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) *tensor.Tensor {
-	nb, hin, win := x.Dim(0), x.Dim(2), x.Dim(3)
-	hout := convOutDim(hin, p.kh, p.stride, p.pad)
-	wout := convOutDim(win, p.kw, p.stride, p.pad)
-	out := ctx.NewTensorUninit(nb, p.cout, hout, wout)
-	xd, wd, od := x.Data(), w.Data(), out.Data()
+	j, out := newConvJob(ctx, x, w, bias, p)
+	j.be = ctx.blas()
+	j.depthwise = p.group == p.cin && p.cout == p.cin && blas.HasDepthwise(j.be, j.plane())
+	n := x.Dim(0) * p.group
+	switch pool := ctx.workers(); {
+	case pool == nil:
+		j.im2col(0, n)
+	case n == 1:
+		// A single (batch, group) slab — the common single-image inference
+		// case — parallelizes inside the GEMM instead.
+		j.ranger = pool
+		j.im2col(0, 1)
+	default:
+		jc := j
+		pool.RunRange(n, func(lo, hi int) { jc.im2col(lo, hi) })
+	}
+	return out
+}
+
+// plane is the conv's geometry on one channel.
+func (j *convJob) plane() blas.Plane {
+	return blas.Plane{H: j.hin, W: j.win, KH: j.p.kh, KW: j.p.kw, Stride: j.p.stride, Pad: j.p.pad, OH: j.hout, OW: j.wout}
+}
+
+// im2col computes the (batch, group) slabs [lo,hi) of the output.
+func (j *convJob) im2col(lo, hi int) {
+	p := &j.p
+	hw := j.hin * j.win
+	spatial := j.hout * j.wout
+	if j.depthwise {
+		// group == cin == cout: slab idx is input and output plane idx and
+		// reads filter idx%cin. One call covers the run of planes up to the
+		// end of the range or of the image, whichever comes first.
+		taps := p.kh * p.kw
+		g := j.plane()
+		for idx := lo; idx < hi; {
+			c := idx % p.cin
+			n := min(hi-idx, p.cin-c)
+			blas.DepthwiseConv(j.be, g, n, j.xd[idx*hw:(idx+n)*hw], j.wd[c*taps:(c+n)*taps], j.od[idx*spatial:(idx+n)*spatial])
+			for i := 0; i < n; i++ {
+				var bv float32
+				if j.bias != nil {
+					bv = j.bias[c+i]
+				}
+				biasActivate(j.od[(idx+i)*spatial:(idx+i+1)*spatial], bv, *p)
+			}
+			idx += n
+		}
+		return
+	}
 	cinG := p.cin / p.group
 	coutG := p.cout / p.group
-	be := ctx.blas()
-
 	k := cinG * p.kh * p.kw
-	spatial := hout * wout
 	pointwise := p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0
-	// When the outer (batch, group) loop is trivial — the common single-image
-	// inference case — parallelize inside the GEMM instead.
-	var gemmRanger blas.Ranger
-	if nb*p.group == 1 {
-		gemmRanger = ctx.ranger()
-	}
-	ctx.parallelFor(nb*p.group, func(idx int) {
+	for idx := lo; idx < hi; idx++ {
 		b, g := idx/p.group, idx%p.group
-		xg := xd[(b*p.cin+g*cinG)*hin*win:]
-		dst := od[(b*p.cout+g*coutG)*spatial : (b*p.cout+(g+1)*coutG)*spatial]
+		xg := j.xd[(b*p.cin+g*cinG)*hw:]
+		wg := j.wd[g*coutG*k : (g+1)*coutG*k]
+		dst := j.od[(b*p.cout+g*coutG)*spatial : (b*p.cout+(g+1)*coutG)*spatial]
 		if pointwise {
-			blas.ParallelGemm(be, gemmRanger, coutG, spatial, k, wd[g*coutG*k:(g+1)*coutG*k], xg[:k*spatial], dst)
+			blas.ParallelGemm(j.be, j.ranger, coutG, spatial, k, wg, xg[:k*spatial], dst)
 		} else {
 			colBuf := getScratch(k * spatial)
-			im2col(*colBuf, xg, hin, win, hout, wout, cinG, p)
-			blas.ParallelGemm(be, gemmRanger, coutG, spatial, k, wd[g*coutG*k:(g+1)*coutG*k], *colBuf, dst)
+			im2col(*colBuf, xg, j.hin, j.win, j.hout, j.wout, cinG, *p)
+			blas.ParallelGemm(j.be, j.ranger, coutG, spatial, k, wg, *colBuf, dst)
 			putScratch(colBuf)
 		}
 		for oc := 0; oc < coutG; oc++ {
 			var bv float32
-			if bias != nil {
-				bv = bias[g*coutG+oc]
+			if j.bias != nil {
+				bv = j.bias[g*coutG+oc]
 			}
-			biasActivate(dst[oc*spatial:(oc+1)*spatial], bv, p)
+			biasActivate(dst[oc*spatial:(oc+1)*spatial], bv, *p)
 		}
-	})
-	return out
+	}
 }
 
 // im2col fills col with the patches of the cinG input channels at xg.
@@ -267,11 +349,32 @@ func poolKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor, isMax bool
 	hout := convOutDim(hin, k, stride, pad)
 	wout := convOutDim(win, k, stride, pad)
 	out := ctx.NewTensorUninit(nb, c, hout, wout)
-	xd, od := x.Data(), out.Data()
+	j := poolJob{xd: x.Data(), od: out.Data(), isMax: isMax, k: k, stride: stride, pad: pad,
+		hin: hin, win: win, hout: hout, wout: wout}
+	if pool := ctx.workers(); pool != nil {
+		jc := j // the closure's copy, as in convJob
+		pool.RunRange(nb*c, func(lo, hi int) { jc.run(lo, hi) })
+	} else {
+		j.run(0, nb*c)
+	}
+	return []*tensor.Tensor{out}, nil
+}
 
-	ctx.parallelFor(nb*c, func(idx int) {
-		xc := xd[idx*hin*win:]
-		oc := od[idx*hout*wout:]
+// poolJob is one max/avg pooling call; run covers a range of planes.
+type poolJob struct {
+	xd, od               []float32
+	isMax                bool
+	k, stride, pad       int
+	hin, win, hout, wout int
+}
+
+// run pools the (batch, channel) planes [lo,hi).
+func (j *poolJob) run(lo, hi int) {
+	k, stride, pad := j.k, j.stride, j.pad
+	hin, win, hout, wout := j.hin, j.win, j.hout, j.wout
+	for idx := lo; idx < hi; idx++ {
+		xc := j.xd[idx*hin*win:]
+		oc := j.od[idx*hout*wout:]
 		for oh := 0; oh < hout; oh++ {
 			for ow := 0; ow < wout; ow++ {
 				var acc float32
@@ -288,7 +391,7 @@ func poolKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor, isMax bool
 							continue
 						}
 						v := xc[ih*win+iw]
-						if isMax {
+						if j.isMax {
 							if first || v > acc {
 								acc = v
 							}
@@ -299,14 +402,13 @@ func poolKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor, isMax bool
 						}
 					}
 				}
-				if !isMax && count > 0 {
+				if !j.isMax && count > 0 {
 					acc /= float32(count)
 				}
 				oc[oh*wout+ow] = acc
 			}
 		}
-	})
-	return []*tensor.Tensor{out}, nil
+	}
 }
 
 func globalAvgPoolKernel(ctx *Context, _ *graph.Node, inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
@@ -320,15 +422,25 @@ func globalAvgPoolKernel(ctx *Context, _ *graph.Node, inputs []*tensor.Tensor) (
 	nb, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := ctx.NewTensorUninit(nb, c, 1, 1)
 	xd, od := x.Data(), out.Data()
-	area := float32(h * w)
-	ctx.parallelFor(nb*c, func(idx int) {
+	if pool := ctx.workers(); pool != nil {
+		pool.RunRange(nb*c, func(lo, hi int) { meanPlanes(xd, od, h*w, lo, hi) })
+	} else {
+		meanPlanes(xd, od, h*w, 0, nb*c)
+	}
+	return []*tensor.Tensor{out}, nil
+}
+
+// meanPlanes sets od[i] to the mean of the i-th size-element plane of xd for
+// i in [lo,hi).
+func meanPlanes(xd, od []float32, size, lo, hi int) {
+	area := float32(size)
+	for idx := lo; idx < hi; idx++ {
 		var s float32
-		for _, v := range xd[idx*h*w : (idx+1)*h*w] {
+		for _, v := range xd[idx*size : (idx+1)*size] {
 			s += v
 		}
 		od[idx] = s / area
-	})
-	return []*tensor.Tensor{out}, nil
+	}
 }
 
 func padKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {

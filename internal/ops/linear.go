@@ -81,16 +81,27 @@ func batchNormKernel(ctx *Context, n *graph.Node, inputs []*tensor.Tensor) ([]*t
 		av[i] = a
 		bv[i] = bd[i] - a*md[i]
 	}
-	ctx.parallelFor(nb*c, func(idx int) {
+	if pool := ctx.workers(); pool != nil {
+		pool.RunRange(nb*c, func(lo, hi int) { scaleShift(od, av, bv, spatial, lo, hi) })
+	} else {
+		scaleShift(od, av, bv, spatial, 0, nb*c)
+	}
+	putScratch(abBuf)
+	return []*tensor.Tensor{out}, nil
+}
+
+// scaleShift applies seg = a·seg + b to the spatial-element planes [lo,hi)
+// of od, plane idx taking channel idx%len(av)'s coefficients.
+func scaleShift(od, av, bv []float32, spatial, lo, hi int) {
+	c := len(av)
+	for idx := lo; idx < hi; idx++ {
 		ch := idx % c
 		a, b := av[ch], bv[ch]
 		seg := od[idx*spatial : (idx+1)*spatial]
 		for i, v := range seg {
 			seg[i] = a*v + b
 		}
-	})
-	putScratch(abBuf)
-	return []*tensor.Tensor{out}, nil
+	}
 }
 
 func softmaxKernel(ctx *Context, _ *graph.Node, inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {

@@ -93,11 +93,6 @@ func (c *Context) workers() *workpool.Pool {
 	return c.pool
 }
 
-// parallelFor runs f(i) for i in [0,n) on the context's worker pool.
-func (c *Context) parallelFor(n int, f func(i int)) {
-	c.workers().Run(n, f)
-}
-
 // ranger exposes the worker pool to BLAS panel execution; nil means
 // sequential.
 func (c *Context) ranger() blas.Ranger {

@@ -18,34 +18,46 @@ func winogradApplicable(p convParams) bool {
 
 // convWinograd computes the convolution via F(2x2,3x3) tile transforms.
 func convWinograd(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParams) *tensor.Tensor {
-	nb, hin, win := x.Dim(0), x.Dim(2), x.Dim(3)
-	hout := convOutDim(hin, 3, 1, p.pad)
-	wout := convOutDim(win, 3, 1, p.pad)
-	out := ctx.NewTensorUninit(nb, p.cout, hout, wout)
-	xd, wd, od := x.Data(), w.Data(), out.Data()
+	j, out := newConvJob(ctx, x, w, bias, p)
 
 	// Precompute U = G·g·Gᵀ for every (oc, ic) filter: 4×4 transformed
 	// filters.
 	uBuf := getScratch(p.cout * p.cin * 16)
-	u := *uBuf
+	j.u = *uBuf
 	for oc := 0; oc < p.cout; oc++ {
 		for ic := 0; ic < p.cin; ic++ {
-			g := wd[(oc*p.cin+ic)*9 : (oc*p.cin+ic)*9+9]
-			transformFilter(g, u[(oc*p.cin+ic)*16:(oc*p.cin+ic)*16+16])
+			g := j.wd[(oc*p.cin+ic)*9 : (oc*p.cin+ic)*9+9]
+			transformFilter(g, j.u[(oc*p.cin+ic)*16:(oc*p.cin+ic)*16+16])
 		}
 	}
+	nb := x.Dim(0)
+	if pool := ctx.workers(); pool != nil {
+		jc := j
+		pool.RunRange(nb, func(lo, hi int) { jc.winograd(lo, hi) })
+	} else {
+		j.winograd(0, nb)
+	}
+	putScratch(uBuf)
+	applyFusedActivation(out, p)
+	return out
+}
 
+// winograd computes the output of images [lo,hi).
+func (j *convJob) winograd(lo, hi int) {
+	p := &j.p
+	hin, win, hout, wout := j.hin, j.win, j.hout, j.wout
+	xd, od, u, bias := j.xd, j.od, j.u, j.bias
 	tilesH := (hout + 1) / 2
 	tilesW := (wout + 1) / 2
-	ctx.parallelFor(nb, func(b int) {
-		var dArr, vArr, mArr [16]float32
-		var yArr [4]float32
-		d := dArr[:] // input tile
-		v := vArr[:] // transformed input tile
-		m := mArr[:] // accumulated elementwise products
-		y := yArr[:] // output tile
-		vAllBuf := getScratch(p.cin * 16)
-		vAll := *vAllBuf
+	var dArr, vArr, mArr [16]float32
+	var yArr [4]float32
+	d := dArr[:] // input tile
+	v := vArr[:] // transformed input tile
+	m := mArr[:] // accumulated elementwise products
+	y := yArr[:] // output tile
+	vAllBuf := getScratch(p.cin * 16)
+	vAll := *vAllBuf
+	for b := lo; b < hi; b++ {
 		for th := 0; th < tilesH; th++ {
 			for tw := 0; tw < tilesW; tw++ {
 				// Gather and transform the 4×4 input tile of every input
@@ -101,11 +113,8 @@ func convWinograd(ctx *Context, x, w *tensor.Tensor, bias []float32, p convParam
 				}
 			}
 		}
-		putScratch(vAllBuf)
-	})
-	putScratch(uBuf)
-	applyFusedActivation(out, p)
-	return out
+	}
+	putScratch(vAllBuf)
 }
 
 // transformFilter computes U = G·g·Gᵀ for a 3×3 filter g into a 4×4 u.

@@ -24,12 +24,6 @@ const (
 	MetricChanSealNs     = "mvtee_chan_seal_ns"
 	MetricChanOpenNs     = "mvtee_chan_open_ns"
 
-	// Worker pool series.
-	MetricPoolRegions         = "mvtee_pool_regions_total"
-	MetricPoolParallelRegions = "mvtee_pool_parallel_regions_total"
-	MetricPoolOffers          = "mvtee_pool_offers_total"
-	MetricPoolAccepts         = "mvtee_pool_accepts_total"
-
 	// Cross-validation series.
 	MetricCheckVotes           = "mvtee_check_votes_total"
 	MetricCheckPairDisagree    = "mvtee_check_pair_disagree_total"

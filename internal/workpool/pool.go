@@ -17,18 +17,6 @@ package workpool
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/telemetry"
-)
-
-// Pool utilization series: regions dispatched (and how many actually went
-// parallel), plus offers made to idle workers and how many were accepted —
-// the accept/offer ratio is the pool's effective utilization.
-var (
-	mRegions         = telemetry.Default.Counter(telemetry.MetricPoolRegions)
-	mParallelRegions = telemetry.Default.Counter(telemetry.MetricPoolParallelRegions)
-	mOffers          = telemetry.Default.Counter(telemetry.MetricPoolOffers)
-	mAccepts         = telemetry.Default.Counter(telemetry.MetricPoolAccepts)
 )
 
 // chunksPerWorker bounds chunk count per region: enough pieces for load
@@ -91,11 +79,7 @@ func (p *Pool) RunRange(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	rec := telemetry.Enabled()
-	if rec {
-		mRegions.Inc()
-	}
-	if p == nil || n == 1 || p.closed.Load() {
+	if p.sequential(n) {
 		f(0, n)
 		return
 	}
@@ -128,12 +112,8 @@ func (p *Pool) RunRange(n int, f func(lo, hi int)) {
 	}
 	// Offer one task per idle worker; never block. If all workers are busy
 	// the caller absorbs the region alone.
-	accepted := 0
 	for i := 0; i < p.workers-1; i++ {
 		wg.Add(1)
-		if rec {
-			mOffers.Inc()
-		}
 		ok := false
 		select {
 		case p.tasks <- helper:
@@ -144,20 +124,27 @@ func (p *Pool) RunRange(n int, f func(lo, hi int)) {
 			wg.Done()
 			break
 		}
-		accepted++
-	}
-	if rec {
-		mAccepts.Add(uint64(accepted))
-		if accepted > 0 {
-			mParallelRegions.Inc()
-		}
 	}
 	steal() // the caller always participates
 	wg.Wait()
 }
 
+// sequential reports whether a region of n indices runs on the caller alone.
+func (p *Pool) sequential(n int) bool {
+	return p == nil || n == 1 || p.closed.Load()
+}
+
 // Run executes f(i) for every i in [0,n), in parallel when workers are free.
+// A region that runs on the caller alone calls f directly; the range wrapper
+// is built only on the branch that dispatches, since a closure handed to
+// RunRange on any path would be heap-allocated on every call.
 func (p *Pool) Run(n int, f func(i int)) {
+	if p.sequential(n) {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	p.RunRange(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i)
