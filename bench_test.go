@@ -1,12 +1,13 @@
 package mvtee
 
-// Benchmarks regenerating the paper's evaluation (§6), one per figure/table.
-// Each benchmark iteration runs a reduced experiment (a representative model
-// subset with short batch streams) through the same harness the full
-// regeneration tool uses; run `go run ./cmd/mvtee-bench -all` for the
-// complete tables recorded in EXPERIMENTS.md. Custom metrics report the
-// normalized results: tputx_* (throughput vs baseline, higher is better)
-// and latx_* (latency vs baseline, lower is better).
+// Benchmarks regenerating the paper's evaluation (§6): one sub-benchmark per
+// figure and measurer, and one for Table 1. Each benchmark iteration runs a
+// reduced experiment (a representative model subset with short batch
+// streams) through the same harness the full regeneration tool uses; run
+// `go run ./cmd/mvtee-bench -all` for the complete tables recorded in
+// EXPERIMENTS.md. Custom metrics report the normalized results: tputx_*
+// (throughput vs the figure's reference, higher is better) and latx_*
+// (latency vs the reference, lower is better).
 
 import (
 	"testing"
@@ -21,10 +22,6 @@ func benchOpts() bench.Options {
 		Warmup:  1,
 		Batches: 4,
 	}
-}
-
-func simOpts() bench.SimOptions {
-	return bench.SimOptions{Options: benchOpts(), SimBatches: 32}
 }
 
 // report aggregates rows by config/mode into custom benchmark metrics.
@@ -51,102 +48,40 @@ func report(b *testing.B, rows []bench.Row) {
 	}
 }
 
-// BenchmarkFig09Partitioning regenerates Figure 9 (performance impact of
-// random-balanced partitioning) on the live engine.
-func BenchmarkFig09Partitioning(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkFigures regenerates Figures 9–14, one sub-benchmark per figure
+// and measurer: Figure 9 (random-balanced partitioning) on the live engine
+// and on the calibrated multicore simulator (the paper's 36-core testbed
+// shape); Figures 10 (encryption and checkpoint overheads), 11 and 12
+// (horizontal and vertical selective-MVX scaling), 13 (async vs sync
+// cross-validation) and 14 (real-world diversified deployment) on the
+// simulator.
+func BenchmarkFigures(b *testing.B) {
+	live := bench.Live(benchOpts())
+	sim := bench.Sim(bench.SimOptions{Options: benchOpts(), SimBatches: 32})
+	for _, c := range []struct {
+		name string
+		fig  int
+		m    bench.Measurer
+	}{
+		{"fig09-live", 9, live},
+		{"fig09-sim", 9, sim},
+		{"fig10-sim", 10, sim},
+		{"fig11-sim", 11, sim},
+		{"fig12-sim", 12, sim},
+		{"fig13-sim", 13, sim},
+		{"fig14-sim", 14, sim},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var rows []bench.Row
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rows, err = bench.RunFigure(c.fig, c.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b, rows)
+		})
 	}
-	report(b, rows)
-}
-
-// BenchmarkFig09PartitioningSim regenerates Figure 9 on the calibrated
-// multicore pipeline simulator (the paper's 36-core testbed shape).
-func BenchmarkFig09PartitioningSim(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig9(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
-}
-
-// BenchmarkFig10Overheads regenerates Figure 10 (encryption and checkpoint
-// overheads).
-func BenchmarkFig10Overheads(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig10(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
-}
-
-// BenchmarkFig11Horizontal regenerates Figure 11 (horizontal variant scaling
-// under selective MVX).
-func BenchmarkFig11Horizontal(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig11(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
-}
-
-// BenchmarkFig12Vertical regenerates Figure 12 (vertical variant scaling
-// under selective MVX).
-func BenchmarkFig12Vertical(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig12(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
-}
-
-// BenchmarkFig13Async regenerates Figure 13 (asynchronous cross-validation
-// vs synchronous execution).
-func BenchmarkFig13Async(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig13(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
-}
-
-// BenchmarkFig14RealSetup regenerates Figure 14 (real-world diversified
-// deployment).
-func BenchmarkFig14RealSetup(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.SimFig14(simOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, rows)
 }
 
 // BenchmarkTable1Security regenerates the Table 1 security analysis: every

@@ -34,9 +34,6 @@ func main() {
 	mode := flag.String("mode", "sim", "measurement mode: sim or live")
 	modelList := flag.String("models", "", "comma-separated model subset (default all seven)")
 	batches := flag.Int("batches", 0, "live batches per measurement (default 10)")
-	simBatches := flag.Int("sim-batches", 0, "simulated stream length (default 64)")
-	teeFactor := flag.Float64("teefactor", 0, "SGX-cost multiplier for sim mode (default 24)")
-	inflightWindow := flag.Int("inflight-window", 0, "per-stage credit budget for the simulated pipelined engine (default 0 = disabled)")
 	scale := flag.Float64("scale", 0, "model channel scale (default 0.25)")
 	inputSize := flag.Int("input-size", 0, "model input resolution (default 32)")
 	telemetryAddr := flag.String("telemetry-addr", "",
@@ -54,41 +51,36 @@ func main() {
 	if *modelList != "" {
 		o.Models = strings.Split(*modelList, ",")
 	}
-	so := bench.SimOptions{Options: o, TEEFactor: *teeFactor, SimBatches: *simBatches, InflightWindow: *inflightWindow}
+	so := bench.SimOptions{Options: o}
 
-	figs := map[int]struct {
-		title string
-		live  func(bench.Options) ([]bench.Row, error)
-		sim   func(bench.SimOptions) ([]bench.Row, error)
-	}{
-		9:  {"Figure 9: Performance Impact of Random-Balanced Partitioning", bench.Fig9, bench.SimFig9},
-		10: {"Figure 10: Encryption and Checkpoint Overheads", bench.Fig10, bench.SimFig10},
-		11: {"Figure 11: Horizontal Variant Scaling (Selective MVX)", bench.Fig11, bench.SimFig11},
-		12: {"Figure 12: Vertical Variant Scaling (Selective MVX)", bench.Fig12, bench.SimFig12},
-		13: {"Figure 13: Asynchronous Cross-validation vs Sync", bench.Fig13, bench.SimFig13},
-		14: {"Figure 14: MVTEE Performance in Real-World Setup", bench.Fig14, bench.SimFig14},
+	titles := map[int]string{
+		9:  "Figure 9: Performance Impact of Random-Balanced Partitioning",
+		10: "Figure 10: Encryption and Checkpoint Overheads",
+		11: "Figure 11: Horizontal Variant Scaling (Selective MVX)",
+		12: "Figure 12: Vertical Variant Scaling (Selective MVX)",
+		13: "Figure 13: Asynchronous Cross-validation vs Sync",
+		14: "Figure 14: MVTEE Performance in Real-World Setup",
 	}
 
 	run := func(n int) {
-		f, ok := figs[n]
+		title, ok := titles[n]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mvtee-bench: unknown figure %d\n", n)
 			os.Exit(2)
 		}
-		var rows []bench.Row
-		var err error
-		title := f.title
+		var m bench.Measurer
 		switch *mode {
 		case "live":
 			title += " [live engine]"
-			rows, err = f.live(o)
+			m = bench.Live(o)
 		case "sim":
 			title += " [simulated multicore testbed]"
-			rows, err = f.sim(so)
+			m = bench.Sim(so)
 		default:
 			fmt.Fprintf(os.Stderr, "mvtee-bench: unknown mode %q\n", *mode)
 			os.Exit(2)
 		}
+		rows, err := bench.RunFigure(n, m)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mvtee-bench: figure %d: %v\n", n, err)
 			os.Exit(1)

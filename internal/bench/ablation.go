@@ -10,7 +10,6 @@ import (
 	"repro/internal/diversify"
 	"repro/internal/monitor"
 	"repro/internal/partition"
-	"repro/internal/pipesim"
 	"repro/internal/tensor"
 )
 
@@ -35,10 +34,12 @@ func WriteAblationTable(w io.Writer, title string, rows []AblationRow) {
 // against the naive chain-split baseline (contiguous topological slices):
 // balance quality and simulated pipelined throughput.
 func AblationPartitioning(o SimOptions) ([]AblationRow, error) {
-	o = o.withDefaults()
+	s := sim{o.withDefaults()}
+	in := Input(s.o.ModelConfig, 1)
+	p := point{mvx: monitor.MVXConfig{Plans: replicaPlans(5, 1)}}
 	var rows []AblationRow
-	for _, model := range o.Models {
-		b, err := buildReplicaBundle(model, o.Options, []int{5})
+	for _, model := range s.o.Models {
+		b, err := replicaBundle(5)(model, s.o.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -67,15 +68,11 @@ func AblationPartitioning(o SimOptions) ([]AblationRow, error) {
 					return nil, err
 				}
 			}
-			prof, err := pipesim.Calibrate(bb, 0, Input(o.ModelConfig, 1), pipesim.CalibrationConfig{
-				Plans:     replicaPlans(5, 1),
-				TEEFactor: o.TEEFactor,
-				Reps:      o.Reps,
-			})
+			prof, err := s.calibrate(bb, p, in)
 			if err != nil {
 				return nil, err
 			}
-			m, err := pipesim.Simulate(prof, o.SimBatches, false, 0)
+			m, err := s.simulate(prof, false)
 			if err != nil {
 				return nil, err
 			}
@@ -128,24 +125,20 @@ func AblationVoting(o Options) ([]AblationRow, error) {
 // times scale by demand/cores once the budget is exceeded (static
 // processor-sharing approximation).
 func AblationCores(o SimOptions) ([]AblationRow, error) {
-	o = o.withDefaults()
-	model := o.Models[0]
-	b, err := buildReplicaBundle(model, o.Options, []int{5})
+	s := sim{o.withDefaults()}
+	model := s.o.Models[0]
+	b, err := replicaBundle(5)(model, s.o.Options)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := pipesim.Calibrate(b, 0, Input(o.ModelConfig, 1), pipesim.CalibrationConfig{
-		Plans:     replicaPlans(5, 3),
-		TEEFactor: o.TEEFactor,
-		Reps:      o.Reps,
-	})
+	prof, err := s.calibrate(b, point{mvx: monitor.MVXConfig{Plans: replicaPlans(5, 3)}}, Input(s.o.ModelConfig, 1))
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
 	for _, cores := range []int{4, 8, 15, 36, 72} {
 		prof.Cores = cores
-		m, err := pipesim.Simulate(prof, o.SimBatches, false, 0)
+		m, err := s.simulate(prof, false)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +148,6 @@ func AblationCores(o SimOptions) ([]AblationRow, error) {
 			Value:  m.Throughput, Unit: "batches/s",
 		})
 	}
-	prof.Cores = 0
 	return rows, nil
 }
 
@@ -165,7 +157,7 @@ func AblationCores(o SimOptions) ([]AblationRow, error) {
 func AblationBootstrap(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	model := "mnasnet"
-	b, err := buildReplicaBundle(model, o, []int{5})
+	b, err := replicaBundle(5)(model, o)
 	if err != nil {
 		return nil, err
 	}

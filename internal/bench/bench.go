@@ -28,9 +28,6 @@ type Metrics struct {
 	// (total time / batches), the definition under which pipelining
 	// improves latency as in Figure 9.
 	Latency time.Duration
-	// TransitLatency is the mean submit-to-completion time of a batch
-	// (pipelined runs only; equals Latency for sequential runs).
-	TransitLatency time.Duration
 }
 
 // Input builds the standard evaluation input (the 3×H×W analogue of the
@@ -80,8 +77,7 @@ func measureSequential(in *tensor.Tensor, warmup, n int, run func(map[string]*te
 		}
 	}
 	el := time.Since(start)
-	lat := el / time.Duration(n)
-	return Metrics{Throughput: float64(n) / el.Seconds(), Latency: lat, TransitLatency: lat}, nil
+	return Metrics{Throughput: float64(n) / el.Seconds(), Latency: el / time.Duration(n)}, nil
 }
 
 // MeasurePipelined times the deployment under pipelined execution: a stream
@@ -105,28 +101,22 @@ func MeasurePipelined(d *core.Deployment, in *tensor.Tensor, warmup, n int) (Met
 		return Metrics{}, err
 	}
 	el := time.Since(start)
-	var transit time.Duration
 	for _, r := range results {
 		if r.Err != nil {
 			return Metrics{}, fmt.Errorf("bench: batch %d failed: %w", r.ID, r.Err)
 		}
-		transit += r.Latency
 	}
-	return Metrics{
-		Throughput:     float64(n) / el.Seconds(),
-		Latency:        el / time.Duration(n),
-		TransitLatency: transit / time.Duration(n),
-	}, nil
+	return Metrics{Throughput: float64(n) / el.Seconds(), Latency: el / time.Duration(n)}, nil
 }
 
-// Row is one measured configuration, normalized against the original-model
-// baseline.
+// Row is one measured configuration in one execution mode, normalized
+// against its figure's reference.
 type Row struct {
 	Model  string
 	Config string // configuration label (partition count, variant plan, …)
 	Mode   string // "seq" or "pipe"
-	// Normalized values: >1 throughput is better than baseline, <1 latency
-	// is better than baseline.
+	// Normalized values: >1 throughput is better than the reference, <1
+	// latency is better than the reference.
 	ThroughputX float64
 	LatencyX    float64
 	// Raw values.
@@ -166,31 +156,25 @@ func (o Options) withDefaults() Options {
 func replicaPlans(n, k int) []monitor.PartitionPlan {
 	plans := make([]monitor.PartitionPlan, n)
 	for i := range plans {
-		for v := 0; v < k; v++ {
-			plans[i].Variants = append(plans[i].Variants, "replica")
-		}
+		plans[i].Variants = replicas(k)
 	}
 	return plans
 }
 
-// baselineMetrics measures the original model once per call site.
-func baselineMetrics(model string, o Options) (Metrics, error) {
-	ex, err := core.BaselineExecutor(model, o.ModelConfig, infer.Config{})
-	if err != nil {
-		return Metrics{}, err
+// replicas is a panel of k identical variants (§6.1 "Variants").
+func replicas(k int) []string {
+	vs := make([]string, k)
+	for i := range vs {
+		vs[i] = "replica"
 	}
-	return MeasureBaseline(ex, Input(o.ModelConfig, 1), o.Warmup, o.Batches)
+	return vs
 }
 
-func normalize(m, base Metrics) (tputX, latX float64) {
-	return m.Throughput / base.Throughput, m.Latency.Seconds() / base.Latency.Seconds()
-}
-
-func row(model, config, mode string, m, base Metrics) Row {
-	tx, lx := normalize(m, base)
+func row(model, config, mode string, m, ref Metrics) Row {
 	return Row{
 		Model: model, Config: config, Mode: mode,
-		ThroughputX: tx, LatencyX: lx,
-		Throughput: m.Throughput, LatencyMS: float64(m.Latency.Microseconds()) / 1000,
+		ThroughputX: m.Throughput / ref.Throughput,
+		LatencyX:    m.Latency.Seconds() / ref.Latency.Seconds(),
+		Throughput:  m.Throughput, LatencyMS: float64(m.Latency.Microseconds()) / 1000,
 	}
 }

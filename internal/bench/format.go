@@ -3,12 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 )
-
-func msToDur(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
-}
 
 // WriteTable renders rows as an aligned text table.
 func WriteTable(w io.Writer, title string, rows []Row) {

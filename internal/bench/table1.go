@@ -198,7 +198,7 @@ func runSecurityCase(b *core.Bundle, panel []string, inj faults.Injection,
 		MVX: &monitor.MVXConfig{
 			Plans:    plans,
 			Response: monitor.ReportOnly,
-			Criteria: realPolicy(),
+			Criteria: realCriteria,
 		},
 		Encrypt: true,
 		VariantOptions: func(variantID string, e core.Entry) variant.Options {
@@ -245,7 +245,7 @@ func runSecurityCase(b *core.Bundle, panel []string, inj faults.Injection,
 		}
 	}
 	if res.Err == nil && res.Tensors != nil {
-		ok, err := check.Consistent(res.Tensors, want, check.Policy{Criteria: realPolicy()})
+		ok, err := check.Consistent(res.Tensors, want, check.Policy{Criteria: realCriteria})
 		if err == nil && ok {
 			out.Recovered = true
 		}

@@ -79,7 +79,7 @@ func (p *Pool) RunRange(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if p.sequential(n) {
+	if p == nil || n == 1 || p.closed.Load() {
 		f(0, n)
 		return
 	}
@@ -127,27 +127,4 @@ func (p *Pool) RunRange(n int, f func(lo, hi int)) {
 	}
 	steal() // the caller always participates
 	wg.Wait()
-}
-
-// sequential reports whether a region of n indices runs on the caller alone.
-func (p *Pool) sequential(n int) bool {
-	return p == nil || n == 1 || p.closed.Load()
-}
-
-// Run executes f(i) for every i in [0,n), in parallel when workers are free.
-// A region that runs on the caller alone calls f directly; the range wrapper
-// is built only on the branch that dispatches, since a closure handed to
-// RunRange on any path would be heap-allocated on every call.
-func (p *Pool) Run(n int, f func(i int)) {
-	if p.sequential(n) {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	p.RunRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
 }

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,10 +12,8 @@ func TestNilPoolSequential(t *testing.T) {
 	if p.Workers() != 1 {
 		t.Fatalf("nil pool workers = %d, want 1", p.Workers())
 	}
-	var sum int
-	p.Run(10, func(i int) { sum += i })
-	if sum != 45 {
-		t.Fatalf("nil pool Run sum = %d, want 45", sum)
+	if got := ranges(p, 10); !slices.Equal(got, [][2]int{{0, 10}}) {
+		t.Fatalf("nil pool ran ranges %v, want the whole region once", got)
 	}
 	p.Close() // must not panic
 }
@@ -30,7 +29,11 @@ func TestRunCoversAllIndices(t *testing.T) {
 	defer p.Close()
 	for _, n := range []int{0, 1, 2, 3, 7, 16, 100, 1000} {
 		hits := make([]atomic.Int32, n)
-		p.Run(n, func(i int) { hits[i].Add(1) })
+		p.RunRange(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("n=%d: index %d executed %d times, want 1", n, i, got)
@@ -66,10 +69,12 @@ func TestNestedRegions(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	var total atomic.Int64
-	p.Run(8, func(i int) {
-		p.Run(8, func(j int) {
-			total.Add(1)
-		})
+	p.RunRange(8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p.RunRange(8, func(lo, hi int) {
+				total.Add(int64(hi - lo))
+			})
+		}
 	})
 	if total.Load() != 64 {
 		t.Fatalf("nested total = %d, want 64", total.Load())
@@ -89,7 +94,7 @@ func TestConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				p.Run(37, func(i int) { total.Add(1) })
+				p.RunRange(37, func(lo, hi int) { total.Add(int64(hi - lo)) })
 			}
 		}()
 	}
@@ -102,9 +107,20 @@ func TestConcurrentCallers(t *testing.T) {
 func TestUseAfterCloseFallsBack(t *testing.T) {
 	p := New(4)
 	p.Close()
-	var sum int
-	p.Run(10, func(i int) { sum += i }) // sequential fallback, no panic
-	if sum != 45 {
-		t.Fatalf("after close sum = %d, want 45", sum)
+	if got := ranges(p, 10); !slices.Equal(got, [][2]int{{0, 10}}) { // sequential fallback, no panic
+		t.Fatalf("closed pool ran ranges %v, want the whole region once", got)
 	}
+}
+
+// ranges runs a region of n indices on p and returns the [lo,hi) chunks it
+// was split into, in call order.
+func ranges(p *Pool, n int) [][2]int {
+	var mu sync.Mutex
+	var got [][2]int
+	p.RunRange(n, func(lo, hi int) {
+		mu.Lock()
+		got = append(got, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	return got
 }

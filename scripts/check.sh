@@ -34,6 +34,11 @@ go test -race -count=2 ./internal/monitor ./internal/workpool ./internal/securec
 # bound.
 go test -run='TestWarmAllocsPin|TestSequentialKernelsAllocateNothing|TestSequentialConvAllocatesOnlyOutput|TestInterpRunAllocsPin' -count=1 ./internal/monitor ./internal/blas ./internal/ops ./internal/infer
 
+# Figure-sweep drift gate: `mvtee-bench -all` must still produce every
+# section, model, config row and column of the committed bench_all_sim.txt
+# (about a minute and a half).
+./scripts/sweepcheck.sh
+
 # Short fuzz smoke over the attacker-facing parsers: the pre-auth record
 # framing, the tagged wire decoder, the public binary request decoder on
 # the serving front door, the audit-plane proof and leaf decoders (audit

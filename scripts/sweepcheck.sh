@@ -1,5 +1,6 @@
 #!/bin/sh
-# Nightly figure-sweep drift gate: regenerate every EXPERIMENTS.md figure and
+# Figure-sweep drift gate (CI runs it on pull requests and nightly;
+# scripts/check.sh runs it too): regenerate every EXPERIMENTS.md figure and
 # table (`mvtee-bench -all`) and diff the output against the committed
 # archive bench_all_sim.txt. The sim numbers are calibrated from real
 # executions on the running host, so the comparison is structural: every
