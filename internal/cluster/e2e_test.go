@@ -249,6 +249,7 @@ func TestClusterReplicaFailoverE2E(t *testing.T) {
 		MaxDelay:    time.Millisecond,
 		TenantQueue: 64,
 		GlobalQueue: 256,
+		ItemShapes:  map[string][]int{"x": {1, 256}},
 		Metrics:     reg,
 	})
 	t.Cleanup(srv.Close)

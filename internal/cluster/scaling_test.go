@@ -113,6 +113,7 @@ func TestTwoReplicasOutserveOneEngine(t *testing.T) {
 		MaxDelay:    500 * time.Microsecond,
 		TenantQueue: 4 * clients,
 		GlobalQueue: 8 * clients,
+		ItemShapes:  map[string][]int{"x": {1, 64}},
 	}
 	single := serve.New(newEngineOf(t, proto, nil), serveConfig)
 	t.Cleanup(single.Close)

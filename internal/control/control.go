@@ -66,7 +66,7 @@ const (
 	// throttle the steady state it was measured from.
 	headroom = 1.25
 	// breachEpochs is how many consecutive breached (or clean) epochs the
-	// SLO and queue loops require before escalating (or relaxing).
+	// SLO loop requires before escalating (or relaxing).
 	breachEpochs = 2
 	// spareLead is how many epochs of death-rate coverage the spare pool
 	// targets.
@@ -140,7 +140,6 @@ type Controller struct {
 	fill       *telemetry.Histogram
 	batches    *telemetry.Counter
 	gather     []*telemetry.Histogram
-	qdepth     []*telemetry.Gauge
 
 	// Knob mirrors and decision counters.
 	epochs      *telemetry.Counter
@@ -161,9 +160,6 @@ type Controller struct {
 	prevBatches    uint64
 	prevGather     []telemetry.HistState
 	batchState     BatchState // slow-start memory for the batch loop
-	qOver          int        // consecutive epochs over the queue high water
-	qUnder         int        // consecutive epochs under half the high water
-	qRaised        int        // shed-floor levels this loop owns (and may undo)
 	tenants        map[string]*tenantSLO
 	deathEWMA      float64
 	lastDeathStage int
@@ -203,11 +199,8 @@ func New(cfg Config) *Controller {
 		n := len(cfg.Pipeline.Ladder())
 		c.gather = make([]*telemetry.Histogram, n)
 		c.prevGather = make([]telemetry.HistState, n)
-		c.qdepth = make([]*telemetry.Gauge, n)
 		for i := 0; i < n; i++ {
 			c.gather[i] = reg.Histogram(telemetry.MetricEngineGatherNs,
-				telemetry.L("stage", strconv.Itoa(i)))
-			c.qdepth[i] = reg.Gauge(telemetry.MetricEngineQueueDepth,
 				telemetry.L("stage", strconv.Itoa(i)))
 		}
 		c.gInflight.Set(int64(cfg.Pipeline.InflightWindow()))
@@ -317,9 +310,6 @@ func (c *Controller) Step(elapsed time.Duration) []Decision {
 	}
 	if c.cfg.Frontend != nil {
 		c.stepSLO()
-		if len(c.qdepth) > 0 {
-			c.stepQueueShed()
-		}
 	}
 	return append([]Decision(nil), c.out...)
 }
@@ -574,64 +564,5 @@ func (c *Controller) escalate(name string, t *tenantSLO) {
 		c.emit(Decision{Loop: telemetry.ControlLoopSLO, Knob: "shed_floor",
 			Tenant: name, Direction: "up", From: int64(floor), To: int64(floor + 1),
 			Reason: "weight saturated, shedding low lanes"})
-	}
-}
-
-// stepQueueShed raises the shed floor from the per-stage queue-depth gauges —
-// a leading indicator. The SLO loop reacts to latency histograms, which only
-// breach after queued work has already drained through the pipeline; the
-// queue loop sheds while the backlog is still forming, so low-priority lanes
-// are turned away before their latency is spent. It only ever undoes its own
-// escalations (qRaised), so it cannot re-admit lanes the SLO loop or the
-// degradation ladder shed.
-func (c *Controller) stepQueueShed() {
-	var depth int64
-	for _, g := range c.qdepth {
-		if v := g.Value(); v > depth {
-			depth = v
-		}
-	}
-	// A stage backlog as deep as the widest inflight window means the
-	// pipeline is saturated: that is the high water.
-	hw := int64(c.lim.MaxWindow)
-	floor := c.cfg.Frontend.ShedFloor()
-	if floor == serve.ShedNone {
-		// Someone (the SLO loop, an operator) already unwound the floor:
-		// nothing left for this loop to undo.
-		c.qRaised = 0
-	}
-	switch {
-	case depth > hw:
-		c.qOver++
-		c.qUnder = 0
-		if c.qOver >= breachEpochs {
-			c.qOver = 0
-			if floor < serve.ShedToHigh {
-				c.cfg.Frontend.SetShedFloor(floor + 1)
-				c.gShedFloor.Set(int64(floor + 1))
-				c.qRaised++
-				c.emit(Decision{Loop: telemetry.ControlLoopQueue, Knob: "shed_floor",
-					Direction: "up", From: int64(floor), To: int64(floor + 1),
-					Reason: "stage queue depth over high water"})
-			}
-		}
-	case depth*2 <= hw:
-		c.qUnder++
-		c.qOver = 0
-		if c.qUnder >= breachEpochs && c.qRaised > 0 {
-			c.qUnder = 0
-			c.qRaised--
-			if floor > serve.ShedNone {
-				c.cfg.Frontend.SetShedFloor(floor - 1)
-				c.gShedFloor.Set(int64(floor - 1))
-				c.emit(Decision{Loop: telemetry.ControlLoopQueue, Knob: "shed_floor",
-					Direction: "down", From: int64(floor), To: int64(floor - 1),
-					Reason: "stage queues drained"})
-			}
-		}
-	default:
-		// Between half and full high water: hold, and require fresh
-		// consecutive evidence before moving either way.
-		c.qOver, c.qUnder = 0, 0
 	}
 }

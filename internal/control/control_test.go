@@ -554,78 +554,3 @@ func TestGatherStageLabels(t *testing.T) {
 		}
 	}
 }
-
-// TestQueueShedClampAndUnwind drives the queue-depth loop deterministically:
-// sustained backlog above the high water raises the shed floor one level per
-// breachEpochs, never past ShedToHigh; draining queues unwind it at the same
-// cadence, never below ShedNone, and the loop only ever undoes its own
-// escalations.
-func TestQueueShedClampAndUnwind(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	fe := newFakeFrontend()
-	pl := &fakePipeline{window: 8, stages: 2}
-	c := New(Config{Registry: reg, Frontend: fe, Pipeline: pl})
-	// The high water is the widest inflight window.
-	hw := int64(DefaultLimits().MaxWindow)
-	// The loop takes the max over stages: stage 0 stays idle, stage 1 backs up.
-	q := reg.Gauge(telemetry.MetricEngineQueueDepth, telemetry.L("stage", "1"))
-
-	// One epoch over the high water is not enough evidence.
-	q.Set(hw + 1)
-	if ds := c.Step(0); len(ds) != 0 {
-		t.Fatalf("acted on a single breached epoch: %+v", ds)
-	}
-	ds := c.Step(0)
-	if len(ds) != 1 || ds[0].Loop != telemetry.ControlLoopQueue || ds[0].Direction != "up" {
-		t.Fatalf("after %d breached epochs got %+v, want one queue_depth up", 2, ds)
-	}
-	if fe.floor != serve.ShedLow {
-		t.Fatalf("floor %v after first escalation, want %v", fe.floor, serve.ShedLow)
-	}
-
-	// Sustained backlog: the floor climbs but clamps at ShedToHigh no matter
-	// how many more breached epochs accumulate.
-	for i := 0; i < 10; i++ {
-		c.Step(0)
-	}
-	if fe.floor != serve.ShedToHigh {
-		t.Fatalf("floor %v under sustained backlog, want clamp at %v", fe.floor, serve.ShedToHigh)
-	}
-	for _, lvl := range fe.floorHist {
-		if lvl > serve.ShedToHigh {
-			t.Fatalf("floor history %v exceeds ShedToHigh", fe.floorHist)
-		}
-	}
-
-	// Queues drain to half the high water: one level back per breachEpochs,
-	// stopping at ShedNone with no further decisions once its own raises are
-	// spent.
-	q.Set(hw / 2)
-	downs := 0
-	for i := 0; i < 12; i++ {
-		for _, d := range c.Step(0) {
-			if d.Loop != telemetry.ControlLoopQueue || d.Direction != "down" {
-				t.Fatalf("unexpected decision during drain: %+v", d)
-			}
-			downs++
-		}
-	}
-	if fe.floor != serve.ShedNone {
-		t.Fatalf("floor %v after drain, want %v", fe.floor, serve.ShedNone)
-	}
-	if downs != 2 {
-		t.Fatalf("%d down decisions, want exactly the 2 levels the loop raised", downs)
-	}
-
-	// A floor someone else owns (operator, SLO loop) is not this loop's to
-	// unwind: drained queues must leave it alone.
-	fe.SetShedFloor(serve.ShedLow)
-	for i := 0; i < 6; i++ {
-		if ds := c.Step(0); len(ds) != 0 {
-			t.Fatalf("queue loop undid a foreign floor: %+v", ds)
-		}
-	}
-	if fe.floor != serve.ShedLow {
-		t.Fatalf("foreign floor moved to %v", fe.floor)
-	}
-}

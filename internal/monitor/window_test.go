@@ -296,3 +296,69 @@ func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 }
+
+// TestStageQueueBoundedByMaxInFlight pins the bound on the per-stage queue
+// that the control plane no longer sheds on: a stage queues only batches
+// holding one of the engine's MaxInFlight slots, so a flood against a slow
+// first stage with a credit window of 1 backs the stage-queue gauge up to at
+// most MaxInFlight, and with the window off (0, the daemons' default) the
+// queue drains after every event and the gauge reads 0.
+func TestStageQueueBoundedByMaxInFlight(t *testing.T) {
+	for _, window := range []int{1, 0} {
+		slow := &fakeVariant{id: "slow", behave: doubler(0), delay: 2 * time.Millisecond}
+		next := &fakeVariant{id: "next", behave: incrementer()}
+		cfg := twoStageConfig([]*Handle{slow.start(t, 0)}, []*Handle{next.start(t, 1)})
+		cfg.InflightWindow = window
+		reg := telemetry.NewRegistry()
+		cfg.Metrics = reg
+		e := buildEngine(t, cfg)
+		gauges := []*telemetry.Gauge{
+			reg.Gauge(telemetry.MetricEngineQueueDepth, telemetry.L("stage", "0")),
+			reg.Gauge(telemetry.MetricEngineQueueDepth, telemetry.L("stage", "1")),
+		}
+
+		const batches = 40
+		stop := make(chan struct{})
+		peak := make(chan int64)
+		go func() {
+			var max int64
+			for {
+				for _, g := range gauges {
+					if v := g.Value(); v > max {
+						max = v
+					}
+				}
+				select {
+				case <-stop:
+					peak <- max
+					return
+				default:
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}()
+		go func() {
+			for i := 0; i < batches; i++ {
+				if _, err := e.Submit(input(float32(i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < batches; i++ {
+			if r := <-e.Outputs(); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		close(stop)
+		max := <-peak
+
+		switch limit := int64(e.cfg.MaxInFlight); {
+		case window == 0 && max != 0:
+			t.Fatalf("window 0: stage queue reached %d, want 0", max)
+		case window > 0 && (max < 1 || max > limit):
+			t.Fatalf("window %d: stage queue peaked at %d, want within [1, MaxInFlight=%d]", window, max, limit)
+		}
+		t.Logf("window %d: stage queue peak %d (MaxInFlight %d)", window, max, e.cfg.MaxInFlight)
+	}
+}

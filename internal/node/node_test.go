@@ -20,6 +20,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/transcript"
+	"repro/internal/wire"
 )
 
 // The small pipeline every test serves: mobilenetv3 at scale 0.05 and input
@@ -276,5 +277,47 @@ func TestReplicaCloseEndsLiveSession(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("replica Close blocked with a live router session")
+	}
+}
+
+// TestSameModel pins the router's bring-up check: replicas that disagree
+// with replica 0 on stages, graph inputs, graph outputs or input shapes, or
+// a replica set with no declared input interface, are refused.
+func TestSameModel(t *testing.T) {
+	hello := func(id string, edit func(*wire.ReplicaHello)) wire.ReplicaHello {
+		h := wire.ReplicaHello{ID: id, Stages: 3,
+			GraphInputs: []string{"x"}, GraphOutputs: []string{"y"},
+			ItemShapes: map[string][]int{"x": {1, 3, 8, 8}}}
+		if edit != nil {
+			edit(&h)
+		}
+		return h
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*wire.ReplicaHello)
+		ok   bool
+	}{
+		{"same model", nil, true},
+		{"other variant count", func(h *wire.ReplicaHello) { h.Variants = 5 }, true},
+		{"stages", func(h *wire.ReplicaHello) { h.Stages = 2 }, false},
+		{"graph input renamed", func(h *wire.ReplicaHello) { h.GraphInputs = []string{"img"} }, false},
+		{"extra graph output", func(h *wire.ReplicaHello) { h.GraphOutputs = []string{"y", "z"} }, false},
+		{"graph output renamed", func(h *wire.ReplicaHello) { h.GraphOutputs = []string{"logits"} }, false},
+		{"per-item dims", func(h *wire.ReplicaHello) { h.ItemShapes = map[string][]int{"x": {1, 3, 16, 16}} }, false},
+		{"input shape renamed", func(h *wire.ReplicaHello) { h.ItemShapes = map[string][]int{"img": {1, 3, 8, 8}} }, false},
+		{"extra input shape", func(h *wire.ReplicaHello) { h.ItemShapes["m"] = []int{1, 4} }, false},
+	} {
+		err := sameModel([]wire.ReplicaHello{hello("rep-0", nil), hello("rep-1", nil), hello("rep-2", c.edit)})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+	empty := func(h *wire.ReplicaHello) { h.ItemShapes = nil }
+	if err := sameModel([]wire.ReplicaHello{hello("rep-0", empty), hello("rep-1", empty)}); err == nil {
+		t.Error("replicas declaring no input interface admitted")
+	}
+	if err := sameModel([]wire.ReplicaHello{hello("rep-0", empty)}); err == nil {
+		t.Error("a lone replica declaring no input interface admitted")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
+	"slices"
 	"strings"
 
 	"repro/internal/attest"
@@ -400,6 +402,7 @@ func (n *Node) cluster(o Options, t Trust) error {
 		return errors.New("no replicas")
 	}
 	reps := make([]cluster.Replica, 0, len(o.Replicas))
+	hellos := make([]wire.ReplicaHello, 0, len(o.Replicas))
 	for i, addr := range o.Replicas {
 		var verify securechan.VerifyPeer
 		if t.Verify != nil {
@@ -414,14 +417,12 @@ func (n *Node) cluster(o Options, t Trust) error {
 		log.Printf("replica %q at %s: %d stages, %d variants, window %d",
 			h.ID, addr, h.Stages, h.Variants, h.InflightWindow)
 		reps = append(reps, rep)
+		hellos = append(hellos, h)
 	}
-	hello := reps[0].Hello()
-	for _, rep := range reps[1:] {
-		if h := rep.Hello(); h.Stages != hello.Stages || len(h.GraphOutputs) != len(hello.GraphOutputs) {
-			return fmt.Errorf("replica %q serves a different pipeline than %q (%d/%d stages)",
-				h.ID, hello.ID, h.Stages, hello.Stages)
-		}
+	if err := sameModel(hellos); err != nil {
+		return err
 	}
+	hello := hellos[0]
 
 	// The router process has no engine, so it owns the event bus, and the
 	// flight recorder exists before the router that triggers it (failover,
@@ -456,6 +457,31 @@ func (n *Node) cluster(o Options, t Trust) error {
 	n.Engine, n.Router, n.ItemShapes = router, router, hello.ItemShapes
 	log.Printf("cluster router up: %d replicas, verify %d, %s forwarding, sync=%v",
 		len(reps), o.ClusterVerify, forward, o.ClusterSync)
+	return nil
+}
+
+// sameModel refuses a replica set the router cannot serve as one model. The
+// router admits requests against replica 0's input interface and spreads
+// them over every replica, so a replica declaring another interface would
+// fail them in its engine (under Halt, halting its pipeline). Every hello
+// must therefore match replica 0's stage count, graph inputs and outputs and
+// input interface, and that interface must not be empty.
+func sameModel(hellos []wire.ReplicaHello) error {
+	ref := hellos[0]
+	if len(ref.ItemShapes) == 0 {
+		return fmt.Errorf("replica %q declares no input interface", ref.ID)
+	}
+	for _, h := range hellos[1:] {
+		switch {
+		case h.Stages != ref.Stages:
+			return fmt.Errorf("replica %q serves %d stages, %q %d", h.ID, h.Stages, ref.ID, ref.Stages)
+		case !slices.Equal(h.GraphInputs, ref.GraphInputs) || !slices.Equal(h.GraphOutputs, ref.GraphOutputs):
+			return fmt.Errorf("replica %q serves graph %v -> %v, %q %v -> %v",
+				h.ID, h.GraphInputs, h.GraphOutputs, ref.ID, ref.GraphInputs, ref.GraphOutputs)
+		case !maps.EqualFunc(h.ItemShapes, ref.ItemShapes, slices.Equal[[]int]):
+			return fmt.Errorf("replica %q declares inputs %v, %q %v", h.ID, h.ItemShapes, ref.ID, ref.ItemShapes)
+		}
+	}
 	return nil
 }
 

@@ -39,7 +39,8 @@ func binClient(url string) *Client { return &Client{BaseURL: url, Binary: true} 
 
 func TestHTTPBinaryInfer(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond,
+		ItemShapes: declareX(len(trickyFloats()))})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -76,7 +77,7 @@ func TestHTTPBinaryInfer(t *testing.T) {
 // binary path being a transport change, not a numerics change.
 func TestHTTPBinaryJSONEquivalence(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond, ItemShapes: declareX(3)})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -105,7 +106,7 @@ func TestHTTPBinaryJSONEquivalence(t *testing.T) {
 
 func TestHTTPContentNegotiation(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond, ItemShapes: declareX(2)})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -343,7 +344,8 @@ func (zeroReader) Read(p []byte) (int, error) {
 
 func TestHTTPBinaryBodyTooLarge(t *testing.T) {
 	fe := newFakeEngine()
-	// No declared interface: the binary cap falls back to the flat 64 MiB.
+	// The declared interface admits 64 items of one float: a binary cap of
+	// a few hundred bytes.
 	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
@@ -385,7 +387,7 @@ func TestHTTPBinaryBodyTooLarge(t *testing.T) {
 	// declared interface passes, where the JSON-sized estimate would... also
 	// pass — the point is the binary cap is ~6x tighter and still admits it.
 	s2 := newTestServer(t, newFakeEngine(), Config{MaxBatch: 1, MaxDelay: time.Millisecond,
-		ItemShapes: map[string][]int{"x": {1, 256}}})
+		ItemShapes: declareX(256)})
 	ts2 := httptest.NewServer(Handler(s2))
 	defer ts2.Close()
 	if _, err := binClient(ts2.URL).Infer(context.Background(), Request{Tenant: "t",

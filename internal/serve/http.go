@@ -104,7 +104,7 @@ func Handler(s *Server) http.Handler {
 			// float JSON estimate, so legitimate bodies near the limit are
 			// not 413ed by a cap sized for text.
 			r.Body = http.MaxBytesReader(w, r.Body, binLimit)
-			req, err = s.decodeBinary(r)
+			req, err = s.decodeBinary(r, binLimit)
 		} else {
 			r.Body = http.MaxBytesReader(w, r.Body, jsonLimit)
 			req, err = decodeJSON(r)
@@ -252,16 +252,15 @@ func decodeJSON(r *http.Request) (Request, error) {
 	return Request{Tenant: jr.Tenant, Priority: prio, Inputs: inputs}, nil
 }
 
-// decodeBinary decodes a binary request body, streaming payloads into
-// pooled scratch. Shapes are vetted against the declared input interface
-// and maxItems before any payload byte of the frame is read, so a hostile
+// decodeBinary decodes a binary request body of at most limit bytes,
+// streaming payloads into pooled scratch. Each frame's shape passes
+// checkInput before any payload byte of the frame is read, so a hostile
 // frame costs its header, not its body.
-func (s *Server) decodeBinary(r *http.Request) (Request, error) {
+func (s *Server) decodeBinary(r *http.Request, limit int64) (Request, error) {
 	prio, err := ParsePriority(r.Header.Get(HeaderPriority))
 	if err != nil {
 		return Request{}, err
 	}
-	limit := wire.MaxRequestSize(s.cfg.ItemShapes, maxItems)
 	validate := func(name string, shape []int) error {
 		// A declared payload that alone exceeds the body cap can never arrive
 		// intact; refusing it here (before the decoder allocates the backing
@@ -270,27 +269,7 @@ func (s *Server) decodeBinary(r *http.Request) (Request, error) {
 		if vol, err := wire.CheckPublicShape(shape); err == nil && 4*int64(vol) > limit {
 			return &http.MaxBytesError{Limit: limit}
 		}
-		if shape[0] > maxItems {
-			return fmt.Errorf("%w: input %q item count %d exceeds max %d",
-				ErrBadRequest, name, shape[0], maxItems)
-		}
-		if s.cfg.ItemShapes == nil {
-			return nil
-		}
-		want, ok := s.cfg.ItemShapes[name]
-		if !ok {
-			return fmt.Errorf("%w: unknown input %q", ErrBadRequest, name)
-		}
-		if len(shape) != len(want) {
-			return fmt.Errorf("%w: input %q rank %d, model declares %v", ErrBadRequest, name, len(shape), want)
-		}
-		for i := 1; i < len(want); i++ {
-			if shape[i] != want[i] {
-				return fmt.Errorf("%w: input %q shape %v, model declares %v (batch axis excluded)",
-					ErrBadRequest, name, shape, want)
-			}
-		}
-		return nil
+		return checkInput(s.cfg.ItemShapes, name, shape)
 	}
 	inputs, err := wire.DecodeRequest(r.Body, validate)
 	if err != nil {
@@ -355,21 +334,16 @@ func errStatus(err error) (status int, retryAfter time.Duration) {
 	}
 }
 
-// maxBodyBytes sizes the /v1/infer JSON request-body cap. With a declared
-// input interface the bound follows from the largest admissible request:
-// the per-item volumes times maxItems, at a generous ~24 bytes per float of
-// JSON text, plus fixed envelope overhead. Without declared shapes a flat
-// 64 MiB cap still stops unbounded bodies at the door. (Binary bodies use
-// wire.MaxRequestSize instead — exact 4-byte floats, tight framing.)
+// maxBodyBytes sizes the /v1/infer JSON request-body cap from the largest
+// request the declared input interface admits: the per-item volumes times
+// maxItems, at a generous ~24 bytes per float of JSON text, plus fixed
+// envelope overhead. (Binary bodies use wire.MaxRequestSize instead — exact
+// 4-byte floats, tight framing.)
 func maxBodyBytes(cfg Config) int64 {
 	const (
 		perFloat = 24
 		envelope = 1 << 20
-		fallback = 64 << 20
 	)
-	if len(cfg.ItemShapes) == 0 {
-		return fallback
-	}
 	var floats int64
 	for _, shape := range cfg.ItemShapes {
 		per := int64(1)

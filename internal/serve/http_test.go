@@ -27,7 +27,7 @@ func postInfer(t *testing.T, url string, body InferRequest) *http.Response {
 
 func TestHTTPInfer(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond, ItemShapes: declareX(3)})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -147,7 +147,7 @@ func TestHTTPOverflowShapeRejected(t *testing.T) {
 func TestHTTPBodyTooLarge(t *testing.T) {
 	fe := newFakeEngine()
 	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond,
-		ItemShapes: map[string][]int{"x": {1, 4}}})
+		ItemShapes: declareX(4)})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 

@@ -159,7 +159,7 @@ func TestDuplicateResultAnsweredOnce(t *testing.T) {
 func TestNeverDeliveredFailsOnClose(t *testing.T) {
 	e := newAdversarialEngine()
 	e.never = true
-	s := New(e, Config{MaxBatch: 1})
+	s := New(e, Config{MaxBatch: 1, ItemShapes: declareX(1)})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := s.Infer(ctx, itemReq("t", Normal, 1)); !errors.Is(err, context.DeadlineExceeded) {

@@ -8,10 +8,11 @@
 // tenants fair; and the degradation ladder drives load shedding so the
 // front door lightens the engine's load before the engine has to demote.
 //
-// Batching contract: a request's input tensors all share leading dimension
-// r (the item count, usually 1). Requests are compatible — and may share an
-// engine batch — when they carry the same input names with the same
-// per-item shapes. The model must treat the leading dimension as a batch
+// Batching contract: Config.ItemShapes declares the model's input interface,
+// and admission accepts only requests that carry exactly the declared inputs
+// with the declared per-item shapes, all sharing one leading dimension r
+// (the item count, usually 1). Any two admitted requests may therefore share
+// an engine batch. The model must treat the leading dimension as a batch
 // axis: every graph output's leading dimension equals the sum of the
 // batch's item counts, which is how results are split back per caller.
 package serve
@@ -20,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,12 +109,11 @@ type Response struct {
 	Latency time.Duration
 }
 
-// TenantConfig tunes one tenant's scheduling.
+// TenantConfig tunes one tenant's scheduling; every tenant's queue is
+// bounded by Config.TenantQueue.
 type TenantConfig struct {
 	// Weight is the tenant's WRR share (default 1).
 	Weight int
-	// QueueCap overrides Config.TenantQueue for this tenant.
-	QueueCap int
 	// SLO is the tenant's declared p99 latency target; zero means no SLO.
 	// The serve layer only records it — enforcement (weight boosts, shed
 	// posture) is the adaptive controller's job (internal/control).
@@ -165,15 +165,16 @@ type Config struct {
 	// GlobalQueue bounds total pending requests across tenants
 	// (default 1024).
 	GlobalQueue int
-	// Tenants pre-declares per-tenant weights and caps; unknown tenants get
-	// weight 1 and TenantQueue.
+	// Tenants pre-declares per-tenant weights and SLOs; unknown tenants get
+	// weight 1.
 	Tenants map[string]TenantConfig
-	// ItemShapes, when set, declares the model's input interface (graph
-	// input name -> declared shape, leading dimension being the batch
-	// axis): requests with missing/extra inputs or mismatched per-item
-	// dimensions are rejected at admission with ErrBadRequest instead of
-	// reaching the engine, where a malformed batch would fail — and, under
-	// the Halt response, take the pipeline down for every tenant.
+	// ItemShapes declares the model's input interface (graph input name ->
+	// declared shape, leading dimension being the batch axis): requests with
+	// missing/extra inputs or mismatched per-item dimensions are rejected at
+	// admission with ErrBadRequest instead of reaching the engine, where a
+	// malformed batch would fail — and, under the Halt response, take the
+	// pipeline down for every tenant. A server with no declared inputs
+	// admits nothing.
 	ItemShapes map[string][]int
 	// DisableBinary turns off the application/x-mvtee-tensor content type
 	// on the HTTP front door; JSON stays available (compatibility gate for
@@ -248,7 +249,6 @@ type pendingReq struct {
 	id       uint64
 	tenant   *tenantState
 	lane     Priority
-	sig      string
 	rows     int
 	inputs   map[string]*tensor.Tensor
 	admitted time.Time
@@ -307,7 +307,6 @@ type Server struct {
 type tenantState struct {
 	name     string
 	weight   int
-	cap      int
 	credit   int
 	declared bool // pre-declared in Config.Tenants: never evicted
 	lanes    [numLanes][]*pendingReq
@@ -363,16 +362,13 @@ func (s *Server) tenant(name string) *tenantState {
 	if tc.Weight <= 0 {
 		tc.Weight = 1
 	}
-	if tc.QueueCap <= 0 {
-		tc.QueueCap = s.cfg.TenantQueue
-	}
 	if !declared {
 		if s.undeclared >= maxTenants {
 			s.evictIdleTenant()
 		}
 		s.undeclared++
 	}
-	t = &tenantState{name: name, weight: tc.Weight, cap: tc.QueueCap,
+	t = &tenantState{name: name, weight: tc.Weight,
 		credit: tc.Weight, declared: declared, lastActive: time.Now(),
 		met: s.met.tenant(name, declared)}
 	s.tenants[name] = t
@@ -414,66 +410,62 @@ func (s *Server) evictIdleTenant() {
 	}
 }
 
-// signature keys batch compatibility: sorted input names with per-item
-// shapes (every dimension after the leading item count). It also validates
-// the request, returning the shared item count.
-func signature(inputs map[string]*tensor.Tensor) (string, int, error) {
+// checkInput validates one input's shape against the declared input
+// interface: a declared name, the declared rank, an item count (the leading
+// dimension) in [1, maxItems] and the declared per-item dimensions. Both
+// content types funnel every input through it, the binary path before any
+// payload byte is read.
+func checkInput(declared map[string][]int, name string, shape []int) error {
+	want, ok := declared[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: unknown input %q", ErrBadRequest, name)
+	case len(shape) != len(want):
+		return fmt.Errorf("%w: input %q rank %d, model declares %v", ErrBadRequest, name, len(shape), want)
+	case len(shape) == 0 || shape[0] == 0:
+		return fmt.Errorf("%w: input %q empty or missing leading item dimension", ErrBadRequest, name)
+	case shape[0] > maxItems:
+		return fmt.Errorf("%w: input %q item count %d exceeds max %d", ErrBadRequest, name, shape[0], maxItems)
+	case !slices.Equal(shape[1:], want[1:]):
+		// Copied so that shape does not escape on the admitted path.
+		return fmt.Errorf("%w: input %q shape %v, model declares %v (batch axis excluded)",
+			ErrBadRequest, name, append([]int(nil), shape...), want)
+	}
+	return nil
+}
+
+// checkInputs validates a request against the declared input interface
+// (exactly the declared inputs, each passing checkInput, all with one item
+// count) and returns that item count.
+func checkInputs(declared map[string][]int, inputs map[string]*tensor.Tensor) (int, error) {
 	if len(inputs) == 0 {
-		return "", 0, fmt.Errorf("%w: no inputs", ErrBadRequest)
+		return 0, fmt.Errorf("%w: no inputs", ErrBadRequest)
 	}
-	names := make([]string, 0, len(inputs))
-	for n := range inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	rows := -1
-	var b strings.Builder
-	for _, n := range names {
-		t := inputs[n]
-		if t == nil || t.Dims() == 0 || t.Dim(0) == 0 {
-			return "", 0, fmt.Errorf("%w: input %q empty or missing leading item dimension", ErrBadRequest, n)
+	var dims [8]int // the shape is read into stack room, not copied by Shape
+	for name, t := range inputs {
+		if t == nil {
+			return 0, fmt.Errorf("%w: input %q is nil", ErrBadRequest, name)
+		}
+		shape := dims[:0]
+		for i := 0; i < t.Dims(); i++ {
+			shape = append(shape, t.Dim(i))
+		}
+		if err := checkInput(declared, name, shape); err != nil {
+			return 0, err
 		}
 		if rows == -1 {
 			rows = t.Dim(0)
 		} else if t.Dim(0) != rows {
-			return "", 0, fmt.Errorf("%w: input %q item count %d != %d", ErrBadRequest, n, t.Dim(0), rows)
-		}
-		b.WriteString(n)
-		for _, d := range t.Shape()[1:] {
-			b.WriteByte('x')
-			b.WriteString(strconv.Itoa(d))
-		}
-		b.WriteByte(';')
-	}
-	return b.String(), rows, nil
-}
-
-// checkShapes validates a request against the model's declared input
-// interface: exact input names, matching rank, matching dimensions past the
-// leading batch axis.
-func checkShapes(declared map[string][]int, inputs map[string]*tensor.Tensor) error {
-	for name := range inputs {
-		if _, ok := declared[name]; !ok {
-			return fmt.Errorf("%w: unknown input %q", ErrBadRequest, name)
+			return 0, fmt.Errorf("%w: input %q item count %d != %d", ErrBadRequest, name, t.Dim(0), rows)
 		}
 	}
-	for name, want := range declared {
-		t, ok := inputs[name]
-		if !ok {
-			return fmt.Errorf("%w: missing input %q", ErrBadRequest, name)
-		}
-		got := t.Shape()
-		if len(got) != len(want) {
-			return fmt.Errorf("%w: input %q rank %d, model declares %v", ErrBadRequest, name, len(got), want)
-		}
-		for i := 1; i < len(want); i++ {
-			if got[i] != want[i] {
-				return fmt.Errorf("%w: input %q shape %v, model declares %v (batch axis excluded)",
-					ErrBadRequest, name, got, want)
-			}
+	for name := range declared {
+		if _, ok := inputs[name]; !ok {
+			return 0, fmt.Errorf("%w: missing input %q", ErrBadRequest, name)
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 // Submit admits one request, returning a channel that will deliver exactly
@@ -481,20 +473,12 @@ func checkShapes(declared map[string][]int, inputs map[string]*tensor.Tensor) er
 // was never queued. Overload rejections are *OverloadError with a
 // retry-after hint.
 func (s *Server) Submit(req Request) (<-chan Response, error) {
-	sig, rows, err := signature(req.Inputs)
+	rows, err := checkInputs(s.cfg.ItemShapes, req.Inputs)
 	if err != nil {
 		return nil, err
 	}
-	if rows > maxItems {
-		return nil, fmt.Errorf("%w: item count %d exceeds max %d", ErrBadRequest, rows, maxItems)
-	}
 	if req.Priority < High || req.Priority >= numLanes {
 		return nil, fmt.Errorf("%w: priority %d", ErrBadRequest, req.Priority)
-	}
-	if s.cfg.ItemShapes != nil {
-		if err := checkShapes(s.cfg.ItemShapes, req.Inputs); err != nil {
-			return nil, err
-		}
 	}
 
 	s.mu.Lock()
@@ -519,7 +503,7 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 		s.met.admission(admitRejectGlobal)
 		return nil, &OverloadError{Scope: "global", Tenant: t.name, RetryAfter: s.retryAfter(depth)}
 	}
-	if t.depth >= t.cap {
+	if t.depth >= s.cfg.TenantQueue {
 		depth := t.depth
 		s.mu.Unlock()
 		s.met.admission(admitRejectTenant)
@@ -530,7 +514,6 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 		id:       s.reqIDs.Add(1),
 		tenant:   t,
 		lane:     req.Priority,
-		sig:      sig,
 		rows:     rows,
 		inputs:   req.Inputs,
 		admitted: time.Now(),
@@ -786,10 +769,9 @@ func (s *Server) Close() {
 
 // pick dequeues the next request under WRR with priority lanes: the highest
 // non-empty lane wins; within a lane, tenants are visited round-robin and
-// spend weight-refilled credits. sig, when non-empty, restricts the pick to
-// compatible requests (same signature at a tenant's lane head; FIFO order
-// within a tenant is never reordered). Caller holds mu.
-func (s *Server) pick(sig string) *pendingReq {
+// spend weight-refilled credits. Within a tenant's lane, requests leave in
+// arrival order. Caller holds mu.
+func (s *Server) pick() *pendingReq {
 	if s.queued == 0 {
 		return nil
 	}
@@ -805,9 +787,6 @@ func (s *Server) pick(sig string) *pendingReq {
 					continue
 				}
 				p := q[0]
-				if sig != "" && p.sig != sig {
-					continue
-				}
 				t.lanes[lane] = q[1:]
 				t.depth--
 				t.credit--
@@ -838,7 +817,7 @@ func (s *Server) pick(sig string) *pendingReq {
 }
 
 // scheduler assembles batches: it opens a batch with the WRR-chosen head,
-// then pulls compatible requests until MaxBatch or the MaxDelay window
+// then pulls further requests until MaxBatch or the MaxDelay window
 // closes (drain mode flushes immediately). Engine backpressure is absorbed
 // here — Submit blocks while the pipeline is at depth, and admission keeps
 // rejecting above the bounded queues.
@@ -852,7 +831,7 @@ func (s *Server) scheduler() {
 		if s.closed {
 			return
 		}
-		first := s.pick("")
+		first := s.pick()
 		if first == nil {
 			continue
 		}
@@ -867,7 +846,7 @@ func (s *Server) scheduler() {
 		reason := flushSize
 		if s.draining {
 			for len(batch) < maxBatch {
-				p := s.pick(first.sig)
+				p := s.pick()
 				if p == nil {
 					break
 				}
@@ -888,7 +867,7 @@ func (s *Server) scheduler() {
 				s.mu.Unlock()
 			})
 			for len(batch) < maxBatch {
-				if p := s.pick(first.sig); p != nil {
+				if p := s.pick(); p != nil {
 					batch = append(batch, p)
 					continue
 				}

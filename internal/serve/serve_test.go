@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,8 +82,13 @@ func (f *fakeEngine) batches() []map[string]*tensor.Tensor {
 	return append([]map[string]*tensor.Tensor(nil), f.submitted...)
 }
 
+// newTestServer starts a server over e. Unless cfg declares its own input
+// interface, the model takes one input "x" of one float per item.
 func newTestServer(t *testing.T, e Engine, cfg Config) *Server {
 	t.Helper()
+	if cfg.ItemShapes == nil {
+		cfg.ItemShapes = declareX(1)
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
@@ -90,6 +97,10 @@ func newTestServer(t *testing.T, e Engine, cfg Config) *Server {
 	return s
 }
 
+// declareX is the input interface of a model whose one input "x" carries
+// width floats per item.
+func declareX(width int) map[string][]int { return map[string][]int{"x": {1, width}} }
+
 func itemReq(tenant string, prio Priority, vals ...float32) Request {
 	return Request{Tenant: tenant, Priority: prio,
 		Inputs: map[string]*tensor.Tensor{"x": tensor.MustFromSlice(vals, 1, len(vals))}}
@@ -97,7 +108,7 @@ func itemReq(tenant string, prio Priority, vals ...float32) Request {
 
 func TestBatchFlushOnSize(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: 10 * time.Second})
+	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: 10 * time.Second, ItemShapes: declareX(2)})
 
 	var wg sync.WaitGroup
 	resps := make([]Response, 4)
@@ -157,31 +168,9 @@ func TestBatchFlushOnTimer(t *testing.T) {
 	}
 }
 
-func TestIncompatibleShapesSplitBatches(t *testing.T) {
-	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond})
-
-	var wg sync.WaitGroup
-	shapes := [][]float32{{1, 2}, {3, 4, 5}} // item widths 2 and 3: incompatible
-	for _, vals := range shapes {
-		vals := vals
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Infer(context.Background(), itemReq("t", Normal, vals...)); err != nil {
-				t.Errorf("infer: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := fe.batches(); len(got) != 2 {
-		t.Fatalf("engine saw %d batches, want 2 (incompatible signatures)", len(got))
-	}
-}
-
 func TestMultiRowDemux(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 2, MaxDelay: time.Second})
+	s := newTestServer(t, fe, Config{MaxBatch: 2, MaxDelay: time.Second, ItemShapes: declareX(2)})
 
 	var wg sync.WaitGroup
 	var r2, r1 Response
@@ -332,7 +321,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 
 func TestSubmitRejectsOversizedItemCount(t *testing.T) {
 	fe := newFakeEngine()
-	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: time.Millisecond, ItemShapes: declareX(2)})
 
 	// maxItems refuses an outsized leading dimension at the door instead of
 	// letting it reach batch assembly.
@@ -356,7 +345,7 @@ func TestDrainWaitsForAssemblingBatch(t *testing.T) {
 	// in pending, exactly the window where Drain used to declare emptiness.
 	s := newTestServer(t, fe, Config{MaxBatch: 4, MaxDelay: 10 * time.Second})
 
-	ch, err := s.Submit(itemReq("t", Normal, 1, 2))
+	ch, err := s.Submit(itemReq("t", Normal, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,47 +434,97 @@ func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, fe, Config{})
 	cases := []Request{
 		{Tenant: "t", Inputs: nil},
+		{Tenant: "t", Inputs: map[string]*tensor.Tensor{"x": nil}},
 		{Tenant: "t", Inputs: map[string]*tensor.Tensor{"x": tensor.New()}},
-		{Tenant: "t", Priority: numLanes, Inputs: map[string]*tensor.Tensor{"x": tensor.New(1, 2)}},
-		{Tenant: "t", Inputs: map[string]*tensor.Tensor{
-			"x": tensor.New(1, 2), "w": tensor.New(2, 2)}}, // mismatched item counts
+		{Tenant: "t", Inputs: map[string]*tensor.Tensor{"x": tensor.New(0, 1)}},
+		{Tenant: "t", Priority: numLanes, Inputs: map[string]*tensor.Tensor{"x": tensor.New(1, 1)}},
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("case %d: err = %v, want ErrBadRequest", i, err)
 		}
 	}
+	// An empty interface admits nothing.
+	s.cfg.ItemShapes = nil
+	if _, err := s.Submit(itemReq("t", Normal, 1)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("empty interface: err = %v, want ErrBadRequest", err)
+	}
 }
 
+// TestDeclaredShapesGateAdmission sends every way of missing the declared
+// input interface through Submit and through both HTTP content types: each
+// must be refused (ErrBadRequest, 400) before it reaches the engine.
 func TestDeclaredShapesGateAdmission(t *testing.T) {
 	fe := newFakeEngine()
 	s := newTestServer(t, fe, Config{MaxBatch: 1, MaxDelay: time.Millisecond,
-		ItemShapes: map[string][]int{"x": {1, 4}}})
+		ItemShapes: map[string][]int{"x": {1, 4}, "m": {1, 2}}})
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
 
-	bad := []map[string]*tensor.Tensor{
-		{"x": tensor.New(1, 3)},                        // wrong item width
-		{"x": tensor.New(1, 4, 1)},                     // wrong rank
-		{"y": tensor.New(1, 4)},                        // unknown name
-		{"x": tensor.New(1, 4), "y": tensor.New(1, 4)}, // extra input
+	in := func(x, m *tensor.Tensor) map[string]*tensor.Tensor {
+		out := map[string]*tensor.Tensor{"x": x}
+		if m != nil {
+			out["m"] = m
+		}
+		return out
 	}
-	for i, in := range bad {
-		if _, err := s.Submit(Request{Tenant: "t", Inputs: in}); !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("bad case %d admitted: %v", i, err)
+	bad := []struct {
+		name   string
+		inputs map[string]*tensor.Tensor
+	}{
+		{"unknown input", map[string]*tensor.Tensor{
+			"x": tensor.New(1, 4), "m": tensor.New(1, 2), "y": tensor.New(1, 4)}},
+		{"missing input", in(tensor.New(1, 4), nil)},
+		{"wrong rank", in(tensor.New(1, 4, 1), tensor.New(1, 2))},
+		{"wrong per-item dims", in(tensor.New(1, 3), tensor.New(1, 2))},
+		{"mismatched leading dims", in(tensor.New(2, 4), tensor.New(1, 2))},
+		{"over maxItems", in(tensor.New(maxItems+1, 4), tensor.New(maxItems+1, 2))},
+	}
+	paths := []struct {
+		name string
+		send func(map[string]*tensor.Tensor) error
+	}{
+		{"submit", func(in map[string]*tensor.Tensor) error {
+			_, err := s.Submit(Request{Tenant: "t", Inputs: in})
+			return err
+		}},
+		{"json", func(in map[string]*tensor.Tensor) error {
+			_, err := (&Client{BaseURL: ts.URL}).Infer(context.Background(), Request{Tenant: "t", Inputs: in})
+			return err
+		}},
+		{"binary", func(in map[string]*tensor.Tensor) error {
+			_, err := binClient(ts.URL).Infer(context.Background(), Request{Tenant: "t", Inputs: in})
+			return err
+		}},
+	}
+	// Submit refuses with ErrBadRequest, both HTTP codecs with a 400.
+	refused := func(err error) bool {
+		var se *StatusError
+		return errors.Is(err, ErrBadRequest) || errors.As(err, &se) && se.Status == http.StatusBadRequest
+	}
+	for _, p := range paths {
+		for _, c := range bad {
+			if err := p.send(c.inputs); !refused(err) {
+				t.Errorf("%s, %s: err = %v, want a bad-request refusal", p.name, c.name, err)
+			}
+		}
+		// A conforming request passes whatever its item count.
+		if err := p.send(in(tensor.New(3, 4), tensor.New(3, 2))); err != nil {
+			t.Errorf("%s: conforming 3-item request refused: %v", p.name, err)
 		}
 	}
-	// Conforming requests pass whatever their item count.
-	if _, err := s.Infer(context.Background(), Request{Tenant: "t",
-		Inputs: map[string]*tensor.Tensor{"x": tensor.New(3, 4)}}); err != nil {
-		t.Fatalf("conforming 3-item request rejected: %v", err)
-	}
-	if got := fe.batches(); len(got) != 1 {
-		t.Fatalf("engine saw %d batches, want only the conforming one", len(got))
+	waitFor(t, func() bool { return len(fe.batches()) == len(paths) })
+	for _, b := range fe.batches() {
+		if b["x"].Dim(0) != 3 {
+			t.Fatalf("engine saw a %v batch, want only the conforming 3-item requests", b["x"].Shape())
+		}
 	}
 }
 
 // TestWRRPickOrder drives the scheduler's pick directly (no goroutines): a
 // weight-3 tenant must receive three picks for every one of a weight-1
-// tenant, and the High lane must always preempt Normal and Low.
+// tenant, the High lane must always preempt Normal and Low, and within a
+// tenant's lane requests must leave in arrival order.
 func TestWRRPickOrder(t *testing.T) {
 	s := &Server{
 		cfg:     Config{Tenants: map[string]TenantConfig{"heavy": {Weight: 3}}},
@@ -494,10 +533,12 @@ func TestWRRPickOrder(t *testing.T) {
 	}
 	s.cfg.fill()
 
+	var seq uint64
 	enq := func(tenant string, lane Priority, n int) {
 		st := s.tenant(tenant)
 		for i := 0; i < n; i++ {
-			st.lanes[lane] = append(st.lanes[lane], &pendingReq{tenant: st, lane: lane, sig: "x;"})
+			seq++
+			st.lanes[lane] = append(st.lanes[lane], &pendingReq{id: seq, tenant: st, lane: lane})
 			st.depth++
 			s.queued++
 		}
@@ -508,12 +549,18 @@ func TestWRRPickOrder(t *testing.T) {
 	enq("light", High, 1)
 
 	var order []string
+	last := map[string]uint64{}
 	for {
-		p := s.pick("")
+		p := s.pick()
 		if p == nil {
 			break
 		}
-		order = append(order, p.tenant.name+"/"+p.lane.String())
+		key := p.tenant.name + "/" + p.lane.String()
+		if p.id < last[key] {
+			t.Fatalf("%s: request %d picked after %d, want FIFO within a tenant lane", key, p.id, last[key])
+		}
+		last[key] = p.id
+		order = append(order, key)
 	}
 	if len(order) != 20 {
 		t.Fatalf("picked %d, want 20", len(order))
@@ -534,30 +581,6 @@ func TestWRRPickOrder(t *testing.T) {
 	}
 	if heavyFirst8 != 6 {
 		t.Fatalf("heavy got %d of the first 8 Normal picks, want 6 (3:1 WRR)", heavyFirst8)
-	}
-}
-
-func TestPickRestrictedBySignature(t *testing.T) {
-	s := &Server{
-		cfg:     Config{},
-		met:     newServeMetrics(telemetry.NewRegistry()),
-		tenants: make(map[string]*tenantState),
-	}
-	s.cfg.fill()
-	st := s.tenant("t")
-	a := &pendingReq{tenant: st, lane: Normal, sig: "a;"}
-	b := &pendingReq{tenant: st, lane: Normal, sig: "b;"}
-	st.lanes[Normal] = []*pendingReq{a, b}
-	st.depth, s.queued = 2, 2
-
-	if p := s.pick("b;"); p != nil {
-		t.Fatalf("pick reordered past an incompatible FIFO head: %v", p.sig)
-	}
-	if p := s.pick("a;"); p != a {
-		t.Fatal("compatible head not picked")
-	}
-	if p := s.pick("b;"); p != b {
-		t.Fatal("next head not picked after first drained")
 	}
 }
 

@@ -140,15 +140,11 @@ func RequestEncodedSize(inputs map[string]*tensor.Tensor) int64 {
 }
 
 // MaxRequestSize bounds the body of a binary request against the declared
-// input interface: per input, a maximal frame of maxItems items; without
-// declared shapes, a flat 64 MiB. Binary payloads are 4 bytes per float32
-// plus tight framing, so the bound tracks real bodies closely — unlike the
-// JSON cap, which must assume ~24 text bytes per float.
+// input interface: per input, a maximal frame of maxItems items. Binary
+// payloads are 4 bytes per float32 plus tight framing, so the bound tracks
+// real bodies closely — unlike the JSON cap, which must assume ~24 text
+// bytes per float.
 func MaxRequestSize(itemShapes map[string][]int, maxItems int) int64 {
-	const fallback = 64 << 20
-	if len(itemShapes) == 0 {
-		return fallback
-	}
 	size := int64(pubHeaderLen + frameHdrSize)
 	for name, shape := range itemShapes {
 		per := 1

@@ -228,9 +228,6 @@ func TestMaxRequestSizeCoversDeclaredShapes(t *testing.T) {
 	if slack := bound - RequestEncodedSize(in); slack > 1<<12 {
 		t.Fatalf("bound slack %d bytes; binary sizing should be tight", slack)
 	}
-	if MaxRequestSize(nil, maxItems) != 64<<20 {
-		t.Fatal("undeclared interface must fall back to the flat cap")
-	}
 }
 
 func TestCheckPublicShape(t *testing.T) {

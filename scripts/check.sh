@@ -13,10 +13,10 @@ go test -race ./...
 # The GEMM kernels, the conv lowering over them, the serving scheduler's
 # submit/demux hand-off, the transcript recorder's post/Close, the cluster
 # router's failover, the engine's submit path, the daemon assembly's
-# bring-up and teardown and the record layer's concurrent sender and
-# receiver must hold at every core count: run them at
+# bring-up and teardown, the record layer's concurrent sender and receiver
+# and the control plane's ticker must hold at every core count: run them at
 # GOMAXPROCS 1, 2 and 4.
-go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/node ./internal/securechan ./internal/wire
+go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/node ./internal/securechan ./internal/wire ./internal/control
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement), the lock-free telemetry core, the adaptive
@@ -30,9 +30,9 @@ go test -race -count=2 ./internal/monitor ./internal/workpool ./internal/securec
 # buffers at random): the fully instrumented warm dispatch→gather path must
 # not allocate more than the same path with telemetry disabled, sequential
 # GEMM and depthwise kernels allocate nothing, a sequential conv only its
-# output, and a warm interp Run of the served mobilenetv3 stays under its
-# bound.
-go test -run='TestWarmAllocsPin|TestSequentialKernelsAllocateNothing|TestSequentialConvAllocatesOnlyOutput|TestInterpRunAllocsPin' -count=1 ./internal/monitor ./internal/blas ./internal/ops ./internal/infer
+# output, a warm interp Run of the served mobilenetv3 stays under its
+# bound, and serving admission allocates only the queued request.
+go test -run='TestWarmAllocsPin|TestSequentialKernelsAllocateNothing|TestSequentialConvAllocatesOnlyOutput|TestInterpRunAllocsPin|TestSubmitAllocsPin' -count=1 ./internal/monitor ./internal/blas ./internal/ops ./internal/infer ./internal/serve
 
 # Figure-sweep drift gate: `mvtee-bench -all` must still produce every
 # section, model, config row and column of the committed bench_all_sim.txt
