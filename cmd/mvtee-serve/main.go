@@ -72,7 +72,7 @@ func main() {
 	clusterSync := flag.Bool("cluster-sync", false,
 		"cluster mode: hold each result until every follower vote lands (fail on dissent) instead of async dissent telemetry")
 	clusterForward := flag.String("cluster-forward", "digest",
-		"cluster mode: follower result forwarding — 'digest' (46-byte votes) or 'tensor' (full outputs, the naive baseline)")
+		"cluster mode: follower result forwarding — 'digest' (45-byte digest votes) or 'tensor' (full outputs, the naive baseline)")
 	flag.Parse()
 	log.SetPrefix("mvtee-serve: ")
 	log.SetFlags(0)

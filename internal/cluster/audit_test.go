@@ -74,24 +74,16 @@ func TestClusterAuditEndToEnd(t *testing.T) {
 		}
 		outs := testOutputs(val)
 		want := check.DigestOf(outs)
-		annBefore := len(follow.announces)
 		// Best-effort checkpoint plane first, then the result (same event
 		// channel, so the router processes them in order).
 		lead.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: want}})
 		lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
-		waitUntil(t, "announce", func() bool {
-			follow.mu.Lock()
-			defer follow.mu.Unlock()
-			return len(follow.announces) > annBefore
-		})
-		vote := &wire.Digest{ID: id, Stage: -1, Vote: true, Agree: true, Sum: want}
+		vote := &wire.Digest{ID: id, Stage: -1, Sum: want}
 		switch verdict {
 		case "abstain":
 			vote.Sum = [32]byte{} // could not execute: zero sum, not dissent
-			vote.Agree = false
 		case "dissent":
-			vote.Sum[0] ^= 0xff
-			vote.Agree = false
+			vote.Sum[0] ^= 0xff // the router compares sums: a differing one dissents
 		}
 		follow.post(replicaEvent{vote: vote})
 		return id, outs, follow.id

@@ -8,14 +8,16 @@
 // rendezvous-hash candidate order, and optionally a set of follower replicas
 // that cross-check the leader's work. The headline optimization is
 // dMVX-style selective result forwarding: followers execute the batch on
-// their own diversified variants but ship back a 32-byte checkpoint digest
-// vote instead of their output tensors, and the leader's digest reaches them
-// as one encode-once 46-byte announce frame — the steady-state cross-node
-// verification cost is O(digest bytes), not O(activation bytes). Digest
-// equality is a sound verdict because the kernels are bitwise-deterministic
-// across backends and parallelism (PR 1); deployments without that property
-// run the tier in TensorForward mode, which ships and compares full outputs
-// (the naive baseline).
+// their own diversified variants but ship back a 45-byte digest frame of
+// their outputs instead of the output tensors, and the router — the one
+// party that sees every replica's answer, like the monitor TEE does for its
+// variants — decides each vote by comparing that digest with the leader's.
+// The steady-state cross-node verification cost is one digest frame per
+// follower, O(digest bytes), not O(activation bytes). Digest equality is a
+// sound verdict because the kernels are bitwise-deterministic across
+// backends and parallelism (PR 1); deployments without that property run the
+// tier in TensorForward mode, which ships full outputs and compares them the
+// same way (the naive baseline).
 //
 // Replica health is driven by the degradation ladder: a replica whose
 // engine demotes to halted stops receiving new batches, and its in-flight
@@ -62,14 +64,12 @@ type Replica interface {
 	// Close releases the replica handle (remote: closes the connection).
 	Close() error
 
-	// attach wires the replica to its router's event loop. submit/announce
-	// carry the encoded payloads of the data and verification planes and
-	// report the payload bytes sent, feeding the router's forward-bytes
-	// accounting; trace is the router-minted federation trace ID (zero when
-	// tracing is off for the batch).
+	// attach wires the replica to its router's event loop. submit carries
+	// the encoded batch and reports the payload bytes sent, feeding the
+	// router's forward-bytes accounting; trace is the router-minted
+	// federation trace ID (zero when tracing is off for the batch).
 	attach(idx int, events chan<- replicaEvent)
 	submit(rid, trace uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error)
-	announce(enc []byte, d *wire.Digest) (int, error)
 	// pollMetrics requests the replica registry's snapshot (metrics
 	// federation); the answer arrives as a metrics event. Best-effort.
 	pollMetrics(seq uint64)
@@ -80,7 +80,7 @@ type Replica interface {
 type replicaEvent struct {
 	idx     int
 	res     *monitor.BatchResult // completed batch (router ID namespace)
-	vote    *wire.Digest         // verification-plane frame (vote or stage digest)
+	vote    *wire.Digest         // verification-plane frame (stage digest, or vote at Stage -1)
 	status  *wire.ReplicaStatus  // health heartbeat
 	spans   *wire.SpanReport     // harvested batch spans (trace federation)
 	metrics *wire.MetricsReport  // registry snapshot (metrics federation)

@@ -14,8 +14,9 @@ import (
 // Remote is the router's handle to a replica engine in another process (or on
 // another node), reached over a securechan connection whose far end runs a
 // ReplicaServer. The connection carries both planes: input dispatch
-// (Batch/Verify frames, encode-once fan-out) and verification (46-byte Digest
-// frames), plus the replica's health heartbeats and scoped controller knobs.
+// (Batch/Verify frames, encode-once fan-out) and verification (the
+// replica's 45-byte Digest frames), plus the replica's health heartbeats and
+// scoped controller knobs.
 type Remote struct {
 	conn  securechan.Conn
 	hello wire.ReplicaHello
@@ -158,15 +159,6 @@ func (r *Remote) submit(rid, trace uint64, enc []byte, inputs map[string]*tensor
 // which reports the replica down.
 func (r *Remote) pollMetrics(seq uint64) {
 	_ = wire.Send(r.conn, &wire.MetricsPoll{Seq: seq})
-}
-
-// announce fans the leader's digest to the replica, preferring the router's
-// shared encode-once payload.
-func (r *Remote) announce(enc []byte, d *wire.Digest) (int, error) {
-	if enc == nil {
-		return wire.DigestFrameLen, wire.Send(r.conn, d)
-	}
-	return len(enc), r.conn.Send(enc)
 }
 
 // resultWireBytes reconstructs the encoded payload size of a received Result.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/monitor"
@@ -27,9 +26,6 @@ type ReplicaServerOptions struct {
 }
 
 const (
-	// holdTTL bounds how long a cross-check digest (or an early announce)
-	// waits for its counterpart before the batch is abandoned replica-side.
-	holdTTL = 30 * time.Second
 	// maxSpans bounds the spans harvested and shipped per batch in a
 	// SpanReport.
 	maxSpans = 64
@@ -43,10 +39,11 @@ const (
 
 // ReplicaServer runs one replica's end of the router protocol over a
 // securechan connection: it registers with a hello, executes Batch frames as
-// the batch leader (full result back) and Verify frames as a follower
-// (digest vote back), streams health on ladder transitions, and applies
-// router-scoped controller knobs. The engine is owned by the caller and must
-// be dedicated to this server while it runs.
+// the batch leader (full result back) and Verify frames as a follower (the
+// digest of its outputs back, which the router turns into its vote), streams
+// health on ladder transitions, and applies router-scoped controller knobs.
+// The engine is owned by the caller and must be dedicated to this server
+// while it runs.
 type ReplicaServer struct {
 	conn securechan.Conn
 	eng  *monitor.Engine
@@ -64,22 +61,14 @@ type ReplicaServer struct {
 	// the correctness backbone.
 	stageDigests chan wire.Digest
 
-	mu        sync.Mutex
-	pend      map[uint64]repSub     // engine batch ID -> router batch
-	held      map[uint64]heldDigest // follower digest awaiting announce (router ID key)
-	announces map[uint64]heldDigest // announce awaiting follower digest (router ID key)
+	mu   sync.Mutex
+	pend map[uint64]repSub // engine batch ID -> router batch
 }
 
 type repSub struct {
 	rid    uint64
 	trace  uint64 // router-minted federation trace ID (zero: tracing off)
 	verify bool
-}
-
-type heldDigest struct {
-	sum  check.Digest
-	err  bool // execution failed: vote must abstain
-	born time.Time
 }
 
 // NewReplicaServer builds the server; Run drives it. The two are split so
@@ -99,8 +88,6 @@ func NewReplicaServer(conn securechan.Conn, eng *monitor.Engine, opts ReplicaSer
 		stop:         make(chan struct{}),
 		stageDigests: make(chan wire.Digest, 256),
 		pend:         make(map[uint64]repSub),
-		held:         make(map[uint64]heldDigest),
-		announces:    make(map[uint64]heldDigest),
 	}
 }
 
@@ -114,10 +101,9 @@ func (s *ReplicaServer) Run() error {
 	if err := wire.Send(s.conn, &hello); err != nil {
 		return fmt.Errorf("cluster: replica hello: %w", err)
 	}
-	s.wg.Add(3)
+	s.wg.Add(2)
 	go s.pumpOutputs()
 	go s.pumpStatus()
-	go s.sweep()
 	err := s.readLoop()
 	s.shutdown()
 	s.wg.Wait()
@@ -150,10 +136,6 @@ func (s *ReplicaServer) readLoop() error {
 			s.submit(v.ID, v.Trace, v.Tensors, false)
 		case *wire.Verify:
 			s.submit(v.ID, v.Trace, v.Tensors, true)
-		case *wire.Digest:
-			if !v.Vote && v.Stage < 0 {
-				s.onAnnounce(v)
-			} // stage-digest frames are router-bound only; ignore otherwise
 		case *wire.ReplicaTune:
 			s.eng.SetInflightWindow(v.InflightWindow)
 		case *wire.MetricsPoll:
@@ -180,8 +162,8 @@ func (s *ReplicaServer) submit(rid, trace uint64, tensors map[string]*tensor.Ten
 		delete(s.pend, eid)
 		s.mu.Unlock()
 		if verify {
-			// Abstain: the follower cannot execute, so it has no verdict.
-			s.send(&wire.Digest{ID: rid, Stage: -1, Vote: true})
+			// Abstain (zero sum): the follower cannot execute the batch.
+			s.send(&wire.Digest{ID: rid, Stage: -1})
 			return
 		}
 		// As in deliver: the halted ladder goes ahead of the rejection, so
@@ -217,41 +199,24 @@ func (s *ReplicaServer) pumpOutputs() {
 }
 
 // deliver answers one completed batch: leader batches return the full result,
-// follower batches resolve into a digest vote — immediately when the
-// leader's announce already arrived, otherwise the digest is held for it.
+// follower batches the digest of their outputs (zero when execution failed:
+// an abstention), which the router compares with the leader's.
 func (s *ReplicaServer) deliver(br monitor.BatchResult, sub repSub) {
-	if !sub.verify {
-		res := &wire.Result{ID: sub.rid, Tensors: br.Tensors}
-		if br.Err != nil {
-			res.Err = br.Err.Error()
-			res.Tensors = nil
-			// Refresh health ahead of the error on the same ordered stream,
-			// so the router's failover decision sees the demotion that
-			// caused it rather than a stale ladder.
-			s.sendStatus(res)
-		} else {
-			s.send(res)
+	switch {
+	case sub.verify:
+		v := &wire.Digest{ID: sub.rid, Stage: -1}
+		if br.Err == nil {
+			v.Sum = check.DigestOf(br.Tensors)
 		}
-		s.reportSpans(sub)
-		return
+		s.send(v)
+	case br.Err != nil:
+		// Refresh health ahead of the error on the same ordered stream, so
+		// the router's failover decision sees the demotion that caused it
+		// rather than a stale ladder.
+		s.sendStatus(&wire.Result{ID: sub.rid, Err: br.Err.Error()})
+	default:
+		s.send(&wire.Result{ID: sub.rid, Tensors: br.Tensors})
 	}
-	h := heldDigest{err: br.Err != nil, born: time.Now()}
-	if br.Err == nil {
-		h.sum = check.DigestOf(br.Tensors)
-	}
-	s.mu.Lock()
-	a, ok := s.announces[sub.rid]
-	if ok {
-		delete(s.announces, sub.rid)
-	} else {
-		s.held[sub.rid] = h
-	}
-	s.mu.Unlock()
-	if ok {
-		s.vote(sub.rid, h, a.sum)
-	}
-	// Follower spans ship at engine completion; the vote may still be held
-	// for the leader's announce, but the spans exist now.
 	s.reportSpans(sub)
 }
 
@@ -270,34 +235,6 @@ func (s *ReplicaServer) reportSpans(sub repSub) {
 		return
 	}
 	s.send(&wire.SpanReport{ID: sub.rid, Replica: s.opts.Hello.ID, Spans: spans})
-}
-
-// onAnnounce resolves the leader's final digest against the held follower
-// digest, or parks it until the local execution completes.
-func (s *ReplicaServer) onAnnounce(d *wire.Digest) {
-	s.mu.Lock()
-	h, ok := s.held[d.ID]
-	if ok {
-		delete(s.held, d.ID)
-	} else {
-		s.announces[d.ID] = heldDigest{sum: check.Digest(d.Sum), born: time.Now()}
-	}
-	s.mu.Unlock()
-	if ok {
-		s.vote(d.ID, h, check.Digest(d.Sum))
-	}
-}
-
-// vote sends the follower verdict: zero Sum abstains (execution failed),
-// otherwise Agree reports digest equality and Sum carries what this replica
-// actually computed so a dissent is diagnosable router-side.
-func (s *ReplicaServer) vote(rid uint64, h heldDigest, leader check.Digest) {
-	v := &wire.Digest{ID: rid, Stage: -1, Vote: true}
-	if !h.err {
-		v.Sum = h.sum
-		v.Agree = h.sum == leader
-	}
-	s.send(v)
 }
 
 // StageDigestSink adapts the engine's per-checkpoint digest tap
@@ -355,33 +292,6 @@ func (s *ReplicaServer) pumpStatus() {
 				monitor.EventSpareProvisioned:
 				s.sendStatus(nil)
 			}
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// sweep abandons held digests and announces whose counterpart never arrived
-// (router failed the batch over, or the announce was lost with its leader).
-func (s *ReplicaServer) sweep() {
-	defer s.wg.Done()
-	t := time.NewTicker(holdTTL / 2)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			s.mu.Lock()
-			for id, h := range s.held {
-				if now.Sub(h.born) > holdTTL {
-					delete(s.held, id)
-				}
-			}
-			for id, a := range s.announces {
-				if now.Sub(a.born) > holdTTL {
-					delete(s.announces, id)
-				}
-			}
-			s.mu.Unlock()
 		case <-s.stop:
 			return
 		}

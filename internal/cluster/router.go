@@ -25,8 +25,9 @@ type RouterConfig struct {
 	// Verify is the number of follower replicas that cross-check each batch.
 	// Zero disables cross-checking (pure load balancing with failover).
 	Verify int
-	// Mode selects how followers report: DigestForward (the default, 46-byte
-	// votes) or TensorForward (full output tensors, the naive baseline).
+	// Mode selects how followers report: DigestForward (the default, 45-byte
+	// digest frames) or TensorForward (full output tensors, the naive
+	// baseline). The router decides every vote the same way in both.
 	Mode ForwardMode
 	// Sync holds each result until every follower vote is accounted, failing
 	// the batch with ErrDivergence on dissent. Async (the default) delivers
@@ -62,9 +63,7 @@ type pendingBatch struct {
 	followers map[int]bool
 	res       *monitor.BatchResult // leader result, held in sync mode
 	resAt     time.Time            // when the leader result arrived (vote timeout base)
-	leaderSum check.Digest
-	hasSum    bool
-	announced bool
+	leaderSum check.Digest         // digest of res's outputs: every vote's reference
 	delivered bool
 	dissent   bool
 	// earlyVotes parks follower digests that arrived before the leader's
@@ -106,12 +105,12 @@ type ReplicaMetrics struct {
 }
 
 // Router fronts N replica engines as one serve.Engine: it places each batch
-// on a leader replica, fans cross-check work to followers, verifies their
-// digest votes, and fails batches over when a replica goes down or halts —
-// all under its own stable batch-ID namespace, so the serving tier's demux
-// is oblivious to which replica served what. It also implements
-// control.Pipeline: the controller's window actuations fan out to every
-// replica.
+// on a leader replica, fans cross-check work to followers, decides their
+// votes against the leader's digest, and fails batches over when a replica
+// goes down or halts — all under its own stable batch-ID namespace, so the
+// serving tier's demux is oblivious to which replica served what. It also
+// implements control.Pipeline: the controller's window actuations fan out to
+// every replica.
 type Router struct {
 	cfg    RouterConfig
 	reps   []Replica
@@ -125,10 +124,11 @@ type Router struct {
 	stop     chan struct{}
 	once     sync.Once
 	wg       sync.WaitGroup
-	// dispatchWG tracks the per-batch dispatch goroutines: Submit returns as
-	// soon as the batch is placed and registered, and the marshal + seal +
-	// socket write happen off the caller's goroutine — the serving scheduler's
-	// flush loop must never stall on the wire.
+	// dispatchWG tracks the per-batch dispatch and failover-resubmission
+	// goroutines: Submit returns as soon as the batch is placed and
+	// registered, and the marshal + seal + socket write happen off the
+	// caller's goroutine — the serving scheduler's flush loop must never stall
+	// on the wire.
 	dispatchWG sync.WaitGroup
 	nextID     uint64 // guarded by mu
 
@@ -409,10 +409,11 @@ func (r *Router) place(exclude int) (leader int, followers []int, err error) {
 }
 
 // Submit routes one batch (serve.Engine): leader placement and registration
-// happen inline, then the encode-once dispatch and follower fan-out run on
-// their own goroutine — the marshal, seal and socket writes must not ride the
-// caller's critical path, or the serving scheduler's flush loop serializes
-// with the wire and a multi-replica tier can never out-run one engine.
+// happen inline, then the encode-once dispatch to the leader and followers
+// runs on its own goroutine — the marshal, seal and socket writes must not
+// ride the caller's critical path, or the serving scheduler's flush loop
+// serializes with the wire and a multi-replica tier can never out-run one
+// engine.
 // Blocks at maxInFlight.
 func (r *Router) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	select {
@@ -479,19 +480,18 @@ func (r *Router) noteDispatch(pb *pendingBatch, delta int) {
 
 // dispatch encodes the batch once and sends it to the leader (as TBatch) and
 // followers (retagged TVerify in digest mode; TBatch in tensor mode, so
-// followers ship full results). Runs outside r.mu: sends can block on
+// followers ship full results). The followers are sent the batch even when
+// the leader send fails: they are compared against whichever leader answers.
+// Returns the leader send's error. Runs outside r.mu: sends can block on
 // sockets.
 func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 	start := time.Now()
 	buf := wire.MarshalBatch(&wire.Batch{ID: pb.id, Trace: pb.trace, Tensors: pb.inputs})
 	defer buf.Free()
 	payload := buf.Payload()
-	n, err := r.reps[leader].submit(pb.id, pb.trace, payload, pb.inputs, false)
+	n, leaderErr := r.reps[leader].submit(pb.id, pb.trace, payload, pb.inputs, false)
 	r.m.fwd[planeInput].Add(uint64(n))
-	if err != nil {
-		return err
-	}
-	if pb.trace != 0 {
+	if pb.trace != 0 && leaderErr == nil {
 		// The leader cannot answer before the batch has left the router, so
 		// an answer already in bounds the send. Without the bound the span
 		// would end when this goroutine next ran, which on a busy host is
@@ -522,7 +522,7 @@ func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 			r.mu.Unlock()
 		}
 	}
-	return nil
+	return leaderErr
 }
 
 // loop is the router's event consumer: results, votes, heartbeats and
@@ -574,49 +574,35 @@ func (r *Router) drainPending() {
 }
 
 // onResult handles a replica's completed batch: the leader's is the batch
-// result; a follower's (tensor mode) is a full-tensor cross-check.
+// result; a follower's (tensor mode) is digested here into its vote.
 func (r *Router) onResult(ev replicaEvent) {
 	r.m.fwd[planeResult].Add(uint64(ev.wireBytes))
 	res := ev.res
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	pb := r.pending[res.ID]
 	if pb == nil {
-		r.mu.Unlock()
 		return // stale: already delivered or failed over and resolved
 	}
 	if ev.idx != pb.leader {
-		if pb.followers[ev.idx] {
-			// Tensor-mode cross-check: digest the follower's outputs at the
-			// router and treat it as a vote.
-			switch {
-			case res.Err != nil:
-				r.applyVoteLocked(pb, ev.idx, voteAbstain, check.Digest{})
-				r.completeLocked(pb)
-			case !pb.hasSum:
-				// Follower finished before the leader: park until the
-				// leader result fixes the reference sum.
-				if pb.earlyVotes == nil {
-					pb.earlyVotes = make(map[int]check.Digest)
-				}
-				pb.earlyVotes[ev.idx] = check.DigestOf(res.Tensors)
-			default:
-				sum := check.DigestOf(res.Tensors)
-				r.applyVoteLocked(pb, ev.idx, pb.verdict(sum), sum)
-				r.completeLocked(pb)
-			}
+		// A follower's full result, or a stale pre-failover leader result
+		// (not a follower, so followerVoteLocked ignores it).
+		var sum check.Digest
+		if res.Err == nil {
+			sum = check.DigestOf(res.Tensors)
 		}
-		r.mu.Unlock()
-		return // else: stale pre-failover leader result — first delivery won
+		r.followerVoteLocked(pb, ev.idx, sum)
+		r.completeLocked(pb)
+		return
 	}
 	if res.Err != nil && pb.retries < maxRetries && !r.state[ev.idx].healthy() {
 		// The leader failed the batch and its engine is degraded past
 		// serving: treat as replica failure, not batch failure.
-		r.mu.Unlock()
-		r.failover(res.ID, ev.idx, res.Err)
+		r.failoverLocked(pb, ev.idx, res.Err)
 		return
 	}
-	// The leader result stands. Fix the reference digest, resolve parked
-	// early votes, then fan the announce to the followers.
+	// The leader result stands: fix the reference digest and decide the
+	// votes parked before it.
 	pb.res, pb.resAt = res, time.Now()
 	if res.Err != nil {
 		// A failed batch has no reference to verify against: outstanding
@@ -625,58 +611,18 @@ func (r *Router) onResult(ev replicaEvent) {
 			r.applyVoteLocked(pb, f, voteAbstain, check.Digest{})
 		}
 	} else if len(pb.followers) > 0 {
-		pb.leaderSum, pb.hasSum = check.DigestOf(res.Tensors), true
+		pb.leaderSum = check.DigestOf(res.Tensors)
 	}
 	for idx, sum := range pb.earlyVotes {
-		r.applyVoteLocked(pb, idx, pb.verdict(sum), sum)
+		r.followerVoteLocked(pb, idx, sum)
 	}
 	pb.earlyVotes = nil
-	needAnnounce := pb.hasSum && !pb.announced && r.cfg.Mode == DigestForward
-	pb.announced = pb.announced || needAnnounce
-	var targets []int
-	if needAnnounce {
-		for f := range pb.followers {
-			targets = append(targets, f)
-		}
-	}
-	done := r.completeLocked(pb)
-	async := len(targets) > 0 && !done && !r.closed
-	if async {
-		r.dispatchWG.Add(1)
-	}
-	r.mu.Unlock()
-	if async {
-		// The announce write runs off the event loop: the loop is the only
-		// consumer of the events channel, and a socket write here can deadlock
-		// the whole tier — readers block posting events, replica servers block
-		// writing frames, engines block delivering, and the batch dispatch
-		// holding this conn's write lock never finishes.
-		go func() {
-			defer r.dispatchWG.Done()
-			r.announce(pb, targets)
-		}()
-	}
+	r.completeLocked(pb)
 }
 
-// announce fans the leader's final digest to the followers, encoded once.
-func (r *Router) announce(pb *pendingBatch, targets []int) {
-	d := &wire.Digest{ID: pb.id, Stage: -1, Sum: pb.leaderSum}
-	buf := wire.MarshalDigest(d)
-	defer buf.Free()
-	payload := buf.Payload()
-	for _, f := range targets {
-		n, err := r.reps[f].announce(payload, d)
-		r.m.fwd[planeDigest].Add(uint64(n))
-		if err != nil {
-			// Unreachable follower: its vote will resolve as a timeout
-			// abstention; the down event handles the rest.
-			continue
-		}
-	}
-}
-
-// onVote handles a verification-plane frame: a follower's final verdict
-// (computed replica-side against the announce) or a best-effort stage digest.
+// onVote handles a verification-plane frame from a replica: a follower's
+// final-output digest (Stage -1), which is its vote, or a best-effort stage
+// digest.
 func (r *Router) onVote(ev replicaEvent) {
 	v := ev.vote
 	r.m.fwd[planeDigest].Add(uint64(ev.wireBytes))
@@ -690,27 +636,31 @@ func (r *Router) onVote(ev replicaEvent) {
 		r.onStageDigestLocked(pb, ev.idx, v)
 		return
 	}
-	if !v.Vote || !pb.followers[ev.idx] {
-		return // not a verdict, or follower already resolved/removed
-	}
-	sum, verdict := check.Digest(v.Sum), voteDissent
-	switch {
-	case sum == check.Digest{}: // the follower could not execute
-		verdict = voteAbstain
-	case v.Agree:
-		verdict = voteAgree
-	}
-	r.applyVoteLocked(pb, ev.idx, verdict, sum)
+	r.followerVoteLocked(pb, ev.idx, v.Sum)
 	r.completeLocked(pb)
 }
 
-// verdict compares a tensor-mode follower's output digest against the
-// leader's.
-func (pb *pendingBatch) verdict(sum check.Digest) int {
-	if sum == pb.leaderSum {
-		return voteAgree
+// followerVoteLocked decides one follower's vote from the digest of its
+// outputs, in both forwarding modes: a zero sum abstains, otherwise the vote
+// agrees exactly when the sum equals the leader's digest. A digest that
+// arrives before the leader's result is parked in earlyVotes until the result
+// fixes the reference. Frames from a replica that is not an open follower of
+// the batch are ignored. The caller runs completeLocked. Caller holds r.mu.
+func (r *Router) followerVoteLocked(pb *pendingBatch, idx int, sum check.Digest) {
+	switch {
+	case !pb.followers[idx]:
+	case sum == check.Digest{}:
+		r.applyVoteLocked(pb, idx, voteAbstain, sum)
+	case pb.res == nil:
+		if pb.earlyVotes == nil {
+			pb.earlyVotes = make(map[int]check.Digest)
+		}
+		pb.earlyVotes[idx] = sum
+	case sum == pb.leaderSum:
+		r.applyVoteLocked(pb, idx, voteAgree, sum)
+	default:
+		r.applyVoteLocked(pb, idx, voteDissent, sum)
 	}
-	return voteDissent
 }
 
 // applyVoteLocked resolves one follower's verdict (voteAgree, voteDissent or
@@ -948,49 +898,49 @@ func (r *Router) collector(every time.Duration) {
 // resolve as abstentions.
 func (r *Router) onDown(ev replicaEvent) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := &r.state[ev.idx]
 	if !st.up {
-		r.mu.Unlock()
 		return
 	}
 	st.up = false
 	r.m.up[ev.idx].Set(0)
-	var led []uint64
-	for id, pb := range r.pending {
-		if pb.leader == ev.idx && pb.res == nil {
-			led = append(led, id)
-		}
+	r.cfg.Flight.Trigger(telemetry.FlightReasonReplicaDown)
+	for _, pb := range r.pending {
 		if pb.followers[ev.idx] {
 			r.applyVoteLocked(pb, ev.idx, voteAbstain, check.Digest{})
 			r.completeLocked(pb)
 		}
-	}
-	r.mu.Unlock()
-	r.cfg.Flight.Trigger(telemetry.FlightReasonReplicaDown)
-	for _, id := range led {
-		r.failover(id, ev.idx, ev.down)
+		r.failoverLocked(pb, ev.idx, ev.down)
 	}
 }
 
-// failover re-places one batch away from a failed leader and resubmits it
-// under its original router ID, so the serving tier's demux sees exactly one
-// row per batch no matter how many replicas touched it.
+// failover re-places one batch away from a failed leader (see
+// failoverLocked).
 func (r *Router) failover(id uint64, from int, cause error) {
 	r.mu.Lock()
-	pb := r.pending[id]
-	if pb == nil || pb.leader != from || pb.res != nil {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if pb := r.pending[id]; pb != nil {
+		r.failoverLocked(pb, from, cause)
+	}
+}
+
+// failoverLocked re-places the batch away from its failed leader from and
+// resubmits it under its original router ID, so the serving tier's demux sees
+// exactly one row per batch no matter how many replicas touched it. A no-op
+// when from no longer leads the batch or the leader already answered. Caller
+// holds r.mu.
+func (r *Router) failoverLocked(pb *pendingBatch, from int, cause error) {
+	if pb.leader != from || pb.res != nil {
 		return // resolved or already re-placed by a concurrent path
 	}
 	if pb.retries >= maxRetries {
-		r.resolveFailedLocked(pb, fmt.Errorf("cluster: batch %d exhausted failover retries: %w", id, cause))
-		r.mu.Unlock()
+		r.resolveFailedLocked(pb, fmt.Errorf("cluster: batch %d exhausted failover retries: %w", pb.id, cause))
 		return
 	}
 	leader, _, err := r.place(from)
 	if err != nil {
 		r.resolveFailedLocked(pb, err)
-		r.mu.Unlock()
 		return
 	}
 	pb.retries++
@@ -1000,27 +950,23 @@ func (r *Router) failover(id uint64, from int, cause error) {
 	pb.leader = leader
 	r.state[leader].inflight++
 	r.m.inflight[leader].Set(int64(r.state[leader].inflight))
-	// Followers on the failed replica resolve as abstentions.
-	if pb.followers[from] {
-		r.applyVoteLocked(pb, from, voteAbstain, check.Digest{})
-	}
-	inputs, trace := pb.inputs, pb.trace
-	resubmit := !r.closed
-	if resubmit {
-		r.dispatchWG.Add(1)
-	}
-	r.mu.Unlock()
+	// A follower on the failed replica abstains, and so does a follower
+	// promoted to leader: it would otherwise vote on its own result.
+	r.applyVoteLocked(pb, from, voteAbstain, check.Digest{})
+	r.applyVoteLocked(pb, leader, voteAbstain, check.Digest{})
 	r.m.failovers.Inc()
 	r.cfg.Flight.Trigger(telemetry.FlightReasonFailover)
-	if !resubmit {
+	if r.closed {
 		return // Close drains the batch with ErrRouterStopped
 	}
 	// The resubmission keeps the original trace ID, so the new leader's spans
-	// land in the same tree as the failed attempt's. Like dispatch and
-	// announce it runs on its own goroutine: failover fires from the event
-	// loop (down events, failed leader results), and the loop must never
-	// block on a socket write — it is the only drain for the events channel
-	// every conn reader posts into.
+	// land in the same tree as the failed attempt's. Like dispatch it runs on
+	// its own goroutine: failover fires from the event loop (down events,
+	// failed leader results), and the loop must never block on a socket
+	// write — it is the only drain for the events channel every conn reader
+	// posts into.
+	id, inputs, trace := pb.id, pb.inputs, pb.trace
+	r.dispatchWG.Add(1)
 	go func() {
 		defer r.dispatchWG.Done()
 		n, err := r.reps[leader].submit(id, trace, nil, inputs, false)

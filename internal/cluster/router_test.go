@@ -11,6 +11,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/transcript"
 	"repro/internal/wire"
 )
 
@@ -19,12 +20,11 @@ import (
 type fakeReplica struct {
 	id string
 
-	mu        sync.Mutex
-	idx       int
-	events    chan<- replicaEvent
-	subs      []fakeSub
-	announces []wire.Digest
-	window    int
+	mu     sync.Mutex
+	idx    int
+	events chan<- replicaEvent
+	subs   []fakeSub
+	window int
 }
 
 type fakeSub struct {
@@ -69,13 +69,6 @@ func (f *fakeReplica) submit(rid, _ uint64, enc []byte, inputs map[string]*tenso
 		s.tag = wire.Type(enc[0])
 	}
 	f.subs = append(f.subs, s)
-	return len(enc), nil
-}
-
-func (f *fakeReplica) announce(enc []byte, d *wire.Digest) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.announces = append(f.announces, *d)
 	return len(enc), nil
 }
 
@@ -232,75 +225,108 @@ func TestRouterDispatchSpanEndsByLeaderAnswer(t *testing.T) {
 	}
 }
 
+// TestRouterSyncDigestAgreeAndDissent drives one digest-mode batch per case
+// through a synchronous two-replica router. The follower's final digest
+// arrives after the leader's result or, in the early- cases, before it (and
+// is parked until the result fixes the reference), and it agrees, dissents
+// (a differing sum) or abstains (a zero sum). The router alone decides the
+// vote: a dissent fails the row with ErrDivergence and leaves no leaf; agree
+// and abstain deliver the row, and the leaf records the follower's sum.
 func TestRouterSyncDigestAgreeAndDissent(t *testing.T) {
-	for _, dissent := range []bool{false, true} {
-		name := "agree"
-		if dissent {
-			name = "dissent"
-		}
-		t.Run(name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			a, b := newFake("a"), newFake("b")
-			r, err := NewRouter(RouterConfig{
-				Replicas: []Replica{a, b}, Verify: 1, Sync: true, Metrics: reg,
-			})
-			if err != nil {
-				t.Fatal(err)
+	verdicts := []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain}
+	for _, early := range []bool{false, true} {
+		for _, verdict := range verdicts {
+			name := verdict
+			if early {
+				name = "early-" + verdict
 			}
-			defer r.Close()
+			t.Run(name, func(t *testing.T) {
+				reg := telemetry.NewRegistry()
+				rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1, Metrics: telemetry.NewRegistry()})
+				defer rec.Close()
+				a, b := newFake("a"), newFake("b")
+				r, err := NewRouter(RouterConfig{
+					Replicas: []Replica{a, b}, Verify: 1, Sync: true, Metrics: reg, Transcript: rec,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
 
-			id, err := r.Submit(testInputs(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lead, follow := leaderAndFollower(t, a, b)
-			if fs := follow.lastSub(t); fs.tag != wire.TVerify || !fs.verify {
-				t.Fatalf("follower got %+v, want retagged verify", fs)
-			}
-			outs := testOutputs(5)
-			lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
-			// The leader result triggers the announce fan-out; the follower
-			// answers with an authoritative verdict.
-			waitUntil(t, "announce", func() bool {
-				follow.mu.Lock()
-				defer follow.mu.Unlock()
-				return len(follow.announces) == 1
-			})
-			follow.mu.Lock()
-			ann := follow.announces[0]
-			follow.mu.Unlock()
-			want := check.DigestOf(outs)
-			if ann.ID != id || ann.Vote || check.Digest(ann.Sum) != want {
-				t.Fatalf("announce = %+v, want leader digest of outputs", ann)
-			}
-			vote := &wire.Digest{ID: id, Stage: -1, Vote: true, Agree: !dissent, Sum: want}
-			if dissent {
-				vote.Sum[0] ^= 0xff
-			}
-			follow.post(replicaEvent{vote: vote})
-			row := readRow(t, r)
-			if dissent {
-				if !errors.Is(row.Err, ErrDivergence) {
-					t.Fatalf("row.Err = %v, want ErrDivergence", row.Err)
+				id, err := r.Submit(testInputs(5))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if n := reg.Counter(telemetry.MetricClusterDigestVotes,
-					telemetry.L("verdict", telemetry.DigestVoteDissent)).Value(); n != 1 {
-					t.Fatalf("dissent votes = %d, want 1", n)
+				lead, follow := leaderAndFollower(t, a, b)
+				if fs := follow.lastSub(t); fs.tag != wire.TVerify || !fs.verify {
+					t.Fatalf("follower got %+v, want retagged verify", fs)
 				}
-			} else {
-				if row.Err != nil || row.ID != id {
+				outs := testOutputs(5)
+				sum := check.DigestOf(outs)
+				switch verdict {
+				case telemetry.DigestVoteDissent:
+					sum[0] ^= 0xff
+				case telemetry.DigestVoteAbstain:
+					sum = check.Digest{}
+				}
+				vote := replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: sum}}
+				result := replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}}
+				if early {
+					follow.post(vote)
+					waitUntil(t, "follower digest handled", func() bool {
+						r.mu.Lock()
+						defer r.mu.Unlock()
+						pb := r.pending[id]
+						return len(pb.earlyVotes) == 1 || len(pb.followers) == 0
+					})
+					lead.post(result)
+				} else {
+					lead.post(result)
+					select {
+					case row := <-r.Outputs():
+						t.Fatalf("row %+v delivered before the follower's vote", row)
+					case <-time.After(20 * time.Millisecond):
+					}
+					follow.post(vote)
+				}
+				row := readRow(t, r)
+				for _, v := range verdicts {
+					want := uint64(0)
+					if v == verdict {
+						want = 1
+					}
+					if n := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value(); n != want {
+						t.Fatalf("%s votes = %d, want %d", v, n, want)
+					}
+				}
+				if verdict == telemetry.DigestVoteDissent {
+					if row.ID != id || !errors.Is(row.Err, ErrDivergence) {
+						t.Fatalf("row = %+v, want id %d with ErrDivergence", row, id)
+					}
+					return
+				}
+				if row.ID != id || row.Err != nil {
 					t.Fatalf("row = %+v, want clean id %d", row, id)
 				}
-				if n := reg.Counter(telemetry.MetricClusterDigestVotes,
-					telemetry.L("verdict", telemetry.DigestVoteAgree)).Value(); n != 1 {
-					t.Fatalf("agree votes = %d, want 1", n)
+				waitUntil(t, "leaf", func() bool { return rec.Size() == 1 })
+				leaf, _, err := rec.LeafAt(0)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				want := transcript.Vote{Replica: follow.id, Sum: sum, Agree: verdict == telemetry.DigestVoteAgree}
+				if len(leaf.Votes) != 1 || leaf.Votes[0] != want {
+					t.Fatalf("leaf votes = %+v, want [%+v]", leaf.Votes, want)
+				}
+			})
+		}
 	}
 }
 
-func TestRouterAbstainDoesNotFailBatch(t *testing.T) {
+// TestRouterFailoverToFollowerAbstains pins the promoted follower's vote:
+// when the leader goes down and failover places the batch on its only
+// follower, that replica leads now, and the digest it still sends for its
+// Verify copy must not count as agreement with its own result.
+func TestRouterFailoverToFollowerAbstains(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a, b := newFake("a"), newFake("b")
 	r, err := NewRouter(RouterConfig{Replicas: []Replica{a, b}, Verify: 1, Sync: true, Metrics: reg})
@@ -309,18 +335,108 @@ func TestRouterAbstainDoesNotFailBatch(t *testing.T) {
 	}
 	defer r.Close()
 
-	id, _ := r.Submit(testInputs(7))
-	lead, follow := leaderAndFollower(t, a, b)
-	lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: testOutputs(7)}})
-	// Zero-sum vote: the follower could not execute. Not dissent.
-	follow.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Vote: true}})
-	row := readRow(t, r)
-	if row.Err != nil {
-		t.Fatalf("abstention failed the batch: %v", row.Err)
+	id, err := r.Submit(testInputs(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.Counter(telemetry.MetricClusterDigestVotes,
-		telemetry.L("verdict", telemetry.DigestVoteAbstain)).Value(); n != 1 {
-		t.Fatalf("abstain votes = %d, want 1", n)
+	lead, follow := leaderAndFollower(t, a, b)
+	lead.post(replicaEvent{down: errors.New("connection lost")})
+	waitUntil(t, "failover resubmission", func() bool { return follow.subCount() == 2 })
+	if sub := follow.lastSub(t); sub.rid != id || sub.verify {
+		t.Fatalf("failover submission = %+v, want primary rid %d", sub, id)
+	}
+	outs := testOutputs(3)
+	follow.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: check.DigestOf(outs)}})
+	follow.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
+	if row := readRow(t, r); row.ID != id || row.Err != nil {
+		t.Fatalf("row = %+v, want clean id %d", row, id)
+	}
+	vote := func(v string) uint64 {
+		return reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value()
+	}
+	if agree, abstain := vote(telemetry.DigestVoteAgree), vote(telemetry.DigestVoteAbstain); agree != 0 || abstain != 1 {
+		t.Fatalf("votes: agree %d, abstain %d; want 0 and 1", agree, abstain)
+	}
+}
+
+// leaderSendFails is a fakeReplica whose primary (leader) submissions fail
+// at the send; Verify submissions go through.
+type leaderSendFails struct{ *fakeReplica }
+
+func (l leaderSendFails) submit(rid, trace uint64, enc []byte, inputs map[string]*tensor.Tensor, verify bool) (int, error) {
+	if !verify {
+		return 0, errors.New("send failed")
+	}
+	return l.fakeReplica.submit(rid, trace, enc, inputs, verify)
+}
+
+// TestRouterLeaderSendFailureDispatchesFollowers pins the fan-out when the
+// leader send fails: the followers still get their Verify frames and are
+// compared against the failover leader, so a synchronous row arrives with
+// the votes, not at the vote timeout.
+func TestRouterLeaderSendFailureDispatchesFollowers(t *testing.T) {
+	const timeout = time.Second
+	reg := telemetry.NewRegistry()
+	ids := []string{"a", "b", "c"}
+	fakes := make([]*fakeReplica, len(ids))
+	reps := make([]Replica, len(ids))
+	first := rendezvousOrder("default", ids)[0] // the first batch's leader
+	for i, name := range ids {
+		fakes[i] = newFake(name)
+		reps[i] = fakes[i]
+		if i == first {
+			reps[i] = leaderSendFails{fakes[i]}
+		}
+	}
+	r, err := newRouter(RouterConfig{Replicas: reps, Verify: 2, Sync: true, Metrics: reg}, timeout, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	start := time.Now()
+	id, err := r.Submit(testInputs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both followers get a Verify frame, and one of them the failover
+	// resubmission as well.
+	waitUntil(t, "verify frames and failover", func() bool {
+		n := 0
+		for _, f := range fakes {
+			n += f.subCount()
+		}
+		return n == 3
+	})
+	outs := testOutputs(4)
+	verified := 0
+	for _, f := range fakes {
+		f.mu.Lock()
+		subs := append([]fakeSub(nil), f.subs...)
+		f.mu.Unlock()
+		for _, sub := range subs {
+			if sub.tag == wire.TVerify {
+				verified++
+				f.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: check.DigestOf(outs)}})
+			} else {
+				f.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}})
+			}
+		}
+	}
+	if verified != 2 {
+		t.Fatalf("%d Verify frames sent, want 2", verified)
+	}
+	if row := readRow(t, r); row.ID != id || row.Err != nil {
+		t.Fatalf("row = %+v, want clean id %d", row, id)
+	}
+	if took := time.Since(start); took > timeout/2 {
+		t.Fatalf("row took %v, want well under the %v vote timeout", took, timeout)
+	}
+	// The follower promoted to leader abstains; the other agrees.
+	for _, v := range []string{telemetry.DigestVoteAgree, telemetry.DigestVoteAbstain} {
+		if n := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value(); n != 1 {
+			t.Fatalf("%s votes = %d, want 1", v, n)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // every peer cross-checking the leader, what followers put on the wire per
 // request in tensor mode (their full results, the result plane beyond the
 // leader's own) is at least 10x what digest mode puts on the digest plane
-// (announce + votes). Both sides are sums of frame sizes for a fixed payload
+// (the followers' digest frames). Both sides are sums of frame sizes for a fixed payload
 // shape, so the ratio does not depend on host speed.
 func TestVerifyPlaneBytesDigestVsTensor(t *testing.T) {
 	const (

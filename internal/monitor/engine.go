@@ -751,10 +751,14 @@ func (e *Engine) Stream(batches []map[string]*tensor.Tensor) ([]BatchResult, err
 type batchState struct {
 	tensors    map[string]*tensor.Tensor
 	dispatched []bool
-	start      time.Time
-	trace      uint64
-	failed     error
-	delivered  bool
+	// running counts the stages the batch was dispatched to that have not
+	// reported yet. A batch holds its MaxInFlight slot until it is delivered
+	// and running is zero, so a failed batch still queued on a sibling DAG
+	// branch keeps that branch's queue bounded by MaxInFlight.
+	running   int
+	start     time.Time
+	trace     uint64
+	delivered bool
 }
 
 func (e *Engine) router() {
@@ -788,34 +792,43 @@ func (e *Engine) router() {
 			case m.done:
 				b, ok := batches[m.id]
 				if !ok {
-					break // batch already failed/delivered
+					break // batch already failed by a halt
 				}
-				if m.err != nil {
-					var halted error
-					if e.respMode() == Halt {
-						halted = fmt.Errorf("monitor: pipeline halted: %w", m.err)
-						e.halt(halted)
-					}
+				b.running--
+				if m.err != nil && !b.delivered && e.respMode() == Halt {
+					halted := fmt.Errorf("monitor: pipeline halted: %w", m.err)
+					e.halt(halted)
 					b.delivered = true
 					e.deliver(BatchResult{ID: m.id, Err: m.err}, b.trace, b.start)
-					delete(batches, m.id)
-					if halted != nil {
-						e.failAll(batches, halted)
-					}
+					e.failAll(batches, halted)
 					break
 				}
-				for k, v := range m.outs {
-					b.tensors[k] = v
-				}
-				e.dispatchReady(m.id, b)
-				if e.complete(b) {
-					out := make(map[string]*tensor.Tensor, len(e.cfg.GraphOutputs))
-					for _, name := range e.cfg.GraphOutputs {
-						out[name] = b.tensors[name]
-					}
+				switch {
+				case b.delivered:
+					// A failed batch's sibling branch reporting: its outputs
+					// feed nothing.
+				case m.err != nil:
+					// The error is the batch's result at once; its slot waits
+					// for the stages still running it.
 					b.delivered = true
-					e.deliver(BatchResult{ID: m.id, Tensors: out}, b.trace, b.start)
+					e.deliver(BatchResult{ID: m.id, Err: m.err}, b.trace, b.start)
+				default:
+					for k, v := range m.outs {
+						b.tensors[k] = v
+					}
+					e.dispatchReady(m.id, b)
+					if e.complete(b) {
+						out := make(map[string]*tensor.Tensor, len(e.cfg.GraphOutputs))
+						for _, name := range e.cfg.GraphOutputs {
+							out[name] = b.tensors[name]
+						}
+						b.delivered = true
+						e.deliver(BatchResult{ID: m.id, Tensors: out}, b.trace, b.start)
+					}
+				}
+				if b.delivered && b.running == 0 {
 					delete(batches, m.id)
+					e.release()
 				}
 			}
 		}
@@ -824,7 +837,7 @@ func (e *Engine) router() {
 
 func (e *Engine) respMode() ResponseMode { return e.cfg.Response }
 
-// failAll fails every in-flight batch with err.
+// failAll fails every in-flight batch with err and frees its slot.
 func (e *Engine) failAll(batches map[uint64]*batchState, err error) {
 	for id, b := range batches {
 		if !b.delivered {
@@ -832,6 +845,7 @@ func (e *Engine) failAll(batches map[uint64]*batchState, err error) {
 			e.deliver(BatchResult{ID: id, Err: err}, b.trace, b.start)
 		}
 		delete(batches, id)
+		e.release()
 	}
 }
 
@@ -862,8 +876,11 @@ func (e *Engine) deliver(r BatchResult, trace uint64, start time.Time) {
 	select {
 	case e.outCh <- r:
 	case <-e.ctx.Done():
-		return
 	}
+}
+
+// release frees one batch's MaxInFlight slot.
+func (e *Engine) release() {
 	select {
 	case <-e.slots:
 	default:
@@ -895,6 +912,7 @@ func (e *Engine) dispatchReady(id uint64, b *batchState) {
 			continue
 		}
 		b.dispatched[i] = true
+		b.running++
 		ins := make(map[string]*tensor.Tensor, len(s.spec.Inputs))
 		for _, in := range s.spec.Inputs {
 			ins[in] = b.tensors[in]

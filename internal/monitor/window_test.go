@@ -362,3 +362,108 @@ func TestStageQueueBoundedByMaxInFlight(t *testing.T) {
 		t.Logf("window %d: stage queue peak %d (MaxInFlight %d)", window, max, e.cfg.MaxInFlight)
 	}
 }
+
+// TestFailedBranchKeepsSiblingQueueBounded pins the slot a failed DAG batch
+// holds: the left branch of a diamond fails every batch (two variants that
+// never agree, ReportOnly), so each batch's error is delivered while the
+// slow right branch still has it queued. The batch keeps its MaxInFlight
+// slot until the right branch reports, so the right stage's queue stays
+// within MaxInFlight, and every batch still gets exactly one result.
+func TestFailedBranchKeepsSiblingQueueBounded(t *testing.T) {
+	scale := func(in, out string, k float32) func(uint64, map[string]*tensor.Tensor) (map[string]*tensor.Tensor, string) {
+		return func(_ uint64, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, string) {
+			y := ins[in].Clone()
+			y.Apply(func(v float32) float32 { return k * v })
+			return map[string]*tensor.Tensor{out: y}, ""
+		}
+	}
+	src := &fakeVariant{id: "src", behave: func(_ uint64, in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, string) {
+		return map[string]*tensor.Tensor{"a": in["x"].Clone(), "b": in["x"].Clone()}, ""
+	}}
+	left0 := &fakeVariant{id: "left0", behave: scale("a", "l", 2)}
+	left1 := &fakeVariant{id: "left1", behave: scale("a", "l", 3)}
+	right := &fakeVariant{id: "right", behave: scale("b", "r", 3), delay: 5 * time.Millisecond}
+	join := &fakeVariant{id: "join", behave: func(_ uint64, in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, string) {
+		return map[string]*tensor.Tensor{"z": in["l"].Clone()}, ""
+	}}
+	reg := telemetry.NewRegistry()
+	cfg := EngineConfig{
+		GraphInputs:  []string{"x"},
+		GraphOutputs: []string{"z"},
+		Stages: []StageSpec{
+			{Inputs: []string{"x"}, Outputs: []string{"a", "b"}, Handles: []*Handle{src.start(t, 0)}},
+			{Inputs: []string{"a"}, Outputs: []string{"l"}, Handles: []*Handle{left0.start(t, 1), left1.start(t, 1)}},
+			{Inputs: []string{"b"}, Outputs: []string{"r"}, Handles: []*Handle{right.start(t, 2)}},
+			{Inputs: []string{"l", "r"}, Outputs: []string{"z"}, Handles: []*Handle{join.start(t, 3)}},
+		},
+		Response:       ReportOnly,
+		MaxInFlight:    8,
+		InflightWindow: 1,
+		Metrics:        reg,
+	}
+	e := buildEngine(t, cfg)
+	depth := reg.Gauge(telemetry.MetricEngineQueueDepth, telemetry.L("stage", "2"))
+
+	const batches = 60
+	stop := make(chan struct{})
+	peak := make(chan int64)
+	go func() {
+		var max int64
+		for {
+			if v := depth.Value(); v > max {
+				max = v
+			}
+			select {
+			case <-stop:
+				peak <- max
+				return
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	ids := make(chan uint64, batches)
+	go func() {
+		defer close(ids)
+		for i := 0; i < batches; i++ {
+			id, err := e.Submit(input(float32(i + 1))) // nonzero: 2x and 3x differ
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids <- id
+		}
+	}()
+	got := make(map[uint64]int, batches)
+	for i := 0; i < batches; i++ {
+		select {
+		case r := <-e.Outputs():
+			if r.Err == nil {
+				t.Fatalf("batch %d succeeded; the left branch fails every batch", r.ID)
+			}
+			got[r.ID]++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d results", i, batches)
+		}
+	}
+	close(stop)
+	max := <-peak
+	for id := range ids {
+		if got[id] != 1 {
+			t.Fatalf("batch %d got %d results, want 1", id, got[id])
+		}
+		delete(got, id)
+	}
+	if len(got) != 0 {
+		t.Fatalf("results for unsubmitted batches: %v", got)
+	}
+	select {
+	case r := <-e.Outputs():
+		t.Fatalf("extra result %+v", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if limit := int64(cfg.MaxInFlight); max > limit {
+		t.Fatalf("right stage queue peaked at %d, want at most MaxInFlight=%d", max, limit)
+	}
+	t.Logf("right stage queue peak %d (MaxInFlight %d)", max, cfg.MaxInFlight)
+}

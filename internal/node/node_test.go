@@ -202,7 +202,8 @@ func replica(t *testing.T, id string) (*Node, securechan.VerifyPeer) {
 }
 
 // TestClusterStack routes over two in-process replicas with attestation
-// pinned and checks one answer and the federated metrics.
+// pinned and checks one answer, its audit leaf's follower vote and the
+// federated metrics.
 func TestClusterStack(t *testing.T) {
 	r0, v0 := replica(t, "replica-0")
 	r1, v1 := replica(t, "replica-1")
@@ -215,6 +216,7 @@ func TestClusterStack(t *testing.T) {
 	o := options()
 	o.Replicas = []string{r0.Replicas.Addr(), r1.Replicas.Addr()}
 	o.ClusterVerify = 1
+	o.ClusterSync = true // the row waits for the vote, so the leaf carries it
 	verify := []securechan.VerifyPeer{v0, v1}
 	n, err := Cluster(o, Trust{
 		Verify: func(i int) securechan.VerifyPeer { return verify[i] },
@@ -239,6 +241,28 @@ func TestClusterStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBaseline(t, in, resp.Tensors)
+
+	// The router decided the follower's vote from its digest frame: one
+	// agreeing vote whose sum is the delivered output's digest.
+	for deadline := time.Now().Add(10 * time.Second); n.audit.Size() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no audit leaf for the answered request")
+		}
+	}
+	leaf, _, err := n.audit.LeafAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.Input != check.DigestOf(in) {
+		t.Fatal("leaf 0 is not this request's batch")
+	}
+	if len(leaf.Votes) != 1 {
+		t.Fatalf("leaf votes = %+v, want one", leaf.Votes)
+	}
+	if v := leaf.Votes[0]; v.Replica == leaf.Replica || !v.Agree || v.Sum != leaf.Output {
+		t.Fatalf("vote %+v on a leaf led by %s with output %x, want the follower agreeing on the output",
+			v, leaf.Replica, leaf.Output[:8])
+	}
 
 	op, err := ListenOperator("127.0.0.1:0", n.Handlers(o))
 	if err != nil {

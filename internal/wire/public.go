@@ -25,7 +25,7 @@
 //	             + u16 message len + message
 //	FrameEnd     body empty — the stream completed intact
 //
-// Response body: header, one FrameMeta, then the announced tensor frames
+// Response body: header, one FrameMeta, then the tensor frames it counts
 // (each flushed as written, so outputs stream back the moment the
 // micro-batch clears the monitor quorum), then FrameEnd. Errors carry the
 // HTTP status plus one FrameError body. Tensor names are sorted in both
@@ -389,7 +389,7 @@ func WriteErrorFrame(w io.Writer, status int, retryAfter time.Duration, msg stri
 }
 
 // DecodeResponse decodes a complete binary response stream from r: meta
-// plus the announced tensors, verified to terminate with an end frame. A
+// plus the tensors it counts, verified to terminate with an end frame. A
 // FrameError decodes into a *PubError return.
 func DecodeResponse(r io.Reader) (PubMeta, map[string]*tensor.Tensor, error) {
 	scratch := securechan.GetBuf(pubScratch)

@@ -7,8 +7,8 @@
 //
 // MarshalBuf is the one encoder: it writes a message once, straight into a
 // pooled securechan.Buf. Send hands that buffer to Conn.SendBuf, which seals
-// it in place; fan-out senders encode once (MarshalBatch, MarshalDigest) and
-// pass the payload to Conn.Send on every connection. Recv decodes each
+// it in place; the fan-out sender encodes once (MarshalBatch) and passes
+// the payload to Conn.Send on every connection. Recv decodes each
 // message out of the connection's reused receive buffer before the next
 // receive can overwrite it.
 package wire
@@ -45,7 +45,7 @@ const (
 
 	// Cluster tier (router <-> replica) messages.
 	TVerify        // router -> follower replica: input tensors for a cross-check batch
-	TDigest        // digest announce/vote: the cluster verification plane
+	TDigest        // replica -> router: stage digest or follower vote (verification plane)
 	TReplicaHello  // replica -> router: registration (model interface, variant set)
 	TReplicaStatus // replica -> router: ladder/spare health heartbeat
 	TReplicaTune   // router -> replica: controller knob scoped to one replica
@@ -159,18 +159,15 @@ type Verify struct {
 	Tensors map[string]*tensor.Tensor
 }
 
-// Digest is one message on the cluster verification plane, a fixed 46-byte
-// frame. With Vote false it is an announcement: the leader's checkpoint
-// digest fanned out to the batch's followers. With Vote true it is a
-// follower's verdict: Agree reports whether its own execution's digest
-// matched the announced one (Sum carries the follower's digest either way,
-// so a dissent pinpoints what the follower actually computed). Stage is the
-// checkpoint index, or -1 for the final output checkpoint.
+// Digest is one message on the cluster verification plane, a fixed 45-byte
+// frame a replica sends the router: the digest of one of its checkpoints for
+// a batch. Stage is the checkpoint index, or -1 for the final graph outputs;
+// a final-output Digest from a follower is its vote, which the router decides
+// by comparing Sum with the leader's digest. A zero Sum abstains (the
+// follower could not execute the batch).
 type Digest struct {
 	ID    uint64
-	Stage int32 // checkpoint stage; -1 = final graph outputs
-	Vote  bool  // false: announce (leader digest), true: follower verdict
-	Agree bool  // meaningful only when Vote
+	Stage int32 // checkpoint stage; -1 = final graph outputs (a follower's vote)
 	Sum   [32]byte
 }
 
@@ -364,34 +361,21 @@ func MarshalBuf(m Msg) (*securechan.Buf, error) {
 // --- cluster digest codec ----------------------------------------------------
 
 // digestMsgLen is the fixed encoded size of a Digest message: type tag,
-// batch ID, stage, flags, and the 32-byte digest. Digest frames are the
-// entire steady-state cross-node verification cost of the cluster tier, so
-// the codec is a fixed-layout binary write, not JSON.
-const digestMsgLen = 1 + 8 + 4 + 1 + 32
+// batch ID, stage and the 32-byte digest. Digest frames are the entire
+// steady-state cross-node verification cost of the cluster tier, so the
+// codec is a fixed-layout binary write, not JSON.
+const digestMsgLen = 1 + 8 + 4 + 32
 
 // DigestFrameLen is the encoded payload size of every Digest message,
 // exported so the cluster tier's byte accounting can charge digest-plane
 // traffic without re-encoding.
 const DigestFrameLen = digestMsgLen
 
-const (
-	digestFlagVote  = 1 << 0
-	digestFlagAgree = 1 << 1
-)
-
 func encodeDigestMsg(dst []byte, d *Digest) {
 	dst[0] = byte(TDigest)
 	binary.LittleEndian.PutUint64(dst[1:], d.ID)
 	binary.LittleEndian.PutUint32(dst[9:], uint32(d.Stage))
-	var flags byte
-	if d.Vote {
-		flags |= digestFlagVote
-	}
-	if d.Agree {
-		flags |= digestFlagAgree
-	}
-	dst[13] = flags
-	copy(dst[14:], d.Sum[:])
+	copy(dst[13:], d.Sum[:])
 }
 
 func decodeDigestMsg(payload []byte) (*Digest, error) {
@@ -401,21 +385,9 @@ func decodeDigestMsg(payload []byte) (*Digest, error) {
 	d := &Digest{
 		ID:    binary.LittleEndian.Uint64(payload),
 		Stage: int32(binary.LittleEndian.Uint32(payload[8:])),
-		Vote:  payload[12]&digestFlagVote != 0,
-		Agree: payload[12]&digestFlagAgree != 0,
 	}
-	copy(d.Sum[:], payload[13:])
+	copy(d.Sum[:], payload[12:])
 	return d, nil
-}
-
-// MarshalDigest encodes a digest message once into a pooled buffer for
-// encode-once fan-out: the router marshals the leader's checkpoint digest a
-// single time and transmits the same 46-byte payload to every follower with
-// Conn.Send. The caller owns the buffer and must Free it after the last send.
-func MarshalDigest(d *Digest) *securechan.Buf {
-	buf := securechan.GetBuf(digestMsgLen)
-	encodeDigestMsg(buf.Grow(digestMsgLen), d)
-	return buf
 }
 
 // --- span report codec -------------------------------------------------------

@@ -139,6 +139,10 @@ func wireSeeds() map[string][]byte {
 		"seed-result-err": mustMarshal(&wire.Result{ID: 2, VariantID: "v-θ", Err: "segfault at 0x0",
 			Tensors: map[string]*tensor.Tensor{"y": tensor.MustFromSlice([]float32{42}, 1)}}),
 		"seed-result-empty": mustMarshal(&wire.Result{ID: 3, VariantID: "v0"}),
+		// The fixed-layout verification-plane frame: a follower's vote on
+		// the final outputs (Stage -1) and a per-checkpoint stage digest.
+		"seed-digest-vote":  mustMarshal(&wire.Digest{ID: 0xfeed, Stage: -1, Sum: check.Digest{0xde, 0xad, 31: 0xef}}),
+		"seed-digest-stage": mustMarshal(&wire.Digest{ID: 0xbeef, Stage: 2, Sum: check.Digest{1, 2, 3}}),
 		"seed-ack":          mustMarshal(&wire.Ack{Detail: "ready"}),
 		"seed-bound":        mustMarshal(&wire.Bound{VariantID: "spare-1", Resume: 1 << 40}),
 		"seed-shutdown":     mustMarshal(&wire.Shutdown{}),
