@@ -58,7 +58,8 @@ func run(dir, addr string) error {
 	}
 	defer encl.Destroy()
 
-	raw, err := net.Dial("tcp", addr)
+	// The monitor may still be coming up: retry the dial, never the session.
+	raw, err := node.DialRetry(addr)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,8 @@ type RouterConfig struct {
 	Mode ForwardMode
 	// Sync holds each result until every follower vote is accounted, failing
 	// the batch with ErrDivergence on dissent. Async (the default) delivers
-	// at the leader's result and records late dissent in telemetry.
+	// at the leader's result; a later dissent cannot recall the row, so it
+	// reaches the vote counters and the batch's audit leaf only.
 	Sync bool
 	// PlacementKey seeds the rendezvous candidate order (typically the model
 	// ID); routers sharing a key and replica set prefer the same leaders.
@@ -46,10 +47,11 @@ type RouterConfig struct {
 	// replica down, ladder demotion) so /debug/flight captures a
 	// before/after window around every cluster health event. Optional.
 	Flight *telemetry.FlightRecorder
-	// Transcript, when set, receives one audit leaf per routed batch: the
-	// leader's checkpoint digests, every follower's vote, and the delivered
-	// output digest, keyed by the federation trace ID. All recorder calls
-	// are non-blocking, so they are safe under r.mu. Optional.
+	// Transcript, when set, receives one audit leaf per batch served clean,
+	// posted once every follower has resolved (agree, dissent, abstain or
+	// the vote timeout): the first-seen checkpoint digests, every vote, and
+	// the served output digest, keyed by the federation trace ID. Record
+	// never blocks, so it is safe under r.mu. Optional.
 	Transcript *transcript.Recorder
 }
 
@@ -66,6 +68,11 @@ type pendingBatch struct {
 	leaderSum check.Digest         // digest of res's outputs: every vote's reference
 	delivered bool
 	dissent   bool
+	// served is set when the row went out clean, which earns the batch an
+	// audit leaf: its resolved votes and the leader's rung at delivery.
+	served bool
+	votes  []transcript.Vote
+	rung   uint8
 	// earlyVotes parks follower digests that arrived before the leader's
 	// result fixed the reference sum.
 	earlyVotes map[int]check.Digest
@@ -454,9 +461,6 @@ func (r *Router) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	r.dispatchWG.Add(1)
 	r.mu.Unlock()
 	r.m.batches.Inc()
-	// Open the audit leaf before dispatch can produce checkpoint or vote
-	// events for this batch (the recorder orders per-batch events by arrival).
-	r.cfg.Transcript.Begin(pb.trace, id, inputs)
 	go func() {
 		defer r.dispatchWG.Done()
 		if err := r.dispatch(pb, leader, followers); err != nil {
@@ -554,12 +558,19 @@ func (r *Router) loop() {
 }
 
 // drainPending fails every open batch on shutdown so serve's demux rows
-// resolve instead of leaking.
+// resolve instead of leaking. A row already served still earns its audit
+// leaf, with its outstanding followers resolved as abstentions.
 func (r *Router) drainPending() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, pb := range r.pending {
 		delete(r.pending, id)
+		if pb.served {
+			for f := range pb.followers {
+				r.applyVoteLocked(pb, f, voteAbstain, check.Digest{})
+			}
+			r.recordLocked(pb)
+		}
 		if !pb.delivered {
 			// Bypass the delivery queue: its goroutine may already have
 			// drained and exited. Best-effort — the consumer is shutting
@@ -673,7 +684,7 @@ func (r *Router) applyVoteLocked(pb *pendingBatch, idx, verdict int, sum check.D
 	delete(pb.followers, idx)
 	r.state[idx].checks--
 	r.m.votes[verdict].Inc()
-	r.cfg.Transcript.Vote(pb.id, r.reps[idx].ID(), sum, verdict == voteAgree)
+	pb.votes = append(pb.votes, transcript.Vote{Replica: r.reps[idx].ID(), Sum: sum, Agree: verdict == voteAgree})
 	if verdict == voteDissent {
 		pb.dissent = true
 		// Lock order is safe: the flight sampler reads its sources without
@@ -692,10 +703,9 @@ func (r *Router) onStageDigestLocked(pb *pendingBatch, idx int, v *wire.Digest) 
 	}
 	prev, ok := pb.stageSums[v.Stage]
 	if !ok {
-		pb.stageSums[v.Stage] = stageSum{idx: idx, sum: check.Digest(v.Sum)}
 		// The first-seen digest is the reference this batch's audit leaf
 		// carries for the stage; later conflicting reports surface as votes.
-		r.cfg.Transcript.Checkpoint(pb.id, int(v.Stage), check.Digest(v.Sum))
+		pb.stageSums[v.Stage] = stageSum{idx: idx, sum: check.Digest(v.Sum)}
 		return
 	}
 	if prev.idx != idx && prev.sum != check.Digest(v.Sum) {
@@ -703,9 +713,10 @@ func (r *Router) onStageDigestLocked(pb *pendingBatch, idx int, v *wire.Digest) 
 	}
 }
 
-// completeLocked delivers the batch if its gates allow and reports whether
-// the batch is fully resolved. Dissent after an async delivery only counts in
-// telemetry: the row is gone. Caller holds r.mu.
+// completeLocked delivers the batch if its gates allow, posts its audit leaf
+// once the row is out and every follower has resolved, and reports whether
+// the batch is fully resolved. Dissent after an async delivery cannot recall
+// the row: it reaches the counters and the leaf only. Caller holds r.mu.
 func (r *Router) completeLocked(pb *pendingBatch) bool {
 	if r.pending[pb.id] == nil {
 		return true // already resolved (failover race)
@@ -727,8 +738,32 @@ func (r *Router) completeLocked(pb *pendingBatch) bool {
 	if votesIn {
 		delete(r.pending, pb.id)
 		r.noteDispatch(pb, -1)
+		r.recordLocked(pb)
 	}
 	return votesIn
+}
+
+// recordLocked posts a served batch's audit leaf; a failed row earns none.
+// The leaf carries the first-seen digest of each checkpoint stage, within
+// the leaf format's bound. Caller holds r.mu.
+func (r *Router) recordLocked(pb *pendingBatch) {
+	if !pb.served || r.cfg.Transcript == nil {
+		return
+	}
+	var cps []transcript.Checkpoint
+	for st, s := range pb.stageSums {
+		if int(st) >= transcript.MaxLeafCheckpoints {
+			continue
+		}
+		for len(cps) <= int(st) {
+			cps = append(cps, transcript.Checkpoint{})
+		}
+		cps[st].Digest = s.sum
+	}
+	r.cfg.Transcript.Record(transcript.Batch{
+		Trace: pb.trace, ID: pb.id, Inputs: pb.inputs, Outputs: pb.res.Tensors,
+		Checkpoints: cps, Votes: pb.votes, Rung: pb.rung, Replica: r.reps[pb.leader].ID(),
+	})
 }
 
 // deliverLocked enqueues the result row; the delivery goroutine moves it to
@@ -740,12 +775,8 @@ func (r *Router) deliverLocked(pb *pendingBatch, res *monitor.BatchResult) {
 	res.ID = pb.id
 	now := time.Now()
 	res.Latency = now.Sub(pb.born)
-	if t := r.cfg.Transcript; t != nil {
-		if res.Err != nil {
-			t.Abort(pb.id)
-		} else {
-			t.Deliver(pb.id, res.Tensors, uint8(r.state[pb.leader].worst), r.reps[pb.leader].ID())
-		}
+	if res.Err == nil {
+		pb.served, pb.rung = true, uint8(r.state[pb.leader].worst)
 	}
 	r.deliverq <- *res
 	r.m.routeNs.Observe(res.Latency.Nanoseconds())

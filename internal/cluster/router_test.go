@@ -225,100 +225,243 @@ func TestRouterDispatchSpanEndsByLeaderAnswer(t *testing.T) {
 	}
 }
 
-// TestRouterSyncDigestAgreeAndDissent drives one digest-mode batch per case
-// through a synchronous two-replica router. The follower's final digest
-// arrives after the leader's result or, in the early- cases, before it (and
-// is parked until the result fixes the reference), and it agrees, dissents
-// (a differing sum) or abstains (a zero sum). The router alone decides the
-// vote: a dissent fails the row with ErrDivergence and leaves no leaf; agree
-// and abstain deliver the row, and the leaf records the follower's sum.
-func TestRouterSyncDigestAgreeAndDissent(t *testing.T) {
-	verdicts := []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain}
-	for _, early := range []bool{false, true} {
-		for _, verdict := range verdicts {
-			name := verdict
-			if early {
-				name = "early-" + verdict
-			}
-			t.Run(name, func(t *testing.T) {
-				reg := telemetry.NewRegistry()
-				rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1, Metrics: telemetry.NewRegistry()})
-				defer rec.Close()
-				a, b := newFake("a"), newFake("b")
-				r, err := NewRouter(RouterConfig{
-					Replicas: []Replica{a, b}, Verify: 1, Sync: true, Metrics: reg, Transcript: rec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
+// The vote/leaf table: one digest-mode batch per case through a two-replica
+// router, sync or async. The follower's final digest arrives before the
+// leader's result (early-, parked until the result fixes the reference),
+// after the result, after the row has been read (late-, async only: sync
+// holds the row for the vote), or never (timeout: the sweeper abstains for
+// it). It agrees, dissents (a differing sum) or abstains (a zero sum). A
+// dissent the row has not yet left on fails it with ErrDivergence and leaves
+// no leaf; every other case serves the leader's output and records one leaf
+// whose votes equal the router's digest_votes_total counters.
+var voteLeafVerdicts = []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain}
 
-				id, err := r.Submit(testInputs(5))
-				if err != nil {
-					t.Fatal(err)
-				}
-				lead, follow := leaderAndFollower(t, a, b)
-				if fs := follow.lastSub(t); fs.tag != wire.TVerify || !fs.verify {
-					t.Fatalf("follower got %+v, want retagged verify", fs)
-				}
-				outs := testOutputs(5)
-				sum := check.DigestOf(outs)
-				switch verdict {
-				case telemetry.DigestVoteDissent:
-					sum[0] ^= 0xff
-				case telemetry.DigestVoteAbstain:
-					sum = check.Digest{}
-				}
-				vote := replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: sum}}
-				result := replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}}
-				if early {
-					follow.post(vote)
-					waitUntil(t, "follower digest handled", func() bool {
-						r.mu.Lock()
-						defer r.mu.Unlock()
-						pb := r.pending[id]
-						return len(pb.earlyVotes) == 1 || len(pb.followers) == 0
-					})
-					lead.post(result)
-				} else {
-					lead.post(result)
-					select {
-					case row := <-r.Outputs():
-						t.Fatalf("row %+v delivered before the follower's vote", row)
-					case <-time.After(20 * time.Millisecond):
-					}
-					follow.post(vote)
-				}
-				row := readRow(t, r)
-				for _, v := range verdicts {
-					want := uint64(0)
-					if v == verdict {
-						want = 1
-					}
-					if n := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value(); n != want {
-						t.Fatalf("%s votes = %d, want %d", v, n, want)
-					}
-				}
-				if verdict == telemetry.DigestVoteDissent {
-					if row.ID != id || !errors.Is(row.Err, ErrDivergence) {
-						t.Fatalf("row = %+v, want id %d with ErrDivergence", row, id)
-					}
-					return
-				}
-				if row.ID != id || row.Err != nil {
-					t.Fatalf("row = %+v, want clean id %d", row, id)
-				}
-				waitUntil(t, "leaf", func() bool { return rec.Size() == 1 })
-				leaf, _, err := rec.LeafAt(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := transcript.Vote{Replica: follow.id, Sum: sum, Agree: verdict == telemetry.DigestVoteAgree}
-				if len(leaf.Votes) != 1 || leaf.Votes[0] != want {
-					t.Fatalf("leaf votes = %+v, want [%+v]", leaf.Votes, want)
-				}
-			})
+func TestRouterSyncDigestAgreeAndDissent(t *testing.T) { runVoteLeafTable(t, true) }
+
+func TestRouterAsyncDigestAgreeAndDissent(t *testing.T) { runVoteLeafTable(t, false) }
+
+func runVoteLeafTable(t *testing.T, sync bool) {
+	whens := []string{"early-", "", "late-"}
+	if sync {
+		whens = whens[:2]
+	}
+	for _, when := range whens {
+		for _, verdict := range voteLeafVerdicts {
+			t.Run(when+verdict, func(t *testing.T) { runVoteLeafCase(t, sync, when, verdict) })
 		}
+	}
+	t.Run("timeout", func(t *testing.T) { runVoteLeafCase(t, sync, "timeout", telemetry.DigestVoteAbstain) })
+}
+
+func runVoteLeafCase(t *testing.T, sync bool, when, verdict string) {
+	reg := telemetry.NewRegistry()
+	rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1, Metrics: telemetry.NewRegistry()})
+	defer rec.Close()
+	a, b := newFake("a"), newFake("b")
+	vote := voteTimeout
+	if when == "timeout" {
+		vote = 50 * time.Millisecond
+	}
+	r, err := newRouter(RouterConfig{
+		Replicas: []Replica{a, b}, Verify: 1, Sync: sync, Metrics: reg, Transcript: rec,
+	}, vote, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	inputs := testInputs(5)
+	id, err := r.Submit(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, follow := leaderAndFollower(t, a, b)
+	if fs := follow.lastSub(t); fs.tag != wire.TVerify || !fs.verify {
+		t.Fatalf("follower got %+v, want retagged verify", fs)
+	}
+	outs := testOutputs(5)
+	sum := check.DigestOf(outs)
+	switch verdict {
+	case telemetry.DigestVoteDissent:
+		sum[0] ^= 0xff
+	case telemetry.DigestVoteAbstain:
+		sum = check.Digest{}
+	}
+	var stage check.Digest
+	stage[0] = 0x5a
+	lead.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: stage}})
+	digest := replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: sum}}
+	result := replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}}
+	var row monitor.BatchResult
+	switch when {
+	case "early-":
+		follow.post(digest)
+		waitUntil(t, "follower digest handled", func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			pb := r.pending[id]
+			return len(pb.earlyVotes) == 1 || len(pb.followers) == 0
+		})
+		lead.post(result)
+		row = readRow(t, r)
+	case "late-":
+		lead.post(result)
+		row = readRow(t, r)
+		follow.post(digest)
+	case "timeout":
+		lead.post(result)
+		row = readRow(t, r)
+	default:
+		lead.post(result)
+		if sync {
+			select {
+			case row := <-r.Outputs():
+				t.Fatalf("row %+v delivered before the follower's vote", row)
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		follow.post(digest)
+		row = readRow(t, r)
+	}
+	counters := func() (n [3]uint64) {
+		for i, v := range voteLeafVerdicts {
+			n[i] = reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v)).Value()
+		}
+		return n
+	}
+	waitUntil(t, "the vote", func() bool { n := counters(); return n[0]+n[1]+n[2] == 1 })
+	// The leaf is posted under the router's lock with the vote; Close takes
+	// that lock, and closing the recorder drains it, so Size is final here.
+	r.Close()
+	rec.Close()
+	got := counters()
+	for i, v := range voteLeafVerdicts {
+		want := uint64(0)
+		if v == verdict {
+			want = 1
+		}
+		if got[i] != want {
+			t.Fatalf("%s votes = %d, want %d", v, got[i], want)
+		}
+	}
+
+	if verdict == telemetry.DigestVoteDissent && (sync || when == "early-") {
+		if row.ID != id || !errors.Is(row.Err, ErrDivergence) {
+			t.Fatalf("row = %+v, want id %d with ErrDivergence", row, id)
+		}
+		if rec.Size() != 0 {
+			t.Fatalf("a diverged batch left %d leaves", rec.Size())
+		}
+		return
+	}
+	if row.ID != id || row.Err != nil || row.Tensors["y"].At(0, 0) != 10 {
+		t.Fatalf("row = %+v, want the leader's output for id %d", row, id)
+	}
+	if rec.Size() != 1 {
+		t.Fatalf("%d leaves, want 1", rec.Size())
+	}
+	leaf, _, err := rec.LeafAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tally [3]uint64
+	for _, v := range leaf.Votes {
+		switch {
+		case v.Agree:
+			tally[voteAgree]++
+		case v.Sum == check.Digest{}:
+			tally[voteAbstain]++
+		default:
+			tally[voteDissent]++
+		}
+	}
+	if tally != got {
+		t.Fatalf("leaf votes %+v tally %v, counters %v", leaf.Votes, tally, got)
+	}
+	want := transcript.Vote{Replica: follow.id, Sum: sum, Agree: verdict == telemetry.DigestVoteAgree}
+	if len(leaf.Votes) != 1 || leaf.Votes[0] != want {
+		t.Fatalf("leaf votes = %+v, want [%+v]", leaf.Votes, want)
+	}
+	if leaf.Batch != id || leaf.Input != check.DigestOf(inputs) || leaf.Output != check.DigestOf(outs) ||
+		leaf.Replica != lead.id || len(leaf.Checkpoints) != 1 || leaf.Checkpoints[0] != stage {
+		t.Fatalf("leaf = %+v, want batch %d served by %s with its input, output and stage digests", leaf, id, lead.id)
+	}
+}
+
+// TestRouterLeafSkipsOutOfRangeStage has a faulty replica report a stage
+// index past the leaf format's bound: the leaf leaves that digest out
+// rather than fail to encode and cost the batch its leaf.
+func TestRouterLeafSkipsOutOfRangeStage(t *testing.T) {
+	rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1, Metrics: telemetry.NewRegistry()})
+	defer rec.Close()
+	f := newFake("a")
+	r, err := NewRouter(RouterConfig{Replicas: []Replica{f}, Transcript: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.Submit(testInputs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.lastSub(t)
+	var stage check.Digest
+	stage[0] = 0x5a
+	f.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: stage}})
+	f.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: transcript.MaxLeafCheckpoints, Sum: stage}})
+	f.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: testOutputs(4)}})
+	readRow(t, r)
+	r.Close()
+	rec.Close()
+	if rec.Size() != 1 {
+		t.Fatalf("%d leaves, want 1 (dropped %d)", rec.Size(), rec.Dropped())
+	}
+	leaf, _, err := rec.LeafAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leaf.Checkpoints) != 1 || leaf.Checkpoints[0] != stage {
+		t.Fatalf("leaf checkpoints = %d digests, want only stage 0's", len(leaf.Checkpoints))
+	}
+}
+
+// TestRouterCloseRecordsServedRow closes an async router while a served
+// row's vote is outstanding: the row keeps its leaf, and the missing vote is
+// recorded, and counted, as an abstention.
+func TestRouterCloseRecordsServedRow(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1, Metrics: telemetry.NewRegistry()})
+	defer rec.Close()
+	a, b := newFake("a"), newFake("b")
+	r, err := NewRouter(RouterConfig{Replicas: []Replica{a, b}, Verify: 1, Metrics: reg, Transcript: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.Submit(testInputs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, follow := leaderAndFollower(t, a, b)
+	lead.post(replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: testOutputs(2)}})
+	if row := readRow(t, r); row.ID != id || row.Err != nil {
+		t.Fatalf("row = %+v, want clean id %d", row, id)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
+	if n := reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", telemetry.DigestVoteAbstain)).Value(); n != 1 {
+		t.Fatalf("abstain votes = %d, want 1", n)
+	}
+	if rec.Size() != 1 {
+		t.Fatalf("%d leaves after Close, want 1", rec.Size())
+	}
+	leaf, _, err := rec.LeafAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := transcript.Vote{Replica: follow.id}
+	if leaf.Batch != id || len(leaf.Votes) != 1 || leaf.Votes[0] != want {
+		t.Fatalf("leaf batch %d votes %+v, want batch %d with [%+v]", leaf.Batch, leaf.Votes, id, want)
 	}
 }
 

@@ -71,12 +71,11 @@ type EngineConfig struct {
 	// replicas instead of tensors. Nil (the default) skips digest
 	// computation entirely — single-node engines pay nothing for it.
 	DigestSink func(batchID uint64, stage int, digest check.Digest)
-	// Transcript, when set, receives the verifiable-inference transcript
-	// events: batch submission (trace + inputs), every forwarded checkpoint
-	// digest, and delivery (outputs + worst ladder rung). All calls are
-	// non-blocking channel sends into the recorder's worker — the same
-	// off-hot-path discipline as the event bus — so serving latency is
-	// unchanged whether or not a transcript is kept.
+	// Transcript, when set, receives one finished batch per clean delivery:
+	// trace, inputs, every stage's forwarded checkpoint (by the digest the
+	// DigestSink already took, else by reference to its tensors), outputs
+	// and the worst ladder rung. The router goroutine posts it in one
+	// non-blocking send, and the recorder's worker does all hashing.
 	Transcript *transcript.Recorder
 	// Metrics receives the engine's telemetry series; nil uses
 	// telemetry.Default. Registration happens once at construction — the hot
@@ -305,6 +304,7 @@ type routerMsg struct {
 	stageIdx int
 	done     bool
 	outs     map[string]*tensor.Tensor
+	digest   check.Digest // outs' digest if the DigestSink took one, else zero
 	err      error
 	// failure escalation
 	fatal error
@@ -759,6 +759,10 @@ type batchState struct {
 	start     time.Time
 	trace     uint64
 	delivered bool
+	// inputs and checkpoints feed the transcript leaf; both stay nil
+	// without a recorder.
+	inputs      map[string]*tensor.Tensor
+	checkpoints []transcript.Checkpoint
 }
 
 func (e *Engine) router() {
@@ -773,11 +777,6 @@ func (e *Engine) router() {
 				e.halt(m.fatal)
 				e.failAll(batches, m.fatal)
 			case m.submit:
-				// Transcript leaf opens here: the trace ID and input tensors
-				// are bound before any variant sees the batch. The input map
-				// is the engine's private copy target, so the recorder can
-				// hash the caller's map asynchronously.
-				e.cfg.Transcript.Begin(m.trace, m.id, m.tensors)
 				b := &batchState{
 					tensors:    make(map[string]*tensor.Tensor, len(m.tensors)+8),
 					dispatched: make([]bool, len(e.stages)),
@@ -786,6 +785,10 @@ func (e *Engine) router() {
 				}
 				for k, v := range m.tensors {
 					b.tensors[k] = v
+				}
+				if e.cfg.Transcript != nil {
+					b.inputs = m.tensors
+					b.checkpoints = make([]transcript.Checkpoint, len(e.stages))
 				}
 				batches[m.id] = b
 				e.dispatchReady(m.id, b)
@@ -816,6 +819,9 @@ func (e *Engine) router() {
 					for k, v := range m.outs {
 						b.tensors[k] = v
 					}
+					if b.checkpoints != nil {
+						b.checkpoints[m.stageIdx] = transcript.Checkpoint{Digest: m.digest, Tensors: m.outs}
+					}
 					e.dispatchReady(m.id, b)
 					if e.complete(b) {
 						out := make(map[string]*tensor.Tensor, len(e.cfg.GraphOutputs))
@@ -823,6 +829,11 @@ func (e *Engine) router() {
 							out[name] = b.tensors[name]
 						}
 						b.delivered = true
+						if t := e.cfg.Transcript; t != nil {
+							t.Record(transcript.Batch{Trace: b.trace, ID: m.id,
+								Inputs: b.inputs, Outputs: out, Checkpoints: b.checkpoints,
+								Rung: uint8(e.worstRung())})
+						}
 						e.deliver(BatchResult{ID: m.id, Tensors: out}, b.trace, b.start)
 					}
 				}
@@ -854,14 +865,6 @@ func (e *Engine) failAll(batches map[uint64]*batchState, err error) {
 func (e *Engine) deliver(r BatchResult, trace uint64, start time.Time) {
 	now := time.Now()
 	r.Latency = now.Sub(start)
-	if t := e.cfg.Transcript; t != nil {
-		if r.Err != nil {
-			// Failed batches leave no leaf; drop the accumulated state.
-			t.Abort(r.ID)
-		} else {
-			t.Deliver(r.ID, r.Tensors, uint8(e.worstRung()), "")
-		}
-	}
 	if telemetry.Enabled() {
 		e.met.batches.Inc()
 		if r.Err != nil {

@@ -386,20 +386,14 @@ func (st *stageState) closeGather(g *gather) time.Time {
 // the release instant on traced batches. Hot callers that just took a clock
 // reading pass it as now; a zero now means take a fresh one.
 func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now time.Time) {
-	if sink, rec := st.e.cfg.DigestSink, st.e.cfg.Transcript; sink != nil {
+	var d check.Digest
+	if sink := st.e.cfg.DigestSink; sink != nil {
 		// Per-checkpoint digest tap: fingerprint the chosen output before it
 		// leaves the stage. The cluster tier streams it so remote followers
-		// can vote on 32 bytes instead of receiving the tensors; the
-		// transcript recorder binds it into the batch's audit leaf. One
-		// digest computation feeds both.
-		d := check.DigestOf(outs)
+		// can vote on 32 bytes instead of receiving the tensors; the digest
+		// rides to the router goroutine, so the transcript leaf reuses it.
+		d = check.DigestOf(outs)
 		sink(g.id, st.s.idx, d)
-		rec.Checkpoint(g.id, st.s.idx, d)
-	} else if rec != nil {
-		// No cluster sink needs the digest synchronously — hand the recorder
-		// the tensors by reference and let its worker hash them off the hot
-		// path (outputs are immutable once forwarded).
-		rec.CheckpointTensors(g.id, st.s.idx, outs)
 	}
 	// The span is recorded before the release is posted: once the last
 	// stage posts, the batch can complete and a caller that snapshots the
@@ -415,7 +409,7 @@ func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now tim
 			Start: ns, End: ns,
 		})
 	}
-	st.e.post(routerMsg{done: true, stageIdx: st.s.idx, id: g.id, outs: outs})
+	st.e.post(routerMsg{done: true, stageIdx: st.s.idx, id: g.id, outs: outs, digest: d})
 }
 
 // evaluateGather applies the checkpoint decision logic:

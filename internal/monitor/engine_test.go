@@ -190,34 +190,50 @@ func TestSlowPathUnanimousAgreement(t *testing.T) {
 }
 
 // TestTranscriptLeafPerBatch checks that an engine with a transcript
-// recorder attached records one leaf per delivered batch, on the fast path
-// (one variant per stage) and the voting path (three).
+// recorder attached records one whole leaf per delivered batch, on the fast
+// path (one variant per stage) and the voting path (three), with and without
+// a digest sink: the checkpoint digests are the stage outputs' either way,
+// taken from the sink's digest when it computed one.
 func TestTranscriptLeafPerBatch(t *testing.T) {
 	for _, n := range []int{1, 3} {
-		rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1})
-		s0, s1 := make([]*Handle, n), make([]*Handle, n)
-		for i := range s0 {
-			s0[i] = (&fakeVariant{id: string(rune('a' + i)), behave: doubler(0)}).start(t, 0)
-			s1[i] = (&fakeVariant{id: string(rune('x' + i)), behave: incrementer()}).start(t, 1)
+		for _, sink := range []bool{false, true} {
+			rec := transcript.NewRecorder(transcript.Config{SampleEvery: -1})
+			s0, s1 := make([]*Handle, n), make([]*Handle, n)
+			for i := range s0 {
+				s0[i] = (&fakeVariant{id: string(rune('a' + i)), behave: doubler(0)}).start(t, 0)
+				s1[i] = (&fakeVariant{id: string(rune('x' + i)), behave: incrementer()}).start(t, 1)
+			}
+			cfg := twoStageConfig(s0, s1)
+			cfg.Transcript = rec
+			if sink {
+				cfg.DigestSink = func(uint64, int, check.Digest) {}
+			}
+			e := buildEngine(t, cfg)
+			r, err := e.Infer(input(3))
+			if err != nil {
+				t.Fatalf("%d variants: %v", n, err)
+			}
+			if got := r.Tensors["z"].At(0); got != 7 {
+				t.Fatalf("%d variants: z = %v, want 7", n, got)
+			}
+			// The leaf is posted before the row is delivered, and Close
+			// drains the recorder, so its size is final here.
+			rec.Close()
+			if got := rec.Size(); got != 1 {
+				t.Fatalf("%d variants, sink %v: transcript recorded %d leaves, want 1", n, sink, got)
+			}
+			leaf, _, err := rec.LeafAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := map[string]*tensor.Tensor{"y": tensor.MustFromSlice([]float32{6, 6}, 2)}
+			z := map[string]*tensor.Tensor{"z": tensor.MustFromSlice([]float32{7, 7}, 2)}
+			if leaf.Batch != r.ID || leaf.Input != check.DigestOf(input(3)) || leaf.Output != check.DigestOf(z) ||
+				len(leaf.Checkpoints) != 2 || leaf.Checkpoints[0] != check.DigestOf(y) || leaf.Checkpoints[1] != check.DigestOf(z) ||
+				leaf.Rung != uint8(LadderFull) {
+				t.Fatalf("%d variants, sink %v: leaf %+v does not bind the batch's input, stage and output digests", n, sink, leaf)
+			}
 		}
-		cfg := twoStageConfig(s0, s1)
-		cfg.Transcript = rec
-		e := buildEngine(t, cfg)
-		r, err := e.Infer(input(3))
-		if err != nil {
-			t.Fatalf("%d variants: %v", n, err)
-		}
-		if got := r.Tensors["z"].At(0); got != 7 {
-			t.Fatalf("%d variants: z = %v, want 7", n, got)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for rec.Size() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if got := rec.Size(); got != 1 {
-			t.Fatalf("%d variants: transcript recorded %d leaves, want 1", n, got)
-		}
-		rec.Close()
 	}
 }
 

@@ -75,8 +75,8 @@ type Monitor struct {
 	// digest the engine computes (cluster replicas stream these to the
 	// router's early-dissent plane).
 	digestSink func(batchID uint64, stage int, digest check.Digest)
-	// transcript, when set before BuildEngine, receives the verifiable
-	// transcript events from every subsequently built engine.
+	// transcript, when set before BuildEngine, receives one finished batch
+	// per clean delivery from every subsequently built engine.
 	transcript *transcript.Recorder
 }
 

@@ -215,8 +215,9 @@ func TestClusterStack(t *testing.T) {
 
 	o := options()
 	o.Replicas = []string{r0.Replicas.Addr(), r1.Replicas.Addr()}
+	// Async (the default): the row leaves at the leader's result, and the
+	// leaf waits for the vote.
 	o.ClusterVerify = 1
-	o.ClusterSync = true // the row waits for the vote, so the leaf carries it
 	verify := []securechan.VerifyPeer{v0, v1}
 	n, err := Cluster(o, Trust{
 		Verify: func(i int) securechan.VerifyPeer { return verify[i] },

@@ -296,8 +296,8 @@ func (n *Node) startEngine(o Options, mon *monitor.Monitor, model transcript.Has
 		return err
 	}
 	eng.Start()
-	// The stage workers post to the recorder until they stop, so the engine
-	// stops first.
+	// The engine's router goroutine records each clean batch until it
+	// stops, so the engine stops first.
 	n.onClose(eng.Stop)
 	n.Engine, n.Local, n.Monitor, n.Events = eng, eng, mon, eng.EventBus()
 	n.ItemShapes = make(map[string][]int, len(inputs))
@@ -376,8 +376,8 @@ func BundleTrust(dir string) (Trust, error) {
 // Cluster brings the cluster stack up: it dials every replica in o.Replicas
 // over an attested channel and routes over them (least-loaded and
 // rendezvous placement, digest-vote cross-checking, failover), with the
-// routing tier's own transcript — one leaf per routed batch, the leader's
-// checkpoint digests plus every follower's vote. The router serves as the
+// routing tier's own transcript — one leaf per batch served clean, the
+// first-seen checkpoint digests plus every follower's resolved vote. The router serves as the
 // front door's engine and the control plane's pipeline; the spare loops stay
 // with each replica's monitor.
 func Cluster(o Options, t Trust) (*Node, error) {
@@ -453,6 +453,8 @@ func (n *Node) cluster(o Options, t Trust) error {
 	if err != nil {
 		return err
 	}
+	// Close posts the leaves of served rows whose votes are still out, so
+	// the router closes before the recorder.
 	n.onClose(func() { _ = router.Close() })
 	n.Engine, n.Router, n.ItemShapes = router, router, hello.ItemShapes
 	log.Printf("cluster router up: %d replicas, verify %d, %s forwarding, sync=%v",

@@ -19,7 +19,8 @@ type AuditDoc struct {
 	Head SignedHead `json:"head"`
 	// Size is the live log size, which may run ahead of Head.Size.
 	Size uint64 `json:"size"`
-	// Dropped counts hot-path transcript events lost to backpressure.
+	// Dropped counts batches that got no leaf (a full channel or failed
+	// storage): each is a batch-ID gap, never a partial leaf.
 	Dropped uint64 `json:"dropped"`
 	// Leaf and LeafIndex are set for ?trace= and ?sample= requests: the
 	// encoded leaf and its index under Head.

@@ -37,13 +37,11 @@ type Config struct {
 }
 
 const (
-	// eventBuffer is the event channel capacity between the hot path and
-	// the transcript worker.
-	eventBuffer = 1024
+	// batchBuffer is the channel capacity between the posting callers and
+	// the transcript worker, in finished batches.
+	batchBuffer = 1024
 	// sampleRing bounds retained replay samples.
 	sampleRing = 8
-	// maxPending bounds batches awaiting delivery in the worker.
-	maxPending = 4096
 )
 
 // Sample is one retained replay candidate: a leaf plus the input tensors
@@ -54,43 +52,47 @@ type Sample struct {
 	Inputs map[string]*tensor.Tensor
 }
 
-// recEvent is one hot-path notification. Exactly one of the kinds is set.
-type recEvent struct {
-	kind    uint8 // 'b'egin, 'c'heckpoint, 'C'heckpoint-tensors, 'v'ote, 'd'eliver, 'a'bort
-	batch   uint64
-	trace   uint64
-	stage   int
-	digest  check.Digest
-	replica string
-	agree   bool
-	rung    uint8
-	tensors map[string]*tensor.Tensor
+// Batch is one finished batch as its caller holds it at delivery: the whole
+// of what its leaf binds. The recorder keeps references, never copies, so
+// none of the maps or slices may be mutated after Record.
+type Batch struct {
+	Trace uint64
+	ID    uint64
+	// Inputs and Outputs are hashed by the worker.
+	Inputs  map[string]*tensor.Tensor
+	Outputs map[string]*tensor.Tensor
+	// Checkpoints holds one entry per stage, in stage order.
+	Checkpoints []Checkpoint
+	Votes       []Vote
+	// Rung is the worst ladder rung at delivery; Replica the serving
+	// replica ("" in process).
+	Rung    uint8
+	Replica string
 }
 
-// pendingLeaf accumulates one batch's events until delivery.
-type pendingLeaf struct {
-	trace       uint64
-	inputs      map[string]*tensor.Tensor
-	checkpoints []check.Digest
-	votes       []Vote
+// Checkpoint is one stage's forwarded output. A caller that already
+// digested it sets Digest; otherwise the worker hashes Tensors.
+type Checkpoint struct {
+	Digest  check.Digest
+	Tensors map[string]*tensor.Tensor
 }
 
-// Recorder is the serving-tier end of the transcript: hot-path call sites
-// (engine submit/forward/deliver, router submit/vote/deliver) publish tiny
-// events into a bounded channel and never block — the same discipline as
-// the PR 4 event bus — while a single worker goroutine hashes tensors,
-// builds leaves, appends to the Merkle log and periodically signs tree
-// heads. A full channel drops the event and counts it; a dropped event
-// degrades that batch's leaf (zero digests) but never stalls serving.
-// All write-path methods are nil-receiver-safe.
+// Recorder is the serving-tier end of the transcript. Each caller (the
+// engine at delivery, the cluster router once a served batch's votes have
+// resolved) hands it one finished Batch per leaf through a bounded channel
+// and never blocks — the same discipline as the event bus — while a single
+// worker goroutine hashes tensors, appends leaves to the Merkle log and
+// periodically signs tree heads. A full channel drops the whole batch and
+// counts it, so backpressure leaves an auditable batch-ID gap, never a
+// partial leaf. All methods are nil-receiver-safe.
 type Recorder struct {
 	cfg Config
 
-	ch   chan recEvent
+	ch   chan Batch
 	done chan struct{}
-	// closeMu orders posts against Close: posts send under the read lock,
-	// Close closes ch under the write lock, so no send reaches a closed
-	// channel.
+	// closeMu orders Record against Close: Record sends under the read
+	// lock, Close closes ch under the write lock, so no send reaches a
+	// closed channel.
 	closeMu sync.RWMutex
 	closed  bool
 	dropped atomic.Uint64
@@ -119,11 +121,11 @@ type Recorder struct {
 
 // NewRecorder starts a recorder's worker goroutine. Close releases it.
 func NewRecorder(cfg Config) *Recorder {
-	return newRecorder(cfg, eventBuffer)
+	return newRecorder(cfg, batchBuffer)
 }
 
-// newRecorder is NewRecorder with the event channel capacity as a
-// parameter, so tests can make drops and close races likelier or rarer.
+// newRecorder is NewRecorder with the channel capacity as a parameter, so
+// tests can make drops and close races likelier or rarer.
 func newRecorder(cfg Config, buffer int) *Recorder {
 	if cfg.HeadEvery <= 0 {
 		cfg.HeadEvery = 32
@@ -137,7 +139,7 @@ func newRecorder(cfg Config, buffer int) *Recorder {
 	}
 	r := &Recorder{
 		cfg:      cfg,
-		ch:       make(chan recEvent, buffer),
+		ch:       make(chan Batch, buffer),
 		done:     make(chan struct{}),
 		log:      NewLog(),
 		mLeaves:  reg.Counter(telemetry.MetricTranscriptLeaves),
@@ -150,8 +152,8 @@ func newRecorder(cfg Config, buffer int) *Recorder {
 	return r
 }
 
-// Close stops the worker after draining queued events.
-// Posts racing Close are either queued before it or discarded.
+// Close stops the worker after draining queued batches.
+// Records racing Close are either queued before it or discarded.
 func (r *Recorder) Close() {
 	if r == nil {
 		return
@@ -168,15 +170,17 @@ func (r *Recorder) Close() {
 	_ = r.log.Close()
 }
 
-// post enqueues one event without ever blocking the caller.
-func (r *Recorder) post(ev recEvent) {
+// Record enqueues one finished batch for its leaf without ever blocking the
+// caller. Failed batches are not recorded: their absence is an auditable
+// batch-ID gap.
+func (r *Recorder) Record(b Batch) {
 	if r == nil {
 		return
 	}
 	r.closeMu.RLock()
 	if !r.closed {
 		select {
-		case r.ch <- ev:
+		case r.ch <- b:
 		default:
 			r.drop()
 		}
@@ -184,46 +188,8 @@ func (r *Recorder) post(ev recEvent) {
 	r.closeMu.RUnlock()
 }
 
-// Begin records a batch's submission: its trace ID and input tensors. The
-// worker hashes the inputs off the hot path; the map must not be mutated
-// after submission (engine and router both retain immutable input sets).
-func (r *Recorder) Begin(trace, batch uint64, inputs map[string]*tensor.Tensor) {
-	r.post(recEvent{kind: 'b', batch: batch, trace: trace, tensors: inputs})
-}
-
-// Checkpoint records one per-stage digest (stage-worker context: the call
-// must not block, and it does not — it is one channel send).
-func (r *Recorder) Checkpoint(batch uint64, stage int, d check.Digest) {
-	r.post(recEvent{kind: 'c', batch: batch, stage: stage, digest: d})
-}
-
-// CheckpointTensors records a per-stage checkpoint by reference to its
-// output tensors; the worker hashes them off the hot path. Single-node
-// engines use this form — without a cluster digest sink there is no reason
-// to pay the digest on the stage worker. The map must not be mutated after
-// the call (checkpoint outputs are immutable once forwarded).
-func (r *Recorder) CheckpointTensors(batch uint64, stage int, outs map[string]*tensor.Tensor) {
-	r.post(recEvent{kind: 'C', batch: batch, stage: stage, tensors: outs})
-}
-
-// Vote records one follower's digest verdict (cluster mode).
-func (r *Recorder) Vote(batch uint64, replica string, sum check.Digest, agree bool) {
-	r.post(recEvent{kind: 'v', batch: batch, replica: replica, digest: sum, agree: agree})
-}
-
-// Deliver finalizes a batch's leaf with its output tensors, worst ladder
-// rung and serving replica. The worker hashes the outputs and appends.
-func (r *Recorder) Deliver(batch uint64, outputs map[string]*tensor.Tensor, rung uint8, replica string) {
-	r.post(recEvent{kind: 'd', batch: batch, tensors: outputs, rung: rung, replica: replica})
-}
-
-// Abort discards a batch's accumulated state (failed batches leave no
-// leaf — the absence is itself auditable via batch-ID gaps).
-func (r *Recorder) Abort(batch uint64) {
-	r.post(recEvent{kind: 'a', batch: batch})
-}
-
-// Dropped returns cumulative hot-path events lost to a full channel.
+// Dropped returns cumulative batches that got no leaf: lost to a full
+// channel, an unencodable leaf or failed storage.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -233,81 +199,28 @@ func (r *Recorder) Dropped() uint64 {
 
 func (r *Recorder) worker() {
 	defer close(r.done)
-	pending := make(map[uint64]*pendingLeaf)
-	order := make([]uint64, 0, 64) // insertion order for bounded eviction
-	for ev := range r.ch {
-		switch ev.kind {
-		case 'b':
-			if len(pending) >= maxPending {
-				// Evict the oldest half-built batch rather than grow without
-				// bound when deliveries stop arriving.
-				for len(order) > 0 {
-					old := order[0]
-					order = order[1:]
-					if _, ok := pending[old]; ok {
-						delete(pending, old)
-						r.drop()
-						break
-					}
-				}
-			}
-			p := &pendingLeaf{trace: ev.trace, inputs: ev.tensors}
-			pending[ev.batch] = p
-			if len(order) >= 2*len(pending)+64 {
-				// Forget delivered and aborted batches, so order stays
-				// proportional to what is pending rather than to uptime.
-				live := order[:0]
-				for _, b := range order {
-					if _, ok := pending[b]; ok {
-						live = append(live, b)
-					}
-				}
-				order = live
-			}
-			order = append(order, ev.batch)
-		case 'c', 'C':
-			p := pending[ev.batch]
-			if p == nil {
-				break // begin was dropped; leaf will be degraded anyway
-			}
-			d := ev.digest
-			if ev.kind == 'C' {
-				d = check.DigestOf(ev.tensors)
-			}
-			for len(p.checkpoints) <= ev.stage {
-				p.checkpoints = append(p.checkpoints, check.Digest{})
-			}
-			p.checkpoints[ev.stage] = d
-		case 'v':
-			p := pending[ev.batch]
-			if p == nil {
-				break
-			}
-			p.votes = append(p.votes, Vote{Replica: ev.replica, Sum: ev.digest, Agree: ev.agree})
-		case 'a':
-			delete(pending, ev.batch)
-		case 'd':
-			p := pending[ev.batch]
-			if p == nil {
-				p = &pendingLeaf{}
-			}
-			delete(pending, ev.batch)
-			leaf := Leaf{
-				Trace:       p.trace,
-				Batch:       ev.batch,
-				Checkpoints: p.checkpoints,
-				Votes:       p.votes,
-				Rung:        ev.rung,
-				Replica:     ev.replica,
-			}
-			if p.inputs != nil {
-				leaf.Input = check.DigestOf(p.inputs)
-			}
-			if ev.tensors != nil {
-				leaf.Output = check.DigestOf(ev.tensors)
-			}
-			r.append(leaf, p.inputs)
+	for b := range r.ch {
+		leaf := Leaf{
+			Trace:       b.Trace,
+			Batch:       b.ID,
+			Checkpoints: make([]check.Digest, len(b.Checkpoints)),
+			Votes:       b.Votes,
+			Rung:        b.Rung,
+			Replica:     b.Replica,
 		}
+		for i, c := range b.Checkpoints {
+			leaf.Checkpoints[i] = c.Digest
+			if c.Digest == (check.Digest{}) && c.Tensors != nil {
+				leaf.Checkpoints[i] = check.DigestOf(c.Tensors)
+			}
+		}
+		if b.Inputs != nil {
+			leaf.Input = check.DigestOf(b.Inputs)
+		}
+		if b.Outputs != nil {
+			leaf.Output = check.DigestOf(b.Outputs)
+		}
+		r.append(leaf, b.Inputs)
 	}
 }
 

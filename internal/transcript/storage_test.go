@@ -25,8 +25,7 @@ func feed(t testing.TB, rec *Recorder, first, n uint64) {
 		for i-rec.Size() >= 512 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		rec.Begin(i+1, i+1, nil)
-		rec.Deliver(i+1, nil, 0, "replica-a")
+		rec.Record(Batch{Trace: i + 1, ID: i + 1, Replica: "replica-a"})
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for rec.Size() < first+n {
@@ -126,7 +125,7 @@ func TestProofFloodDuringBurstDropsNothing(t *testing.T) {
 	next := time.Now()
 	for i := uint64(warm); i < total; i += chunk {
 		for j := i; j < i+chunk && j < total; j++ {
-			rec.Deliver(j+1, nil, 0, "replica-a")
+			rec.Record(Batch{ID: j + 1, Replica: "replica-a"})
 		}
 		next = next.Add(every)
 		time.Sleep(time.Until(next))
@@ -203,7 +202,7 @@ func TestSpillWriteFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(200); i < 1200; i++ {
-		rec.Deliver(i+1, nil, 0, "")
+		rec.Record(Batch{ID: i + 1})
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for rec.Size()+rec.Dropped() < 1200 {
@@ -223,7 +222,7 @@ func TestSpillWriteFailureIsSticky(t *testing.T) {
 	if got := reg.Counter(telemetry.MetricTranscriptDropped).Value(); got != dropped {
 		t.Fatalf("transcript.dropped counter %d, Dropped() %d", got, dropped)
 	}
-	rec.Deliver(5000, nil, 0, "")
+	rec.Record(Batch{ID: 5000})
 	waitFor(t, "one more drop", func() bool { return rec.Dropped() == dropped+1 })
 	if rec.Size() != size {
 		t.Fatal("the log grew after a write failure")

@@ -164,20 +164,21 @@ func TestRecorderBuildsLeaves(t *testing.T) {
 	rec := NewRecorder(Config{Signer: encl, Model: model, HeadEvery: 4, SampleEvery: 1})
 	defer rec.Close()
 
-	var d0, d1 check.Digest
-	d0[0], d1[0] = 7, 8
+	var d0 check.Digest
+	d0[0] = 7
+	cp1 := testInputs(8)
+	d1 := check.DigestOf(cp1)
 	for i := uint64(1); i <= 10; i++ {
 		in := testInputs(float32(i))
 		out := testInputs(float32(i) * 100)
-		rec.Begin(i*1000, i, in)
-		rec.Checkpoint(i, 0, d0)
-		rec.Checkpoint(i, 1, d1)
-		rec.Vote(i, "follower-1", d1, true)
-		rec.Deliver(i, out, 3, "leader")
+		// Stage 0 arrives as a digest, stage 1 by reference to its tensors.
+		rec.Record(Batch{
+			Trace: i * 1000, ID: i, Inputs: in, Outputs: out,
+			Checkpoints: []Checkpoint{{Digest: d0}, {Tensors: cp1}},
+			Votes:       []Vote{{Replica: "follower-1", Sum: d1, Agree: true}},
+			Rung:        3, Replica: "leader",
+		})
 	}
-	// A failed batch must leave no leaf.
-	rec.Begin(99000, 99, testInputs(9))
-	rec.Abort(99)
 
 	waitFor(t, "10 leaves", func() bool { return rec.Size() == 10 })
 
@@ -203,10 +204,6 @@ func TestRecorderBuildsLeaves(t *testing.T) {
 	if leaf.Rung != 3 || leaf.Replica != "leader" {
 		t.Fatalf("leaf rung/replica wrong: %d %q", leaf.Rung, leaf.Replica)
 	}
-	if _, ok := rec.byTraceLookup(99000); ok {
-		t.Fatal("aborted batch left a leaf")
-	}
-
 	// The head covers the log and the inclusion proof verifies.
 	sh, err := rec.SignedHead(false)
 	if err != nil {
@@ -233,19 +230,9 @@ func TestRecorderBuildsLeaves(t *testing.T) {
 	}
 }
 
-// byTraceLookup is a test helper exposing the trace lookup's index.
-func (r *Recorder) byTraceLookup(trace uint64) (uint64, bool) {
-	_, _, idx, err := r.LeafByTrace(trace)
-	return idx, err == nil
-}
-
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
-	rec.Begin(1, 1, nil)
-	rec.Checkpoint(1, 0, check.Digest{})
-	rec.Vote(1, "r", check.Digest{}, true)
-	rec.Deliver(1, nil, 0, "")
-	rec.Abort(1)
+	rec.Record(Batch{ID: 1, Checkpoints: []Checkpoint{{}}, Votes: []Vote{{Replica: "r"}}})
 	rec.Close()
 	if rec.Size() != 0 || rec.Dropped() != 0 {
 		t.Fatal("nil recorder reported state")
@@ -286,9 +273,8 @@ func TestAuditEndToEnd(t *testing.T) {
 	for i := uint64(1); i <= 9; i++ {
 		in := testInputs(float32(i))
 		out, _ := run(in)
-		rec.Begin(i*10, i, in)
-		rec.Checkpoint(i, 0, check.DigestOf(out))
-		rec.Deliver(i, out, 3, "node-a")
+		rec.Record(Batch{Trace: i * 10, ID: i, Inputs: in, Outputs: out,
+			Checkpoints: []Checkpoint{{Digest: check.DigestOf(out)}}, Rung: 3, Replica: "node-a"})
 	}
 	waitFor(t, "9 leaves", func() bool { return rec.Size() == 9 })
 
@@ -375,8 +361,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	for i := uint64(1); i <= 9; i++ {
 		in := testInputs(float32(i) + 0.5) // different history
 		out, _ := run(in)
-		rec2.Begin(i*10, i, in)
-		rec2.Deliver(i, out, 3, "node-a")
+		rec2.Record(Batch{Trace: i * 10, ID: i, Inputs: in, Outputs: out, Rung: 3, Replica: "node-a"})
 	}
 	waitFor(t, "rewritten leaves", func() bool { return rec2.Size() == 9 })
 	srv2 := httptest.NewServer(Handler(rec2, HandlerConfig{}))

@@ -18,6 +18,12 @@ go test -race ./...
 # GOMAXPROCS 1, 2 and 4.
 go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./internal/transcript ./internal/cluster ./internal/monitor ./internal/core ./internal/node ./internal/securechan ./internal/wire ./internal/control
 
+# The router's vote/leaf table: a follower digest before the leader's
+# result, after it, after the row or never, agreeing, dissenting or
+# abstaining, sync and async. Every served leaf's votes must equal the vote
+# counters. Twenty passes at each core count (about 20 s).
+go test -race -cpu 1,2,4 -count=20 -run 'TestRouter(Sync|Async)DigestAgreeAndDissent' ./internal/cluster
+
 # The robustness layer (straggler deadlines, degradation ladder, hot
 # replacement), the lock-free telemetry core, the adaptive
 # control plane, the cluster router (failover, digest voting) and the
