@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -366,10 +365,6 @@ func Vote(results []map[string]*tensor.Tensor, p Policy, s Strategy) (Verdict, e
 		agree[i] = make([]bool, n)
 		agree[i][i] = results[i] != nil
 	}
-	rec := telemetry.Enabled()
-	if rec {
-		mVotes.Inc()
-	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if results[i] == nil || results[j] == nil {
@@ -380,10 +375,6 @@ func Vote(results []map[string]*tensor.Tensor, p Policy, s Strategy) (Verdict, e
 				return Verdict{OK: false, Chosen: -1}, err
 			}
 			agree[i][j], agree[j][i] = ok, ok
-			if rec && !ok {
-				mPairDisagree.Inc()
-				observeDivergence(results[i], results[j])
-			}
 		}
 	}
 	// Greedy clustering around each pivot; keep the largest cluster.

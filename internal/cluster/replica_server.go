@@ -56,8 +56,8 @@ type ReplicaServer struct {
 	statusMu sync.Mutex
 
 	// stageDigests decouples the engine's DigestSink (stage worker context,
-	// must not block) from the connection; full buffer drops the frame —
-	// stage digests are a best-effort early-dissent signal, the final vote is
+	// must not block) from the connection; a full buffer drops the frame —
+	// stage digests are best-effort audit-leaf checkpoints, the final vote is
 	// the correctness backbone.
 	stageDigests chan wire.Digest
 
@@ -67,7 +67,7 @@ type ReplicaServer struct {
 
 type repSub struct {
 	rid    uint64
-	trace  uint64 // router-minted federation trace ID (zero: tracing off)
+	trace  uint64 // router-minted federation trace ID (zero: untraced)
 	verify bool
 }
 
@@ -224,10 +224,9 @@ func (s *ReplicaServer) deliver(br monitor.BatchResult, sub repSub) {
 // them to the router right behind the result/vote on the same ordered
 // connection — the sending half of trace federation. The engine records its
 // root "batch" span before the result reaches the output channel, so the
-// harvest here sees the complete set. Zero-trace batches (tracing off) skip
-// everything.
+// harvest here sees the complete set. Untraced batches skip everything.
 func (s *ReplicaServer) reportSpans(sub repSub) {
-	if sub.trace == 0 || !telemetry.Enabled() {
+	if sub.trace == 0 {
 		return
 	}
 	spans := s.eng.Tracer().SpansForRecent(sub.trace, spanScanWindow, maxSpans)
@@ -239,13 +238,16 @@ func (s *ReplicaServer) reportSpans(sub repSub) {
 
 // StageDigestSink adapts the engine's per-checkpoint digest tap
 // (monitor.EngineConfig.DigestSink) to the router's verification plane.
-// Never blocks: frames drop when the channel is saturated.
+// Only a leader's batches stream them: the router keeps the serving
+// leader's checkpoints for the audit leaf, and a follower votes with its
+// final digest alone. Never blocks: frames drop when the channel is
+// saturated.
 func (s *ReplicaServer) StageDigestSink(batchID uint64, stage int, digest check.Digest) {
 	s.mu.Lock()
 	sub, ok := s.pend[batchID]
 	s.mu.Unlock()
-	if !ok {
-		return // not a router batch (or already completed)
+	if !ok || sub.verify {
+		return // not a router batch, already completed, or a cross-check
 	}
 	d := wire.Digest{ID: sub.rid, Stage: int32(stage), Sum: digest}
 	select {

@@ -49,7 +49,7 @@ type RouterConfig struct {
 	Flight *telemetry.FlightRecorder
 	// Transcript, when set, receives one audit leaf per batch served clean,
 	// posted once every follower has resolved (agree, dissent, abstain or
-	// the vote timeout): the first-seen checkpoint digests, every vote, and
+	// the vote timeout): the serving leader's checkpoint digests, every vote, and
 	// the served output digest, keyed by the federation trace ID. Record
 	// never blocks, so it is safe under r.mu. Optional.
 	Transcript *transcript.Recorder
@@ -58,7 +58,7 @@ type RouterConfig struct {
 // pendingBatch is one open batch in the router's ID namespace.
 type pendingBatch struct {
 	id     uint64
-	trace  uint64 // federation trace ID, zero when tracing is off
+	trace  uint64 // federation trace ID
 	inputs map[string]*tensor.Tensor
 	leader int
 	// followers tracks replica indices whose vote is still outstanding.
@@ -76,16 +76,11 @@ type pendingBatch struct {
 	// earlyVotes parks follower digests that arrived before the leader's
 	// result fixed the reference sum.
 	earlyVotes map[int]check.Digest
-	// stageSums holds the first-seen digest per checkpoint stage for
-	// best-effort early dissent detection (owner index + sum).
-	stageSums map[int32]stageSum
+	// stageSums holds the serving leader's digest per checkpoint stage,
+	// the checkpoints its audit leaf carries.
+	stageSums map[int32]check.Digest
 	retries   int
 	born      time.Time
-}
-
-type stageSum struct {
-	idx int
-	sum check.Digest
 }
 
 type replicaState struct {
@@ -150,16 +145,11 @@ type Router struct {
 }
 
 type routerMetrics struct {
-	replicas    *telemetry.Gauge
-	batches     *telemetry.Counter
 	failovers   *telemetry.Counter
-	routeNs     *telemetry.Histogram
-	dissent     *telemetry.Counter
 	votes       [3]*telemetry.Counter // agree, dissent, abstain
 	fwd         [3]*telemetry.Counter // input, result, digest planes
 	up          []*telemetry.Gauge
 	rung        []*telemetry.Gauge
-	inflight    []*telemetry.Gauge
 	spanReports *telemetry.Counter
 	spansMerged *telemetry.Counter
 	spanBytes   *telemetry.Counter
@@ -271,17 +261,11 @@ func (r *Router) initMetrics(ids []string) {
 	// elements stay nil and every Gauge/Counter method is a nil-safe no-op.
 	r.m.up = make([]*telemetry.Gauge, len(ids))
 	r.m.rung = make([]*telemetry.Gauge, len(ids))
-	r.m.inflight = make([]*telemetry.Gauge, len(ids))
 	reg := r.cfg.Metrics
 	if reg == nil {
 		return
 	}
-	r.m.replicas = reg.Gauge(telemetry.MetricClusterReplicas)
-	r.m.replicas.Set(int64(len(ids)))
-	r.m.batches = reg.Counter(telemetry.MetricClusterBatches)
 	r.m.failovers = reg.Counter(telemetry.MetricClusterFailovers)
-	r.m.routeNs = reg.Histogram(telemetry.MetricClusterRouteNs)
-	r.m.dissent = reg.Counter(telemetry.MetricClusterStageDissent)
 	for i, v := range []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain} {
 		r.m.votes[i] = reg.Counter(telemetry.MetricClusterDigestVotes, telemetry.L("verdict", v))
 	}
@@ -297,7 +281,6 @@ func (r *Router) initMetrics(ids []string) {
 		r.m.up[i] = reg.Gauge(telemetry.MetricClusterReplicaUp, l)
 		r.m.up[i].Set(1)
 		r.m.rung[i] = reg.Gauge(telemetry.MetricClusterReplicaRung, l)
-		r.m.inflight[i] = reg.Gauge(telemetry.MetricClusterInflight, l)
 	}
 }
 
@@ -460,7 +443,6 @@ func (r *Router) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	r.noteDispatch(pb, +1)
 	r.dispatchWG.Add(1)
 	r.mu.Unlock()
-	r.m.batches.Inc()
 	go func() {
 		defer r.dispatchWG.Done()
 		if err := r.dispatch(pb, leader, followers); err != nil {
@@ -476,7 +458,6 @@ func (r *Router) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 // role assignment. Caller holds r.mu.
 func (r *Router) noteDispatch(pb *pendingBatch, delta int) {
 	r.state[pb.leader].inflight += delta
-	r.m.inflight[pb.leader].Set(int64(r.state[pb.leader].inflight))
 	for f := range pb.followers {
 		r.state[f].checks += delta
 	}
@@ -495,7 +476,7 @@ func (r *Router) dispatch(pb *pendingBatch, leader int, followers []int) error {
 	payload := buf.Payload()
 	n, leaderErr := r.reps[leader].submit(pb.id, pb.trace, payload, pb.inputs, false)
 	r.m.fwd[planeInput].Add(uint64(n))
-	if pb.trace != 0 && leaderErr == nil {
+	if leaderErr == nil {
 		// The leader cannot answer before the batch has left the router, so
 		// an answer already in bounds the send. Without the bound the span
 		// would end when this goroutine next ran, which on a busy host is
@@ -693,24 +674,18 @@ func (r *Router) applyVoteLocked(pb *pendingBatch, idx, verdict int, sum check.D
 	}
 }
 
-// onStageDigestLocked records best-effort per-checkpoint digests: the first
-// replica to report a stage owns the reference; a different replica
-// reporting a different digest for the same stage is early dissent. The
-// final vote remains the correctness backbone. Caller holds r.mu.
+// onStageDigestLocked records the serving leader's best-effort
+// per-checkpoint digests for the batch's audit leaf. A frame from any other
+// replica is ignored: the leaf attests the leader's run, and followers speak
+// through their final vote. Caller holds r.mu.
 func (r *Router) onStageDigestLocked(pb *pendingBatch, idx int, v *wire.Digest) {
-	if pb.stageSums == nil {
-		pb.stageSums = make(map[int32]stageSum)
-	}
-	prev, ok := pb.stageSums[v.Stage]
-	if !ok {
-		// The first-seen digest is the reference this batch's audit leaf
-		// carries for the stage; later conflicting reports surface as votes.
-		pb.stageSums[v.Stage] = stageSum{idx: idx, sum: check.Digest(v.Sum)}
+	if idx != pb.leader {
 		return
 	}
-	if prev.idx != idx && prev.sum != check.Digest(v.Sum) {
-		r.m.dissent.Inc()
+	if pb.stageSums == nil {
+		pb.stageSums = make(map[int32]check.Digest)
 	}
+	pb.stageSums[v.Stage] = check.Digest(v.Sum)
 }
 
 // completeLocked delivers the batch if its gates allow, posts its audit leaf
@@ -744,8 +719,8 @@ func (r *Router) completeLocked(pb *pendingBatch) bool {
 }
 
 // recordLocked posts a served batch's audit leaf; a failed row earns none.
-// The leaf carries the first-seen digest of each checkpoint stage, within
-// the leaf format's bound. Caller holds r.mu.
+// The leaf carries the serving leader's digest of each checkpoint stage,
+// within the leaf format's bound. Caller holds r.mu.
 func (r *Router) recordLocked(pb *pendingBatch) {
 	if !pb.served || r.cfg.Transcript == nil {
 		return
@@ -758,7 +733,7 @@ func (r *Router) recordLocked(pb *pendingBatch) {
 		for len(cps) <= int(st) {
 			cps = append(cps, transcript.Checkpoint{})
 		}
-		cps[st].Digest = s.sum
+		cps[st].Digest = s
 	}
 	r.cfg.Transcript.Record(transcript.Batch{
 		Trace: pb.trace, ID: pb.id, Inputs: pb.inputs, Outputs: pb.res.Tensors,
@@ -779,15 +754,12 @@ func (r *Router) deliverLocked(pb *pendingBatch, res *monitor.BatchResult) {
 		pb.served, pb.rung = true, uint8(r.state[pb.leader].worst)
 	}
 	r.deliverq <- *res
-	r.m.routeNs.Observe(res.Latency.Nanoseconds())
-	if pb.trace != 0 {
-		// The router's root span: placement through delivery. Replica-side
-		// spans for the same trace nest inside it once their reports merge.
-		r.tracer.Record(telemetry.Span{
-			Trace: pb.trace, Batch: pb.id, Name: "route", Stage: -1,
-			Start: pb.born.UnixNano(), End: now.UnixNano(),
-		})
-	}
+	// The router's root span: placement through delivery. Replica-side
+	// spans for the same trace nest inside it once their reports merge.
+	r.tracer.Record(telemetry.Span{
+		Trace: pb.trace, Batch: pb.id, Name: "route", Stage: -1,
+		Start: pb.born.UnixNano(), End: now.UnixNano(),
+	})
 }
 
 // delivery is the single mover from the internal queue to the consumer
@@ -892,7 +864,7 @@ func (r *Router) ClusterMetrics() []ReplicaMetrics {
 
 // collector drives metrics federation: on each tick it polls every up
 // replica's registry over its existing status channel; answers land as
-// metrics events. Skips entirely while telemetry is disabled.
+// metrics events.
 func (r *Router) collector(every time.Duration) {
 	defer r.wg.Done()
 	t := time.NewTicker(every)
@@ -900,9 +872,6 @@ func (r *Router) collector(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if !telemetry.Enabled() {
-				continue
-			}
 			r.mu.Lock()
 			r.pollSeq++
 			seq := r.pollSeq
@@ -977,10 +946,11 @@ func (r *Router) failoverLocked(pb *pendingBatch, from int, cause error) {
 	pb.retries++
 	// Re-home the load accounting: the old leader's share moves to the new.
 	r.state[pb.leader].inflight--
-	r.m.inflight[pb.leader].Set(int64(r.state[pb.leader].inflight))
 	pb.leader = leader
 	r.state[leader].inflight++
-	r.m.inflight[leader].Set(int64(r.state[leader].inflight))
+	// The failed leader's checkpoint digests describe a run the row will
+	// not come from; the new leader streams its own.
+	pb.stageSums = nil
 	// A follower on the failed replica abstains, and so does a follower
 	// promoted to leader: it would otherwise vote on its own result.
 	r.applyVoteLocked(pb, from, voteAbstain, check.Digest{})

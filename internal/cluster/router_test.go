@@ -233,7 +233,11 @@ func TestRouterDispatchSpanEndsByLeaderAnswer(t *testing.T) {
 // it). It agrees, dissents (a differing sum) or abstains (a zero sum). A
 // dissent the row has not yet left on fails it with ErrDivergence and leaves
 // no leaf; every other case serves the leader's output and records one leaf
-// whose votes equal the router's digest_votes_total counters.
+// whose votes equal the router's digest_votes_total counters. Two more rows
+// pin whose checkpoints the leaf carries, the serving leader's only: a
+// follower's differing stage digest lands before the leader's
+// (follower-stage-), or the leader fails over after streaming its stage
+// digests and the promoted follower, which abstains, serves (failover).
 var voteLeafVerdicts = []string{telemetry.DigestVoteAgree, telemetry.DigestVoteDissent, telemetry.DigestVoteAbstain}
 
 func TestRouterSyncDigestAgreeAndDissent(t *testing.T) { runVoteLeafTable(t, true) }
@@ -251,6 +255,10 @@ func runVoteLeafTable(t *testing.T, sync bool) {
 		}
 	}
 	t.Run("timeout", func(t *testing.T) { runVoteLeafCase(t, sync, "timeout", telemetry.DigestVoteAbstain) })
+	t.Run("follower-stage-agree", func(t *testing.T) {
+		runVoteLeafCase(t, sync, "follower-stage-", telemetry.DigestVoteAgree)
+	})
+	t.Run("failover", func(t *testing.T) { runVoteLeafCase(t, sync, "failover", telemetry.DigestVoteAbstain) })
 }
 
 func runVoteLeafCase(t *testing.T, sync bool, when, verdict string) {
@@ -287,13 +295,27 @@ func runVoteLeafCase(t *testing.T, sync bool, when, verdict string) {
 	case telemetry.DigestVoteAbstain:
 		sum = check.Digest{}
 	}
-	var stage check.Digest
-	stage[0] = 0x5a
+	var stage, other check.Digest
+	stage[0], other[0] = 0x5a, 0x6b
+	if when == "follower-stage-" {
+		follow.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: other}})
+	}
 	lead.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: stage}})
 	digest := replicaEvent{vote: &wire.Digest{ID: id, Stage: -1, Sum: sum}}
 	result := replicaEvent{res: &monitor.BatchResult{ID: id, Tensors: outs}}
+	server := lead
 	var row monitor.BatchResult
 	switch when {
+	case "failover":
+		// The old leader's stage-1 digest and its stage-0 one must both
+		// leave with it: the leaf names the new leader and holds its one.
+		lead.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 1, Sum: stage}})
+		lead.post(replicaEvent{down: errors.New("connection lost")})
+		waitUntil(t, "failover resubmission", func() bool { return follow.subCount() == 2 })
+		server, stage = follow, other
+		follow.post(replicaEvent{vote: &wire.Digest{ID: id, Stage: 0, Sum: stage}})
+		follow.post(result)
+		row = readRow(t, r)
 	case "early-":
 		follow.post(digest)
 		waitUntil(t, "follower digest handled", func() bool {
@@ -383,8 +405,8 @@ func runVoteLeafCase(t *testing.T, sync bool, when, verdict string) {
 		t.Fatalf("leaf votes = %+v, want [%+v]", leaf.Votes, want)
 	}
 	if leaf.Batch != id || leaf.Input != check.DigestOf(inputs) || leaf.Output != check.DigestOf(outs) ||
-		leaf.Replica != lead.id || len(leaf.Checkpoints) != 1 || leaf.Checkpoints[0] != stage {
-		t.Fatalf("leaf = %+v, want batch %d served by %s with its input, output and stage digests", leaf, id, lead.id)
+		leaf.Replica != server.id || len(leaf.Checkpoints) != 1 || leaf.Checkpoints[0] != stage {
+		t.Fatalf("leaf = %+v, want batch %d served by %s with its input, output and stage digests", leaf, id, server.id)
 	}
 }
 

@@ -119,7 +119,6 @@ type Decision struct {
 type tenantSLO struct {
 	slo      time.Duration
 	hist     *telemetry.Histogram
-	weight   *telemetry.Gauge
 	breach   *telemetry.Counter
 	prev     telemetry.HistState
 	base     int // weight to restore to after recovery (0 = not yet sampled)
@@ -142,12 +141,10 @@ type Controller struct {
 	gather     []*telemetry.Histogram
 
 	// Knob mirrors and decision counters.
-	epochs      *telemetry.Counter
-	gBatchMax   *telemetry.Gauge
-	gBatchDelay *telemetry.Gauge
-	gInflight   *telemetry.Gauge
-	gSpares     *telemetry.Gauge
-	gShedFloor  *telemetry.Gauge
+	epochs     *telemetry.Counter
+	gBatchMax  *telemetry.Gauge
+	gInflight  *telemetry.Gauge
+	gShedFloor *telemetry.Gauge
 
 	sub *telemetry.Sub[monitor.Event]
 	dec *telemetry.Bus[Decision]
@@ -185,12 +182,10 @@ func New(cfg Config) *Controller {
 		fill:       reg.Histogram(telemetry.MetricServeBatchFill),
 		batches:    reg.Counter(telemetry.MetricEngineBatches),
 
-		epochs:      reg.Counter(telemetry.MetricControlEpochs),
-		gBatchMax:   reg.Gauge(telemetry.MetricControlBatchMax),
-		gBatchDelay: reg.Gauge(telemetry.MetricControlBatchDelayNs),
-		gInflight:   reg.Gauge(telemetry.MetricControlInflightWindow),
-		gSpares:     reg.Gauge(telemetry.MetricControlSpareTarget),
-		gShedFloor:  reg.Gauge(telemetry.MetricControlShedFloor),
+		epochs:     reg.Counter(telemetry.MetricControlEpochs),
+		gBatchMax:  reg.Gauge(telemetry.MetricControlBatchMax),
+		gInflight:  reg.Gauge(telemetry.MetricControlInflightWindow),
+		gShedFloor: reg.Gauge(telemetry.MetricControlShedFloor),
 
 		dec:     telemetry.NewBus[Decision](128),
 		tenants: make(map[string]*tenantSLO),
@@ -206,22 +201,17 @@ func New(cfg Config) *Controller {
 		c.gInflight.Set(int64(cfg.Pipeline.InflightWindow()))
 	}
 	if cfg.Frontend != nil {
-		mb, md := cfg.Frontend.BatchWindow()
+		mb, _ := cfg.Frontend.BatchWindow()
 		c.gBatchMax.Set(int64(mb))
-		c.gBatchDelay.Set(int64(md))
 		c.gShedFloor.Set(int64(cfg.Frontend.ShedFloor()))
 		for name, slo := range cfg.Frontend.TenantSLOs() {
 			l := telemetry.L("tenant", name)
 			c.tenants[name] = &tenantSLO{
 				slo:    slo,
 				hist:   reg.Histogram(telemetry.MetricServeLatencyNs, l),
-				weight: reg.Gauge(telemetry.MetricControlTenantWeight, l),
 				breach: reg.Counter(telemetry.MetricControlSLOBreaches, l),
 			}
 		}
-	}
-	if cfg.Spares != nil {
-		c.gSpares.Set(int64(cfg.Spares.SpareCount()))
 	}
 	if cfg.Events != nil {
 		c.sub = cfg.Events.Subscribe(256)
@@ -379,7 +369,6 @@ func (c *Controller) stepBatch() {
 			Reason: "batch fill vs flush mix"})
 	}
 	if next.MaxDelay != cur.MaxDelay {
-		c.gBatchDelay.Set(int64(next.MaxDelay))
 		c.emit(Decision{Loop: telemetry.ControlLoopBatch, Knob: "max_delay_ns",
 			Direction: direction(int64(cur.MaxDelay), int64(next.MaxDelay)),
 			From:      int64(cur.MaxDelay), To: int64(next.MaxDelay),
@@ -448,7 +437,6 @@ func (c *Controller) stepSpares(deaths int, replaceFailed bool) {
 	if replaceFailed && target <= cur {
 		target = clampInt(cur+1, lim.MinSpares, lim.MaxSpares)
 	}
-	c.gSpares.Set(int64(target))
 	switch {
 	case cur < target:
 		if err := c.cfg.Spares.ProvisionSpare(c.lastDeathStage); err == nil {
@@ -506,7 +494,6 @@ func (c *Controller) stepSLO() {
 				if w := c.cfg.Frontend.TenantWeight(name); t.base > 0 && w > t.base && c.cfg.Frontend.ShedFloor() == serve.ShedNone {
 					to := clampInt(w/2, t.base, c.lim.MaxWeight)
 					c.cfg.Frontend.SetTenantWeight(name, to)
-					t.weight.Set(int64(to))
 					c.emit(Decision{Loop: telemetry.ControlLoopSLO, Knob: "weight",
 						Tenant: name, Direction: "down", From: int64(w), To: int64(to),
 						Reason: "p99 back under SLO"})
@@ -552,7 +539,6 @@ func (c *Controller) escalate(name string, t *tenantSLO) {
 	if w < c.lim.MaxWeight {
 		to := clampInt(w*2, c.lim.MinWeight, c.lim.MaxWeight)
 		c.cfg.Frontend.SetTenantWeight(name, to)
-		t.weight.Set(int64(to))
 		c.emit(Decision{Loop: telemetry.ControlLoopSLO, Knob: "weight",
 			Tenant: name, Direction: "up", From: int64(w), To: int64(to),
 			Reason: "sustained p99 over SLO"})

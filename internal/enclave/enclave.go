@@ -19,17 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/telemetry"
-)
-
-// EPC accounting series: the in-use gauge tracks committed secure memory
-// across every platform in the process; launches and EDMM grows count the
-// commitment events themselves.
-var (
-	mEPCBytes = telemetry.Default.Gauge(telemetry.MetricEnclaveEPCBytes)
-	mLaunches = telemetry.Default.Counter(telemetry.MetricEnclaveLaunches)
-	mGrows    = telemetry.Default.Counter(telemetry.MetricEnclaveGrows)
 )
 
 // TEEType identifies the simulated TEE technology of a platform.
@@ -166,8 +155,6 @@ func (p *Platform) Launch(img Image) (*Enclave, error) {
 		return nil, fmt.Errorf("%w: need %d, %d of %d in use", ErrEPCExhausted, img.InitialPages, p.epcUsed, p.epcTotal)
 	}
 	p.epcUsed += img.InitialPages
-	mEPCBytes.Add(img.InitialPages)
-	mLaunches.Inc()
 	return &Enclave{platform: p, name: img.Name, meas: Measure(img), committed: img.InitialPages}, nil
 }
 
@@ -197,8 +184,6 @@ func (e *Enclave) Grow(bytes int64) error {
 	}
 	e.platform.epcUsed += bytes
 	e.committed += bytes
-	mEPCBytes.Add(bytes)
-	mGrows.Inc()
 	return nil
 }
 
@@ -213,7 +198,6 @@ func (e *Enclave) Destroy() {
 	e.platform.mu.Lock()
 	e.platform.epcUsed -= e.committed
 	e.platform.mu.Unlock()
-	mEPCBytes.Add(-e.committed)
 	e.committed = 0
 }
 

@@ -593,7 +593,6 @@ func (e *Engine) halt(cause error) {
 	e.halted.Store(true)
 	for i := range e.ladder {
 		prev := LadderRung(e.ladder[i].Load())
-		e.met.stages[i].ladder.Set(int64(LadderHalted))
 		if prev != LadderHalted {
 			e.recordEvent(Event{Kind: EventLadderDemoted, Stage: i,
 				Detail: fmt.Sprintf("%s→%s (engine halted: %v)", prev, LadderHalted, cause)})
@@ -603,7 +602,6 @@ func (e *Engine) halt(cause error) {
 
 func (e *Engine) setLadder(stage int, r LadderRung) {
 	e.ladder[stage].Store(int32(r))
-	e.met.stages[stage].ladder.Set(int64(r))
 }
 
 // worstRung returns the lowest (least healthy) stage rung — the engine-wide
@@ -621,7 +619,6 @@ func (e *Engine) worstRung() LadderRung {
 func (e *Engine) recordEvent(ev Event) {
 	ev.Time = time.Now()
 	e.eventBus.Publish(ev)
-	e.met.eventsPublished.Inc()
 	e.met.eventsDropped.Set(int64(e.eventBus.Dropped()))
 }
 
@@ -629,7 +626,7 @@ func (e *Engine) recordEvent(ev Event) {
 // at MaxInFlight depth. It returns the assigned batch ID.
 func (e *Engine) Submit(inputs map[string]*tensor.Tensor) (uint64, error) {
 	// The batch-scoped trace ID rides the wire header to every variant and
-	// back; zero (telemetry disabled) turns off all span recording downstream.
+	// back.
 	id := NewBatchID()
 	if err := e.SubmitID(id, inputs, telemetry.NewTraceID()); err != nil {
 		return 0, err
@@ -865,17 +862,12 @@ func (e *Engine) failAll(batches map[uint64]*batchState, err error) {
 func (e *Engine) deliver(r BatchResult, trace uint64, start time.Time) {
 	now := time.Now()
 	r.Latency = now.Sub(start)
-	if telemetry.Enabled() {
-		e.met.batches.Inc()
-		if r.Err != nil {
-			e.met.batchErrors.Inc()
-		}
-		e.met.batchNs.Observe(r.Latency.Nanoseconds())
-		e.tracer.Record(telemetry.Span{
-			Trace: trace, Batch: r.ID, Name: "batch", Stage: -1,
-			Start: start.UnixNano(), End: now.UnixNano(),
-		})
-	}
+	e.met.batches.Inc()
+	e.met.batchNs.Observe(r.Latency.Nanoseconds())
+	e.tracer.Record(telemetry.Span{
+		Trace: trace, Batch: r.ID, Name: "batch", Stage: -1,
+		Start: start.UnixNano(), End: now.UnixNano(),
+	})
 	select {
 	case e.outCh <- r:
 	case <-e.ctx.Done():

@@ -14,7 +14,7 @@ import (
 // gather accumulates variant results for one (stage, batch) checkpoint.
 type gather struct {
 	id      uint64
-	trace   uint64 // batch trace ID; zero when telemetry is off
+	trace   uint64 // batch trace ID; zero for an untraced batch
 	mask    []bool // handle was live at dispatch
 	arrived []bool
 	results []map[string]*tensor.Tensor // nil = crashed / not arrived
@@ -116,11 +116,7 @@ func (e *Engine) stageWorker(s *stage) {
 		// the drain runs after every event — never from inside evaluateGather,
 		// whose callers may be mid-iteration over the gathers map.
 		st.drainPending()
-		if telemetry.Enabled() {
-			sm := &e.met.stages[s.idx]
-			sm.queueDepth.Set(int64(len(st.pending)))
-			sm.windowOcc.Set(int64(len(st.gathers)))
-		}
+		e.met.stages[s.idx].queueDepth.Set(int64(len(st.pending)))
 	}
 }
 
@@ -178,7 +174,7 @@ func (st *stageState) dispatch(w stageWork) {
 	// `last`, which doubles as the next send's start and finally the dispatch
 	// end, so a traced dispatch costs 1+N clock reads instead of 2+2N.
 	var t0, last time.Time
-	if w.trace != 0 && telemetry.Enabled() {
+	if w.trace != 0 {
 		t0 = time.Now()
 		g.dispatchedAt = t0
 		last = t0
@@ -382,8 +378,8 @@ func (st *stageState) closeGather(g *gather) time.Time {
 	return now
 }
 
-// forward releases a checkpoint output downstream, counting it and marking
-// the release instant on traced batches. Hot callers that just took a clock
+// forward releases a checkpoint output downstream, marking the release
+// instant on traced batches. Hot callers that just took a clock
 // reading pass it as now; a zero now means take a fresh one.
 func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now time.Time) {
 	var d check.Digest
@@ -399,7 +395,6 @@ func (st *stageState) forward(g *gather, outs map[string]*tensor.Tensor, now tim
 	// stage posts, the batch can complete and a caller that snapshots the
 	// tracer when Infer returns must already see it.
 	if !g.dispatchedAt.IsZero() {
-		st.e.met.stages[st.s.idx].forwards.Inc()
 		if now.IsZero() {
 			now = time.Now()
 		}
@@ -473,16 +468,6 @@ func (st *stageState) evaluateGather(g *gather) {
 		e.post(routerMsg{done: true, stageIdx: s.idx, id: g.id,
 			err: fmt.Errorf("monitor: stage %d vote: %w", s.idx, err)})
 		return
-	}
-	if telemetry.Enabled() {
-		switch {
-		case v.OK:
-			e.met.voteOK.Inc()
-		case g.forwarded:
-			e.met.voteLateDissent.Inc()
-		default:
-			e.met.voteDivergence.Inc()
-		}
 	}
 	if v.OK {
 		if !g.forwarded {

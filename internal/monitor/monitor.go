@@ -73,7 +73,7 @@ type Monitor struct {
 	spareFactory func(partition int) error
 	// digestSink, when set before BuildEngine, taps every per-checkpoint
 	// digest the engine computes (cluster replicas stream these to the
-	// router's early-dissent plane).
+	// router as a led batch's audit-leaf checkpoints).
 	digestSink func(batchID uint64, stage int, digest check.Digest)
 	// transcript, when set before BuildEngine, receives one finished batch
 	// per clean delivery from every subsequently built engine.

@@ -9,47 +9,31 @@ import (
 // stageMetrics are one pipeline stage's series, labeled stage="<idx>".
 type stageMetrics struct {
 	queueDepth *telemetry.Gauge     // batches queued behind the credit window
-	windowOcc  *telemetry.Gauge     // outstanding gathers (credit occupancy)
 	gatherNs   *telemetry.Histogram // dispatch -> gather-close latency
-	forwards   *telemetry.Counter   // checkpoint outputs released downstream
-	ladder     *telemetry.Gauge     // current degradation rung
 }
 
 // engineMetrics holds every handle the engine records into. Registration
 // happens once in NewEngine; all hot-path touches are lock-free atomic ops on
 // these pre-resolved series.
 type engineMetrics struct {
-	batches         *telemetry.Counter
-	batchErrors     *telemetry.Counter
-	batchNs         *telemetry.Histogram
-	voteOK          *telemetry.Counter
-	voteDivergence  *telemetry.Counter
-	voteLateDissent *telemetry.Counter
-	eventsPublished *telemetry.Counter
-	eventsDropped   *telemetry.Gauge
-	stages          []stageMetrics
+	batches       *telemetry.Counter
+	batchNs       *telemetry.Histogram
+	eventsDropped *telemetry.Gauge
+	stages        []stageMetrics
 }
 
 func newEngineMetrics(reg *telemetry.Registry, nStages int) *engineMetrics {
 	m := &engineMetrics{
-		batches:         reg.Counter(telemetry.MetricEngineBatches),
-		batchErrors:     reg.Counter(telemetry.MetricEngineBatchErrors),
-		batchNs:         reg.Histogram(telemetry.MetricEngineBatchNs),
-		voteOK:          reg.Counter(telemetry.MetricEngineVotes, telemetry.L("outcome", telemetry.VoteOutcomeOK)),
-		voteDivergence:  reg.Counter(telemetry.MetricEngineVotes, telemetry.L("outcome", telemetry.VoteOutcomeDivergence)),
-		voteLateDissent: reg.Counter(telemetry.MetricEngineVotes, telemetry.L("outcome", telemetry.VoteOutcomeLateDissent)),
-		eventsPublished: reg.Counter(telemetry.MetricEventsPublished),
-		eventsDropped:   reg.Gauge(telemetry.MetricEventsDropped),
-		stages:          make([]stageMetrics, nStages),
+		batches:       reg.Counter(telemetry.MetricEngineBatches),
+		batchNs:       reg.Histogram(telemetry.MetricEngineBatchNs),
+		eventsDropped: reg.Gauge(telemetry.MetricEventsDropped),
+		stages:        make([]stageMetrics, nStages),
 	}
 	for i := range m.stages {
 		l := telemetry.L("stage", strconv.Itoa(i))
 		m.stages[i] = stageMetrics{
 			queueDepth: reg.Gauge(telemetry.MetricEngineQueueDepth, l),
-			windowOcc:  reg.Gauge(telemetry.MetricEngineWindowOccupied, l),
 			gatherNs:   reg.Histogram(telemetry.MetricEngineGatherNs, l),
-			forwards:   reg.Counter(telemetry.MetricEngineForwards, l),
-			ladder:     reg.Gauge(telemetry.MetricEngineLadderRung, l),
 		}
 	}
 	return m

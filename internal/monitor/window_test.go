@@ -235,10 +235,6 @@ func TestSetInflightWindowRetunesLive(t *testing.T) {
 // pooled codec. Since the codec is deterministic, byte equality alone cannot
 // catch a per-variant encode; the send path and the shared backing array do.
 func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
-	// With telemetry off the engine mints a zero trace ID, so the reference
-	// marshal below (also zero-trace) must match the dispatched bytes exactly.
-	telemetry.SetEnabled(false)
-	defer telemetry.SetEnabled(true)
 	conns := []*scriptConn{newScriptConn("v0"), newScriptConn("v1"), newScriptConn("v2")}
 	handles := make([]*Handle, len(conns))
 	for i, c := range conns {
@@ -261,8 +257,10 @@ func TestDispatchEncodesOnceAcrossVariants(t *testing.T) {
 		"m": tensor.MustFromSlice([]float32{5}, 1),
 		"s": tensor.MustFromSlice([]float32{6}, 1),
 	}
-	id, err := e.Submit(inputs)
-	if err != nil {
+	// An untraced submission (trace 0), so the reference marshal below,
+	// also zero-trace, must match the dispatched bytes exactly.
+	id := NewBatchID()
+	if err := e.SubmitID(id, inputs, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range conns {

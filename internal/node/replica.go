@@ -35,7 +35,8 @@ type ReplicaListener struct {
 }
 
 // digestSink is the engine's DigestSink: it streams each checkpoint digest
-// to the active session (the early-dissent signal).
+// to the active session, which forwards a leader batch's digests to the
+// router as its audit-leaf checkpoints.
 func (r *ReplicaListener) digestSink(batchID uint64, stage int, d check.Digest) {
 	if s := r.active.Load(); s != nil {
 		s.StageDigestSink(batchID, stage, d)

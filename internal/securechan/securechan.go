@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/enclave"
-	"repro/internal/telemetry"
 )
 
 // Conn is the one channel contract between monitor and variant and between
@@ -275,7 +274,6 @@ func (p *plainConn) Recv() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	countRecvd(len(frame))
 	return frame, nil
 }
 
@@ -378,14 +376,9 @@ func (s *SecureConn) sealAndWrite(f *Buf, plaintext []byte) error {
 	var nonce [12]byte
 	binary.BigEndian.PutUint64(nonce[4:], seq)
 	aad := putSeqAAD(s.sendAAD, seq)
-	var t0 time.Time
-	if telemetry.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	ct := s.sendAEAD.Seal(f.full[BufHeadroom:BufHeadroom], nonce[:], plaintext, aad)
-	if !t0.IsZero() {
-		mSealNs.Observe(time.Since(t0).Nanoseconds())
-	}
+	mSealNs.Observe(time.Since(t0).Nanoseconds())
 	frame := f.full[:BufHeadroom+len(ct)]
 	binary.BigEndian.PutUint32(frame[:frameHdrLen], uint32(recSeqLen+len(ct)))
 	binary.BigEndian.PutUint64(frame[frameHdrLen:BufHeadroom], seq)
@@ -426,18 +419,12 @@ func (s *SecureConn) openLocked(frame []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(nonce[4:], seq)
 	aad := putSeqAAD(s.recvAAD, seq)
 	ct := frame[8:]
-	var t0 time.Time
-	if telemetry.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	pt, err := s.recvAEAD.Open(ct[:0], nonce[:], ct, aad)
 	if err != nil {
 		return nil, fmt.Errorf("securechan: record auth: %w", err)
 	}
-	if !t0.IsZero() {
-		mOpenNs.Observe(time.Since(t0).Nanoseconds())
-	}
-	countRecvd(len(frame))
+	mOpenNs.Observe(time.Since(t0).Nanoseconds())
 	return pt, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/monitor"
+	"repro/internal/telemetry"
 )
 
 // TestTenantEvictionBoundsUndeclaredState is the regression test for the
@@ -56,6 +57,30 @@ func TestTenantEvictionBoundsUndeclaredState(t *testing.T) {
 	}
 	if _, err := s.Infer(ctx, itemReq("vip", High, 1)); err != nil {
 		t.Fatalf("declared tenant after rotation: %v", err)
+	}
+}
+
+// TestTenantSeriesCapCountsUndeclaredOnly pins the per-tenant series cap:
+// declared tenants do not use up the room for undeclared names, so with 3
+// declared tenants all tenantSeriesCap undeclared names still get their own
+// series and only the next one gets the shared overflow handle.
+func TestTenantSeriesCapCountsUndeclaredOnly(t *testing.T) {
+	m := newServeMetrics(telemetry.NewRegistry())
+	for _, name := range []string{"gold", "silver", "bronze"} {
+		if m.tenant(name, true) == &m.overflow {
+			t.Fatalf("declared tenant %s got the overflow handle", name)
+		}
+	}
+	for i := 0; i < tenantSeriesCap; i++ {
+		if m.tenant(fmt.Sprintf("u-%d", i), false) == &m.overflow {
+			t.Fatalf("undeclared tenant %d of %d got the overflow handle", i+1, tenantSeriesCap)
+		}
+	}
+	if m.tenant("one-too-many", false) != &m.overflow {
+		t.Fatalf("undeclared tenant %d got its own series, want the overflow handle", tenantSeriesCap+1)
+	}
+	if m.tenant("u-0", false) == &m.overflow || m.tenant("late-declared", true) == &m.overflow {
+		t.Fatal("a known or declared tenant lost its series past the cap")
 	}
 }
 

@@ -523,7 +523,6 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 	t.depth++
 	s.queued++
 	t.met.requests.Inc()
-	t.met.depth.Set(int64(t.depth))
 	s.met.globalDepth.Set(int64(s.queued))
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -795,7 +794,6 @@ func (s *Server) pick() *pendingReq {
 				if t.credit <= 0 {
 					s.cursor = (s.cursor + 1) % n
 				}
-				t.met.depth.Set(int64(t.depth))
 				s.met.globalDepth.Set(int64(s.queued))
 				return p
 			}

@@ -32,7 +32,6 @@ const (
 type tenantMetrics struct {
 	requests  *telemetry.Counter
 	rejected  *telemetry.Counter
-	depth     *telemetry.Gauge
 	latencyNs *telemetry.Histogram
 }
 
@@ -51,6 +50,9 @@ type serveMetrics struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantMetrics
+	// undeclared counts the entries of tenants that no config declared;
+	// only these count against tenantSeriesCap.
+	undeclared int
 	// overflow is the shared no-op handle set handed to undeclared tenants
 	// past the per-tenant series cap: the registry never deletes series, so
 	// attacker-rotated tenant names must not register unboundedly. Its nil
@@ -99,14 +101,16 @@ func (m *serveMetrics) tenant(name string, declared bool) *tenantMetrics {
 	defer m.mu.Unlock()
 	t, ok := m.tenants[name]
 	if !ok {
-		if !declared && len(m.tenants) >= tenantSeriesCap {
-			return &m.overflow
+		if !declared {
+			if m.undeclared >= tenantSeriesCap {
+				return &m.overflow
+			}
+			m.undeclared++
 		}
 		l := telemetry.L("tenant", name)
 		t = &tenantMetrics{
 			requests:  m.reg.Counter(telemetry.MetricServeRequests, l),
 			rejected:  m.reg.Counter(telemetry.MetricServeAdmission, telemetry.L("verdict", telemetry.AdmitOutcomeRejectTenant), l),
-			depth:     m.reg.Gauge(telemetry.MetricServeQueueDepth, l),
 			latencyNs: m.reg.Histogram(telemetry.MetricServeLatencyNs, l),
 		}
 		m.tenants[name] = t

@@ -19,7 +19,6 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/manifest"
 	"repro/internal/pfcrypt"
-	"repro/internal/telemetry"
 )
 
 // FS is the untrusted host filesystem view. Contents fetched through it are
@@ -139,21 +138,10 @@ func (o *OS) Manifest() *manifest.Manifest {
 	return o.man.Clone()
 }
 
-// TEE OS ocall-surface series: every ReadFile is a host round-trip (the ocall
-// analogue), every Syscall a gated host service request.
-var (
-	mReads           = telemetry.Default.Counter(telemetry.MetricTeeosReads)
-	mSyscalls        = telemetry.Default.Counter(telemetry.MetricTeeosSyscalls)
-	mSyscallsBlocked = telemetry.Default.Counter(telemetry.MetricTeeosSyscallsBlocked)
-)
-
 // ReadFile opens a path through the manifest policy: encrypted files are
 // decrypted with the installed key, trusted files are hash-verified, and
 // everything else is denied.
 func (o *OS) ReadFile(path string) ([]byte, error) {
-	if telemetry.Enabled() {
-		mReads.Inc()
-	}
 	o.mu.Lock()
 	man := o.man
 	o.mu.Unlock()
@@ -199,15 +187,9 @@ func (o *OS) noteOpen(path string) {
 // Syscall gates a named syscall through the manifest allowlist and records
 // it for host/TEE cross-verification (§6.5 "additional variant hardening").
 func (o *OS) Syscall(name string) error {
-	if telemetry.Enabled() {
-		mSyscalls.Inc()
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if !o.man.SyscallAllowed(name) {
-		if telemetry.Enabled() {
-			mSyscallsBlocked.Inc()
-		}
 		return fmt.Errorf("%w: %q (stage %d)", ErrSyscallBlocked, name, o.stage)
 	}
 	o.syscallLog = append(o.syscallLog, name)

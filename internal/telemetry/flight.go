@@ -65,8 +65,7 @@ type FlightConfig struct {
 // a trigger fires (failover, dissent, demotion, SLO breach). Trigger is cheap
 // — it copies the ring and marks the incident open; the sampler goroutine
 // fills the after-window on its normal cadence. All methods are
-// nil-receiver-safe so uninstrumented hosts pay one branch, and sampling
-// honors the global kill switch (a disabled process records nothing).
+// nil-receiver-safe so uninstrumented hosts pay one branch.
 type FlightRecorder struct {
 	cfg FlightConfig
 
@@ -156,7 +155,7 @@ func (f *FlightRecorder) sampler() {
 // calls it every flightInterval; exported so tests can drive the recorder
 // deterministically without the ticker.
 func (f *FlightRecorder) Step() {
-	if f == nil || !Enabled() {
+	if f == nil {
 		return
 	}
 	vals := make([]int64, len(f.fns))
@@ -180,7 +179,7 @@ func (f *FlightRecorder) Step() {
 // Note records one timeline annotation; while an incident is open it is also
 // appended to the incident directly.
 func (f *FlightRecorder) Note(text string) {
-	if f == nil || !Enabled() {
+	if f == nil {
 		return
 	}
 	n := FlightNote{At: time.Now().UnixNano(), Text: text}
@@ -197,7 +196,7 @@ func (f *FlightRecorder) Note(text string) {
 // open incident — a failover storm yields one record, not eight overlapping
 // ones. Cheap enough to call from a router's event path.
 func (f *FlightRecorder) Trigger(reason string) {
-	if f == nil || !Enabled() {
+	if f == nil {
 		return
 	}
 	now := time.Now().UnixNano()

@@ -145,34 +145,6 @@ func TestFlightNilReceiverSafe(t *testing.T) {
 	}
 }
 
-func TestFlightDisabledRecordsNothing(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	fr := NewFlightRecorder(FlightConfig{})
-	fr.AddSource("x", func() int64 { return 1 })
-	fr.Note("dropped")
-	fr.Trigger(FlightReasonSLOBreach)
-	steps(fr, flightPostSamples)
-	if incs := fr.Incidents(); len(incs) != 0 {
-		t.Fatalf("disabled recorder kept %d incidents", len(incs))
-	}
-	// Re-enabled, the same recorder works and the pre-toggle note is gone.
-	SetEnabled(true)
-	fr.Trigger(FlightReasonSLOBreach)
-	steps(fr, flightPostSamples)
-	if incs := fr.Incidents(); len(incs) != 1 || !incs[0].Complete {
-		t.Fatalf("post-enable incidents %+v, want one complete", incs)
-	}
-	if n := len(fr.Incidents()[0].Before); n != 0 {
-		t.Fatalf("before-window has %d samples taken while disabled", n)
-	}
-	for _, n := range fr.Incidents()[0].Notes {
-		if n.Text == "dropped" {
-			t.Fatal("note recorded while disabled")
-		}
-	}
-}
-
 func TestFlightHandlerJSON(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{})
 	fr.AddSource("queue", func() int64 { return 5 })

@@ -180,21 +180,6 @@ func TestSeverity(t *testing.T) {
 	}
 }
 
-func TestEnabledToggle(t *testing.T) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("disable failed")
-	}
-	if id := NewTraceID(); id != 0 {
-		t.Fatalf("disabled NewTraceID = %d, want 0", id)
-	}
-	SetEnabled(true)
-	if NewTraceID() == 0 {
-		t.Fatal("enabled NewTraceID must be nonzero")
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench_total")

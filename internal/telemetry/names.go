@@ -6,48 +6,26 @@ package telemetry
 // assert on stable names.
 const (
 	// Engine (monitor) series.
-	MetricEngineBatches        = "mvtee_engine_batches_total"
-	MetricEngineBatchErrors    = "mvtee_engine_batch_errors_total"
-	MetricEngineBatchNs        = "mvtee_engine_batch_latency_ns"
-	MetricEngineQueueDepth     = "mvtee_engine_stage_queue_depth"
-	MetricEngineWindowOccupied = "mvtee_engine_stage_window_occupancy"
-	MetricEngineGatherNs       = "mvtee_engine_gather_ns"
-	MetricEngineForwards       = "mvtee_engine_forwards_total"
-	MetricEngineLadderRung     = "mvtee_engine_ladder_rung"
-	MetricEngineVotes          = "mvtee_engine_votes_total"
+	MetricEngineBatches    = "mvtee_engine_batches_total"
+	MetricEngineBatchNs    = "mvtee_engine_batch_latency_ns"
+	MetricEngineQueueDepth = "mvtee_engine_stage_queue_depth"
+	MetricEngineGatherNs   = "mvtee_engine_gather_ns"
 
 	// Secure channel series.
 	MetricChanBytesSent  = "mvtee_chan_bytes_sent_total"
-	MetricChanBytesRecv  = "mvtee_chan_bytes_recv_total"
 	MetricChanFramesSent = "mvtee_chan_frames_sent_total"
-	MetricChanFramesRecv = "mvtee_chan_frames_recv_total"
 	MetricChanSealNs     = "mvtee_chan_seal_ns"
 	MetricChanOpenNs     = "mvtee_chan_open_ns"
 
-	// Cross-validation series.
-	MetricCheckVotes           = "mvtee_check_votes_total"
-	MetricCheckPairDisagree    = "mvtee_check_pair_disagree_total"
-	MetricCheckDivergenceScore = "mvtee_check_divergence_score"
-
-	// TEE OS / enclave series.
-	MetricTeeosSyscalls        = "mvtee_teeos_syscalls_total"
-	MetricTeeosSyscallsBlocked = "mvtee_teeos_syscalls_blocked_total"
-	MetricTeeosReads           = "mvtee_teeos_reads_total"
-	MetricEnclaveEPCBytes      = "mvtee_enclave_epc_bytes"
-	MetricEnclaveLaunches      = "mvtee_enclave_launches_total"
-	MetricEnclaveGrows         = "mvtee_enclave_grows_total"
-
 	// Event bus series. Dropped is a gauge mirroring the bus's cumulative
 	// fan-out drop count (updated at publish time).
-	MetricEventsPublished = "mvtee_events_published_total"
-	MetricEventsDropped   = "mvtee_events_dropped"
+	MetricEventsDropped = "mvtee_events_dropped"
 
-	// Serving front-end series (internal/serve). Requests, queue depth and
-	// latency carry a tenant label; admission verdicts carry a verdict label
+	// Serving front-end series (internal/serve). Requests and latency
+	// carry a tenant label; admission verdicts carry a verdict label
 	// (AdmitOutcome*); flushes carry a reason label (FlushReason*).
 	MetricServeRequests    = "mvtee_serve_requests_total"
 	MetricServeAdmission   = "mvtee_serve_admission_total"
-	MetricServeQueueDepth  = "mvtee_serve_queue_depth"
 	MetricServeQueueGlobal = "mvtee_serve_queue_depth_global"
 	MetricServeBatchFill   = "mvtee_serve_batch_fill"
 	MetricServeFlushes     = "mvtee_serve_batch_flush_total"
@@ -60,32 +38,24 @@ const (
 
 	// Control-plane series (internal/control). Decisions carry loop
 	// (ControlLoop*) and direction ("up" | "down") labels; the knob gauges
-	// mirror each actuator's current setting so operators can watch the
-	// controller steer; breaches carry a tenant label.
+	// mirror the actuators the front door's flight recorder and perfbench
+	// read; breaches carry a tenant label.
 	MetricControlEpochs         = "mvtee_control_epochs_total"
 	MetricControlDecisions      = "mvtee_control_decisions_total"
 	MetricControlBatchMax       = "mvtee_control_batch_max"
-	MetricControlBatchDelayNs   = "mvtee_control_batch_delay_ns"
 	MetricControlInflightWindow = "mvtee_control_inflight_window"
-	MetricControlSpareTarget    = "mvtee_control_spare_target"
 	MetricControlShedFloor      = "mvtee_control_shed_floor"
-	MetricControlTenantWeight   = "mvtee_control_tenant_weight"
 	MetricControlSLOBreaches    = "mvtee_control_slo_breach_total"
 
 	// Cluster tier series (internal/cluster). Per-replica series carry a
 	// replica label; forward bytes carry a plane label (ForwardPlane*) so
 	// the digest-vs-tensor cross-node cost split is directly observable;
 	// digest votes carry a verdict label (DigestVote*).
-	MetricClusterReplicas     = "mvtee_cluster_replicas"
-	MetricClusterReplicaUp    = "mvtee_cluster_replica_up"
-	MetricClusterInflight     = "mvtee_cluster_replica_inflight"
-	MetricClusterReplicaRung  = "mvtee_cluster_replica_ladder_rung"
-	MetricClusterBatches      = "mvtee_cluster_batches_total"
-	MetricClusterFailovers    = "mvtee_cluster_failovers_total"
-	MetricClusterDigestVotes  = "mvtee_cluster_digest_votes_total"
-	MetricClusterStageDissent = "mvtee_cluster_stage_digest_mismatch_total"
-	MetricClusterFwdBytes     = "mvtee_cluster_forward_bytes_total"
-	MetricClusterRouteNs      = "mvtee_cluster_route_latency_ns"
+	MetricClusterReplicaUp   = "mvtee_cluster_replica_up"
+	MetricClusterReplicaRung = "mvtee_cluster_replica_ladder_rung"
+	MetricClusterFailovers   = "mvtee_cluster_failovers_total"
+	MetricClusterDigestVotes = "mvtee_cluster_digest_votes_total"
+	MetricClusterFwdBytes    = "mvtee_cluster_forward_bytes_total"
 
 	// Cluster observability plane (trace federation + metrics federation).
 	// Span reports are the replica->router span-harvest frames; span bytes
@@ -96,21 +66,18 @@ const (
 	MetricClusterSpanBytes   = "mvtee_cluster_span_report_bytes_total"
 	MetricClusterMetricPolls = "mvtee_cluster_metric_polls_total"
 
-	// Tracer series: gauges mirroring the span ring's cumulative recorded and
-	// evicted counts (like MetricEventsDropped, refreshed at /metrics scrape).
-	MetricTraceSpansRecorded = "mvtee_trace_spans_recorded"
-	MetricTraceSpansDropped  = "mvtee_trace_spans_dropped"
+	// Tracer series: a gauge mirroring the span ring's cumulative evicted
+	// count (like MetricEventsDropped, refreshed at /metrics scrape).
+	MetricTraceSpansDropped = "mvtee_trace_spans_dropped"
 
 	// Flight recorder series: incidents carry a reason label (FlightReason*).
 	MetricFlightIncidents = "mvtee_flight_incidents_total"
 
 	// Verifiable-transcript series (internal/transcript): leaves appended to
-	// the Merkle log, hot-path events dropped on a full recorder channel
-	// (each degrades one leaf, never stalls serving), and signed tree heads
-	// published.
+	// the Merkle log and hot-path events dropped on a full recorder channel
+	// (each degrades one leaf, never stalls serving).
 	MetricTranscriptLeaves  = "mvtee_transcript_leaves_total"
 	MetricTranscriptDropped = "mvtee_transcript_dropped_total"
-	MetricTranscriptHeads   = "mvtee_transcript_heads_total"
 
 	// Derived SLO burn rate per tenant, in milli-units (1000 = burning the
 	// error budget exactly as fast as it accrues), computed at /metrics/cluster
@@ -166,11 +133,4 @@ const (
 	FlushReasonSize  = "size"
 	FlushReasonTimer = "timer"
 	FlushReasonDrain = "drain"
-)
-
-// Vote outcome label values for MetricEngineVotes.
-const (
-	VoteOutcomeOK          = "ok"
-	VoteOutcomeDivergence  = "divergence"
-	VoteOutcomeLateDissent = "late_dissent"
 )

@@ -18,10 +18,9 @@ import (
 func NewMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Refresh the tracer's loss gauges at scrape time so the scrape
+		// Refresh the tracer's loss gauge at scrape time so the scrape
 		// itself is the only reader the span ring ever pays for.
 		if tr != nil && reg != nil {
-			reg.Gauge(MetricTraceSpansRecorded).Set(int64(tr.Total()))
 			reg.Gauge(MetricTraceSpansDropped).Set(int64(tr.Dropped()))
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -8,31 +8,13 @@
 // /metrics (Prometheus text format), /trace (recent spans as JSON),
 // /events (SSE) and /debug/pprof/*.
 //
-// The subsystem must cost nothing on the hot path when disabled: every
-// instrumentation site guards on Enabled() — one atomic load and a branch —
-// and every metric method is nil-receiver-safe, so uninstrumented builds and
-// disabled runs pay no allocation, no lock, and no syscall. When enabled, the
-// budget is <5% on the warm inference hot path with zero additional
-// steady-state allocations (pinned by the monitor's warm-allocs test; what
-// tracing adds to a served request is perfbench's overhead.* metrics).
+// Telemetry is always on. Every metric method is nil-receiver-safe and
+// records with atomics, so the warm inference hot path adds no allocation,
+// no lock and no syscall (pinned by the monitor's warm-allocs test; what
+// tracing adds to a served request is perfbench's overhead.* metrics). Every
+// series is named once in names.go, and DESIGN.md's metric reference table,
+// checked against it by TestMetricTableMatchesNames, says what reads each.
 package telemetry
-
-import "sync/atomic"
-
-// enabled gates every instrumentation site. Telemetry is on by default; the
-// disabled state exists for measuring its own overhead and for hosts that
-// want the hot path absolutely bare.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether instrumentation sites should record. It is a single
-// atomic load — cheap enough to guard every hot-path touch point.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled switches instrumentation globally. Metrics already registered
-// keep their accumulated values; disabling only stops new recording.
-func SetEnabled(v bool) { enabled.Store(v) }
 
 // Severity classifies operator-facing events for the /events stream: routine
 // lifecycle (info), degraded-but-operating conditions (warn), and signals

@@ -28,7 +28,7 @@ type Span struct {
 
 // Tracer is a fixed-capacity span ring. Record is a mutex-guarded copy into
 // pre-allocated storage — no allocation per span — and a no-op for zero trace
-// IDs (the disabled sentinel) so untraced batches cost one branch.
+// IDs (an untraced batch) so such batches cost one branch.
 type Tracer struct {
 	mu   sync.Mutex
 	ring ring[Span]
@@ -44,10 +44,10 @@ func NewTracer(capacity int) *Tracer {
 // too, so a single snapshot sees the full end-to-end timeline.
 var DefaultTracer = NewTracer(8192)
 
-// Record stores one finished span. Nil tracers, zero trace IDs, and disabled
-// telemetry all drop the span without touching the ring.
+// Record stores one finished span. Nil tracers and zero trace IDs drop the
+// span without touching the ring.
 func (t *Tracer) Record(s Span) {
-	if t == nil || s.Trace == 0 || !Enabled() {
+	if t == nil || s.Trace == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -140,13 +140,9 @@ var (
 	traceOnce sync.Once
 )
 
-// NewTraceID mints a process-unique, never-zero trace ID, or 0 when telemetry
-// is disabled (the zero ID disables all downstream span recording for the
-// batch, so disabled runs carry no tracing cost past this one branch).
+// NewTraceID mints a process-unique, never-zero trace ID. Zero is left for
+// a caller that submits an untraced batch.
 func NewTraceID() uint64 {
-	if !Enabled() {
-		return 0
-	}
 	traceOnce.Do(func() {
 		var b [8]byte
 		if _, err := crand.Read(b[:]); err == nil {

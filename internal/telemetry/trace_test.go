@@ -32,17 +32,6 @@ func TestTracerDropsZeroTrace(t *testing.T) {
 	}
 }
 
-func TestTracerDisabled(t *testing.T) {
-	defer SetEnabled(true)
-	tr := NewTracer(4)
-	SetEnabled(false)
-	tr.Record(Span{Trace: 1, Name: "x"})
-	SetEnabled(true)
-	if len(tr.Snapshot()) != 0 {
-		t.Fatal("disabled tracer must drop spans")
-	}
-}
-
 func TestSpansFor(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Record(Span{Trace: 1, Name: "a"})

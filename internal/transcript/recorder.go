@@ -116,7 +116,6 @@ type Recorder struct {
 
 	mLeaves  *telemetry.Counter
 	mDropped *telemetry.Counter
-	mHeads   *telemetry.Counter
 }
 
 // NewRecorder starts a recorder's worker goroutine. Close releases it.
@@ -144,7 +143,6 @@ func newRecorder(cfg Config, buffer int) *Recorder {
 		log:      NewLog(),
 		mLeaves:  reg.Counter(telemetry.MetricTranscriptLeaves),
 		mDropped: reg.Counter(telemetry.MetricTranscriptDropped),
-		mHeads:   reg.Counter(telemetry.MetricTranscriptHeads),
 	}
 	r.leaves = newSegStore("leaf", r.log.spillFile)
 	r.leafView.Store(new(segView))
@@ -291,7 +289,6 @@ func (r *Recorder) signLocked(size uint64, root Hash) {
 		return
 	}
 	r.head, r.hasHead = sh, true
-	r.mHeads.Inc()
 }
 
 // ErrEmpty reports an audit request against a log with nothing published.

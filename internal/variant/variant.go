@@ -180,7 +180,7 @@ func (v *Variant) Serve(conn securechan.Conn) error {
 		case *wire.Batch:
 			res := &wire.Result{ID: m.ID, Trace: m.Trace, VariantID: v.ID}
 			var t0 time.Time
-			if m.Trace != 0 && telemetry.Enabled() {
+			if m.Trace != 0 {
 				t0 = time.Now()
 			}
 			outs, err := v.exec.Run(m.Tensors)

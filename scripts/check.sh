@@ -20,8 +20,10 @@ go test -race -cpu 1,2,4 ./internal/blas ./internal/ops ./internal/serve ./inter
 
 # The router's vote/leaf table: a follower digest before the leader's
 # result, after it, after the row or never, agreeing, dissenting or
-# abstaining, sync and async. Every served leaf's votes must equal the vote
-# counters. Twenty passes at each core count (about 20 s).
+# abstaining, sync and async, plus a follower's stage digest landing first
+# and a leader failover after its stage digests. Every served leaf's votes
+# must equal the vote counters, and its checkpoints are the serving
+# leader's. Twenty passes at each core count (about 20 s).
 go test -race -cpu 1,2,4 -count=20 -run 'TestRouter(Sync|Async)DigestAgreeAndDissent' ./internal/cluster
 
 # The robustness layer (straggler deadlines, degradation ladder, hot
@@ -33,8 +35,8 @@ go test -race -cpu 1,2,4 -count=20 -run 'TestRouter(Sync|Async)DigestAgreeAndDis
 go test -race -count=2 ./internal/monitor ./internal/workpool ./internal/securechan ./internal/telemetry ./internal/control ./internal/cluster ./internal/transcript
 
 # Allocation pins, which the race build cannot hold (its sync.Pool drops
-# buffers at random): the fully instrumented warm dispatch→gather path must
-# not allocate more than the same path with telemetry disabled, sequential
+# buffers at random): the fully instrumented warm dispatch→gather→deliver
+# cycle stays at its pinned allocation count, sequential
 # GEMM and depthwise kernels allocate nothing, a sequential conv only its
 # output, a warm interp Run of the served mobilenetv3 stays under its
 # bound, and serving admission allocates only the queued request.
@@ -60,10 +62,13 @@ go test -run='^$' -fuzz=FuzzTranscriptProof -fuzztime=5s ./internal/transcript
 go test -run='^$' -fuzz=FuzzTranscriptLeaf -fuzztime=5s ./internal/transcript
 go test -run='^$' -fuzz=FuzzTensorReadFrom -fuzztime=5s ./internal/tensor
 
-# Audit round-trip smoke: opt-in because it boots the full serving daemon
-# and replays a sampled batch (about a minute). CHECK_AUDIT=1 runs it.
+# Process-level smokes, opt-in because they boot real daemons: the audit
+# round trip (serving daemon plus a sampled-batch replay, about a minute)
+# and the two-replica cluster (bring-up, failover, drain; about 10 s).
+# CHECK_AUDIT=1 runs both.
 if [ "${CHECK_AUDIT:-0}" = "1" ]; then
 	./scripts/auditsmoke.sh
+	./scripts/clustersmoke.sh
 fi
 
 # The end-to-end benchmark (perfbench/, its own module over this checkout):
