@@ -2,10 +2,10 @@
 // deployment model of Figure 2:
 //
 //   - the offline phase (BuildBundle): partition the protected model into one
-//     or more partition sets, generate the diversified variant pool for every
-//     partition, and encrypt each pool entry (graph, variant spec and
-//     second-stage manifest) under an entry-specific key — producing the
-//     bundle an untrusted orchestrator can place on variant-TEE hosts;
+//     or more partition sets, then diversify and encrypt each pool entry
+//     (graph, variant spec and second-stage manifest) under an
+//     entry-specific key, one entry at a time — producing the bundle an
+//     untrusted orchestrator can place on variant-TEE hosts;
 //
 //   - the online phase (Deploy): launch the monitor TEE and one variant TEE
 //     per claim, run the attested two-stage bootstrap and binding protocol
@@ -88,16 +88,16 @@ func (e Entry) Assignment(variantID string, kdk []byte, evidence [32]byte) monit
 	}
 }
 
-// Bundle is the output of the offline phase: the partition sets, the variant
-// pool, the encrypted files, the per-entry keys (held by the model owner and
-// provisioned to the monitor), and the expected installation evidence.
+// Bundle is the output of the offline phase: the model graph, the partition
+// sets, the encrypted variant pool, the per-entry keys (held by the model
+// owner and provisioned to the monitor), and the expected installation
+// evidence. No diversified variant graph is kept in the clear: each pool
+// entry exists only as ciphertext in FS, openable with its key in Keys.
 type Bundle struct {
 	Model       *graph.Graph
 	Partitioner *partition.Partitioner
 	Sets        []*partition.Set
 	Specs       []diversify.Spec
-	// Pools holds the diversified subgraphs: Pools[set][partition][spec].
-	Pools []*diversify.Pool
 	// FS carries the encrypted pool files plus the public init-variant
 	// files — what the untrusted orchestrator ships to variant hosts.
 	FS teeos.MapFS
@@ -118,8 +118,8 @@ type Bundle struct {
 const InitEntrypoint = "bin/init-variant"
 
 // BuildBundle runs the offline pipeline: model construction (or the provided
-// graph), partitioning into every requested set, multi-level variant
-// generation, and per-entry encryption.
+// graph), partitioning into every requested set, then multi-level variant
+// generation and encryption streamed per (set, partition, spec) entry.
 func BuildBundle(cfg OfflineConfig) (*Bundle, error) {
 	g := cfg.Graph
 	if g == nil {
@@ -173,22 +173,21 @@ func BuildBundle(cfg OfflineConfig) (*Bundle, error) {
 	im.AddTrustedFile(InitEntrypoint, b.InitBinary)
 	b.InitManifest = im
 
+	// One entry at a time: its diversified graph and plaintext encoding are
+	// garbage as soon as its ciphertext is in FS, so the build never holds
+	// more than one plaintext variant.
 	for si, set := range sets {
-		subs := make([]*graph.Graph, len(set.Partitions))
 		for pi := range set.Partitions {
-			subs[pi], err = p.Extract(set, pi)
+			sub, err := p.Extract(set, pi)
 			if err != nil {
 				return nil, err
 			}
-		}
-		pool, err := diversify.BuildPool(subs, cfg.Specs)
-		if err != nil {
-			return nil, fmt.Errorf("core: set %d: %w", si, err)
-		}
-		b.Pools = append(b.Pools, pool)
-		for pi := range set.Partitions {
-			for _, v := range pool.Variants[pi] {
-				if err := b.encryptEntry(Entry{Set: si, Partition: pi, Spec: v.Spec.Name}, v); err != nil {
+			for _, spec := range cfg.Specs {
+				dg, err := diversify.Apply(spec, sub)
+				if err != nil {
+					return nil, fmt.Errorf("core: set %d partition %d: %w", si, pi, err)
+				}
+				if err := b.encryptEntry(Entry{Set: si, Partition: pi, Spec: spec.Name}, spec, dg); err != nil {
 					return nil, err
 				}
 			}
@@ -199,14 +198,14 @@ func BuildBundle(cfg OfflineConfig) (*Bundle, error) {
 
 // encryptEntry generates the entry's KDK, second-stage manifest and
 // encrypted files.
-func (b *Bundle) encryptEntry(e Entry, v diversify.Variant) error {
+func (b *Bundle) encryptEntry(e Entry, spec diversify.Spec, g *graph.Graph) error {
 	kdk, err := pfcrypt.NewKDK()
 	if err != nil {
 		return err
 	}
 	b.Keys[e] = kdk
 
-	mainBin := []byte("mvtee main-variant " + v.Spec.Name)
+	mainBin := []byte("mvtee main-variant " + spec.Name)
 	m2 := &manifest.Manifest{
 		Entrypoint:            e.EntrypointPath(),
 		EncryptedFiles:        []string{e.GraphPath(), e.SpecPath(), e.EntrypointPath()},
@@ -219,11 +218,11 @@ func (b *Bundle) encryptEntry(e Entry, v diversify.Variant) error {
 	}
 	b.Evidence[e] = sha256.Sum256(m2b)
 
-	gb, err := graph.Marshal(v.Graph)
+	gb, err := graph.Marshal(g)
 	if err != nil {
 		return fmt.Errorf("core: entry %v graph: %w", e, err)
 	}
-	sb, err := v.Spec.Marshal()
+	sb, err := spec.Marshal()
 	if err != nil {
 		return fmt.Errorf("core: entry %v spec: %w", e, err)
 	}

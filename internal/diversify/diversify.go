@@ -5,9 +5,9 @@
 // (runtime family, BLAS backend, convolution algorithm, scheduling), software
 // hardening levels (bounds checks, sanitizer, ASLR, error handling) and
 // TEE-level placement (SGX vs TDX). A Spec describes one variant recipe in a
-// JSON-serializable form; Apply materializes it against a partition subgraph;
-// BuildPool expands a recipe list across every partition into the offline
-// variant pool of Figure 2.
+// JSON-serializable form; Apply materializes it against a partition subgraph.
+// The offline pipeline (internal/core) applies every recipe to every
+// partition to build the encrypted variant pool of Figure 2.
 package diversify
 
 import (
@@ -196,49 +196,6 @@ func Apply(s Spec, g *graph.Graph) (*graph.Graph, error) {
 		return nil, fmt.Errorf("diversify: %q produced invalid graph: %w", s.Name, err)
 	}
 	return out, nil
-}
-
-// Variant is one materialized pool entry: a diversified partition subgraph
-// plus its spec.
-type Variant struct {
-	Spec      Spec
-	Partition int
-	Graph     *graph.Graph
-}
-
-// Pool is the offline-generated variant pool: for each partition index, one
-// variant per spec (Figure 2 steps 1–2).
-type Pool struct {
-	Specs    []Spec
-	Variants [][]Variant // [partition][spec]
-}
-
-// BuildPool applies every spec to every partition subgraph.
-func BuildPool(parts []*graph.Graph, specs []Spec) (*Pool, error) {
-	p := &Pool{Specs: specs, Variants: make([][]Variant, len(parts))}
-	for pi, pg := range parts {
-		for _, s := range specs {
-			dg, err := Apply(s, pg)
-			if err != nil {
-				return nil, fmt.Errorf("diversify: partition %d: %w", pi, err)
-			}
-			p.Variants[pi] = append(p.Variants[pi], Variant{Spec: s, Partition: pi, Graph: dg})
-		}
-	}
-	return p, nil
-}
-
-// Lookup returns the variant for (partition, spec name).
-func (p *Pool) Lookup(partition int, specName string) (*Variant, error) {
-	if partition < 0 || partition >= len(p.Variants) {
-		return nil, fmt.Errorf("diversify: partition %d out of range", partition)
-	}
-	for i := range p.Variants[partition] {
-		if p.Variants[partition][i].Spec.Name == specName {
-			return &p.Variants[partition][i], nil
-		}
-	}
-	return nil, fmt.Errorf("diversify: no variant %q for partition %d", specName, partition)
 }
 
 // --- preset recipe sets --------------------------------------------------------

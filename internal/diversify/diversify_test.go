@@ -105,9 +105,10 @@ func TestApplyLeavesOriginalIntact(t *testing.T) {
 	}
 }
 
-// TestPoolVariantsEquivalentOnPartitions builds the pool over real partition
-// subgraphs and verifies every diversified variant computes the same
-// function as the undiversified subgraph.
+// TestPoolVariantsEquivalentOnPartitions applies every recipe to real
+// partition subgraphs, as the offline pipeline builds its pool, and verifies
+// every diversified variant computes the same function as the undiversified
+// subgraph.
 func TestPoolVariantsEquivalentOnPartitions(t *testing.T) {
 	g := models.MustBuild("googlenet", models.Config{})
 	p, err := partition.NewPartitioner(g)
@@ -126,10 +127,6 @@ func TestPoolVariantsEquivalentOnPartitions(t *testing.T) {
 		}
 	}
 	specs := append(RealSetupSpecs(), HeavyTVMSpec())
-	pool, err := BuildPool(subs, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Feed each partition with a reference forward pass.
 	values := map[string]*tensor.Tensor{}
@@ -154,22 +151,26 @@ func TestPoolVariantsEquivalentOnPartitions(t *testing.T) {
 		for name, tt := range want {
 			values[name] = tt
 		}
-		for _, v := range pool.Variants[pi] {
-			rc, err := v.Spec.RuntimeConfig()
+		for _, s := range specs {
+			dg, err := Apply(s, sub)
+			if err != nil {
+				t.Fatalf("p%d %s: %v", pi, s.Name, err)
+			}
+			rc, err := s.RuntimeConfig()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := infer.New(v.Graph, rc)
+			ex, err := infer.New(dg, rc)
 			if err != nil {
-				t.Fatalf("p%d %s: %v", pi, v.Spec.Name, err)
+				t.Fatalf("p%d %s: %v", pi, s.Name, err)
 			}
 			got, err := ex.Run(ins)
 			if err != nil {
-				t.Fatalf("p%d %s: %v", pi, v.Spec.Name, err)
+				t.Fatalf("p%d %s: %v", pi, s.Name, err)
 			}
 			for name := range want {
 				if d := maxRel(got[name], want[name]); d > 2e-2 {
-					t.Errorf("p%d %s: output %q deviates by %g", pi, v.Spec.Name, name, d)
+					t.Errorf("p%d %s: output %q deviates by %g", pi, s.Name, name, d)
 				}
 			}
 		}
@@ -186,29 +187,6 @@ func maxRel(a, b *tensor.Tensor) float64 {
 		}
 	}
 	return worst
-}
-
-func TestPoolLookup(t *testing.T) {
-	g := models.MustBuild("mnasnet", models.Config{})
-	p, _ := partition.NewPartitioner(g)
-	set, _ := p.Partition(partition.Options{Target: 2})
-	subs := make([]*graph.Graph, 2)
-	for i := range subs {
-		subs[i], _ = p.Extract(set, i)
-	}
-	pool, err := BuildPool(subs, []Spec{ReplicaSpec("r")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Lookup(0, "r"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Lookup(0, "nope"); err == nil {
-		t.Fatal("unknown spec found")
-	}
-	if _, err := pool.Lookup(9, "r"); err == nil {
-		t.Fatal("out-of-range partition found")
-	}
 }
 
 func TestPresetSpecsAreValid(t *testing.T) {

@@ -20,90 +20,96 @@ const (
 	codecVersion = 1
 )
 
-type graphWriter struct {
-	w   *bufio.Writer
-	err error
+// encoder walks a graph in container order. With buf nil it only counts the
+// encoded size, so Marshal can size its output exactly and then fill it in a
+// second walk.
+type encoder struct {
+	buf []byte
+	n   int
 }
 
-func (gw *graphWriter) u32(v uint32) {
-	if gw.err != nil {
-		return
+func (e *encoder) u32(v uint32) {
+	if e.buf != nil {
+		binary.LittleEndian.PutUint32(e.buf[e.n:], v)
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, gw.err = gw.w.Write(b[:])
+	e.n += 4
 }
 
-func (gw *graphWriter) u64(v uint64) {
-	if gw.err != nil {
-		return
+func (e *encoder) u64(v uint64) {
+	if e.buf != nil {
+		binary.LittleEndian.PutUint64(e.buf[e.n:], v)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, gw.err = gw.w.Write(b[:])
+	e.n += 8
 }
 
-func (gw *graphWriter) str(s string) {
-	gw.u32(uint32(len(s)))
-	if gw.err != nil {
-		return
+func (e *encoder) raw(s string) {
+	if e.buf != nil {
+		copy(e.buf[e.n:], s)
 	}
-	_, gw.err = gw.w.WriteString(s)
+	e.n += len(s)
 }
 
-func (gw *graphWriter) strs(ss []string) {
-	gw.u32(uint32(len(ss)))
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.raw(s)
+}
+
+func (e *encoder) strs(ss []string) {
+	e.u32(uint32(len(ss)))
 	for _, s := range ss {
-		gw.str(s)
+		e.str(s)
 	}
 }
 
-// Encode writes g to w in the binary container format.
-func Encode(w io.Writer, g *Graph) error {
-	gw := &graphWriter{w: bufio.NewWriter(w)}
-	if _, err := gw.w.WriteString(codecMagic); err != nil {
-		return fmt.Errorf("graph: encode: %w", err)
+func (e *encoder) tensor(t *tensor.Tensor) {
+	if e.buf != nil {
+		t.Encode(e.buf[e.n:])
 	}
-	gw.u32(codecVersion)
-	gw.str(g.Name)
+	e.n += t.EncodedSize()
+}
 
-	gw.u32(uint32(len(g.Inputs)))
+func (e *encoder) graph(g *Graph) error {
+	e.raw(codecMagic)
+	e.u32(codecVersion)
+	e.str(g.Name)
+
+	e.u32(uint32(len(g.Inputs)))
 	for _, vi := range g.Inputs {
-		gw.str(vi.Name)
-		gw.u32(uint32(len(vi.Shape)))
+		e.str(vi.Name)
+		e.u32(uint32(len(vi.Shape)))
 		for _, d := range vi.Shape {
-			gw.u32(uint32(d))
+			e.u32(uint32(d))
 		}
 	}
-	gw.strs(g.Outputs)
+	e.strs(g.Outputs)
 
-	gw.u32(uint32(len(g.Nodes)))
+	e.u32(uint32(len(g.Nodes)))
 	for _, n := range g.Nodes {
-		gw.str(n.Name)
-		gw.str(n.Op)
-		gw.strs(n.Inputs)
-		gw.strs(n.Outputs)
+		e.str(n.Name)
+		e.str(n.Op)
+		e.strs(n.Inputs)
+		e.strs(n.Outputs)
 		keys := make([]string, 0, len(n.Attrs))
 		for k := range n.Attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		gw.u32(uint32(len(keys)))
+		e.u32(uint32(len(keys)))
 		for _, k := range keys {
 			a := n.Attrs[k]
-			gw.str(k)
-			gw.u32(uint32(a.Kind))
+			e.str(k)
+			e.u32(uint32(a.Kind))
 			switch a.Kind {
 			case AttrInt:
-				gw.u64(uint64(a.I))
+				e.u64(uint64(a.I))
 			case AttrFloat:
-				gw.u64(math.Float64bits(a.F))
+				e.u64(math.Float64bits(a.F))
 			case AttrString:
-				gw.str(a.S)
+				e.str(a.S)
 			case AttrInts:
-				gw.u32(uint32(len(a.Ints)))
+				e.u32(uint32(len(a.Ints)))
 				for _, x := range a.Ints {
-					gw.u64(uint64(x))
+					e.u64(uint64(x))
 				}
 			default:
 				return fmt.Errorf("graph: encode: node %q attr %q has unknown kind %d", n.Name, k, a.Kind)
@@ -116,26 +122,26 @@ func Encode(w io.Writer, g *Graph) error {
 		inits = append(inits, k)
 	}
 	sort.Strings(inits)
-	gw.u32(uint32(len(inits)))
+	e.u32(uint32(len(inits)))
 	for _, k := range inits {
-		gw.str(k)
-		if gw.err == nil {
-			_, gw.err = g.Initializers[k].WriteTo(gw.w)
-		}
+		e.str(k)
+		e.tensor(g.Initializers[k])
 	}
-	if gw.err != nil {
-		return fmt.Errorf("graph: encode: %w", gw.err)
-	}
-	return gw.w.Flush()
+	return nil
 }
 
-// Marshal returns the binary encoding of g.
+// Marshal returns the binary container encoding of g in a buffer of exactly
+// its encoded size.
 func Marshal(g *Graph) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, g); err != nil {
+	var size encoder
+	if err := size.graph(g); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	e := encoder{buf: make([]byte, size.n)}
+	if err := e.graph(g); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
 }
 
 type graphReader struct {

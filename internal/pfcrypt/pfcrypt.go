@@ -21,6 +21,7 @@ const (
 	saltLen  = 16
 	keyLen   = 32
 	nonceLen = 12
+	tagLen   = 16
 )
 
 // Errors.
@@ -62,13 +63,20 @@ func newGCM(key []byte) (cipher.AEAD, error) {
 // HKDF(kdk, salt), and ciphertext is AES-GCM-256 of the plaintext under the
 // file key with the path as additional authenticated data.
 func Encrypt(kdk KDK, path string, plaintext []byte) ([]byte, error) {
-	salt := make([]byte, saltLen)
+	// The blob is sized exactly up front: salt and nonces are drawn into
+	// it and both seals append in place, so the ciphertext is written once.
+	const wrappedLen = keyLen + tagLen
+	const hdrLen = len(magic) + saltLen + nonceLen + 1
+	out := make([]byte, hdrLen, hdrLen+wrappedLen+nonceLen+len(plaintext)+tagLen)
+	copy(out, magic)
+	salt := out[len(magic) : len(magic)+saltLen]
+	wrapNonce := out[len(magic)+saltLen : hdrLen-1]
+	out[hdrLen-1] = wrappedLen
 	fileKey := make([]byte, keyLen)
-	if _, err := rand.Read(salt); err != nil {
-		return nil, fmt.Errorf("pfcrypt: %w", err)
-	}
-	if _, err := rand.Read(fileKey); err != nil {
-		return nil, fmt.Errorf("pfcrypt: %w", err)
+	for _, b := range [][]byte{salt, wrapNonce, fileKey} {
+		if _, err := rand.Read(b); err != nil {
+			return nil, fmt.Errorf("pfcrypt: %w", err)
+		}
 	}
 	wk, err := wrapKey(kdk, salt)
 	if err != nil {
@@ -78,31 +86,18 @@ func Encrypt(kdk KDK, path string, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pfcrypt: %w", err)
 	}
-	wrapNonce := make([]byte, nonceLen)
-	if _, err := rand.Read(wrapNonce); err != nil {
-		return nil, fmt.Errorf("pfcrypt: %w", err)
-	}
-	wrapped := wgcm.Seal(nil, wrapNonce, fileKey, []byte("filekey/"+path))
+	out = wgcm.Seal(out, wrapNonce, fileKey, []byte("filekey/"+path))
 
 	fgcm, err := newGCM(fileKey)
 	if err != nil {
 		return nil, fmt.Errorf("pfcrypt: %w", err)
 	}
-	dataNonce := make([]byte, nonceLen)
+	dataNonce := out[len(out) : len(out)+nonceLen]
 	if _, err := rand.Read(dataNonce); err != nil {
 		return nil, fmt.Errorf("pfcrypt: %w", err)
 	}
-	ct := fgcm.Seal(nil, dataNonce, plaintext, []byte("data/"+path))
-
-	out := make([]byte, 0, len(magic)+saltLen+nonceLen+len(wrapped)+1+nonceLen+len(ct))
-	out = append(out, magic...)
-	out = append(out, salt...)
-	out = append(out, wrapNonce...)
-	out = append(out, byte(len(wrapped)))
-	out = append(out, wrapped...)
-	out = append(out, dataNonce...)
-	out = append(out, ct...)
-	return out, nil
+	out = out[:len(out)+nonceLen]
+	return fgcm.Seal(out, dataNonce, plaintext, []byte("data/"+path)), nil
 }
 
 // Decrypt recovers the plaintext of a protected file. Path must match the

@@ -8,8 +8,11 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/diversify"
+	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/monitor"
+	"repro/internal/pfcrypt"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -36,13 +39,14 @@ type CalibrationConfig struct {
 
 // Calibrate builds a simulation profile for one partition set of a bundle by
 // executing every (partition, variant) pair of the plan on this host and
-// measuring service, transfer and check costs.
+// measuring service, transfer and check costs. Each variant runs the entry
+// the bundle ships: its graph and spec decrypted from FS with the entry's key,
+// as a variant TEE loads them.
 func Calibrate(b *core.Bundle, setIdx int, input *tensor.Tensor, cfg CalibrationConfig) (*Profile, error) {
 	if setIdx < 0 || setIdx >= len(b.Sets) {
 		return nil, fmt.Errorf("pipesim: set %d out of range", setIdx)
 	}
 	set := b.Sets[setIdx]
-	pool := b.Pools[setIdx]
 	if len(cfg.Plans) != len(set.Partitions) {
 		return nil, fmt.Errorf("pipesim: %d plans for %d partitions", len(cfg.Plans), len(set.Partitions))
 	}
@@ -102,15 +106,11 @@ func Calibrate(b *core.Bundle, setIdx int, input *tensor.Tensor, cfg Calibration
 		// first claimed variant.
 		var refOut map[string]*tensor.Tensor
 		for _, specName := range cfg.Plans[pi].Variants {
-			v, err := pool.Lookup(pi, specName)
+			g, rc, err := openEntry(b, core.Entry{Set: setIdx, Partition: pi, Spec: specName})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("pipesim: stage %d spec %s: %w", pi, specName, err)
 			}
-			rc, err := v.Spec.RuntimeConfig()
-			if err != nil {
-				return nil, err
-			}
-			ex, err := infer.New(v.Graph, rc)
+			ex, err := infer.New(g, rc)
 			if err != nil {
 				return nil, fmt.Errorf("pipesim: stage %d spec %s: %w", pi, specName, err)
 			}
@@ -151,6 +151,32 @@ func Calibrate(b *core.Bundle, setIdx int, input *tensor.Tensor, cfg Calibration
 		prof.Stages = append(prof.Stages, sp)
 	}
 	return prof, nil
+}
+
+// openEntry decrypts a shipped pool entry's graph and spec.
+func openEntry(b *core.Bundle, e core.Entry) (*graph.Graph, infer.Config, error) {
+	kdk, ok := b.Keys[e]
+	if !ok {
+		return nil, infer.Config{}, fmt.Errorf("bundle ships no entry %s", e.GraphPath())
+	}
+	gb, err := pfcrypt.Decrypt(kdk, e.GraphPath(), b.FS[e.GraphPath()])
+	if err != nil {
+		return nil, infer.Config{}, err
+	}
+	sb, err := pfcrypt.Decrypt(kdk, e.SpecPath(), b.FS[e.SpecPath()])
+	if err != nil {
+		return nil, infer.Config{}, err
+	}
+	g, err := graph.Unmarshal(gb)
+	if err != nil {
+		return nil, infer.Config{}, err
+	}
+	spec, err := diversify.ParseSpec(sb)
+	if err != nil {
+		return nil, infer.Config{}, err
+	}
+	rc, err := spec.RuntimeConfig()
+	return g, rc, err
 }
 
 // CalibrateBaseline measures the unpartitioned model's single-inference

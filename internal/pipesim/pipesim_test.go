@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diversify"
 	"repro/internal/monitor"
+	"repro/internal/pfcrypt"
 	"repro/internal/tensor"
 )
 
@@ -297,6 +299,46 @@ func TestCalibrateOnRealBundle(t *testing.T) {
 	// Plan/partition mismatch rejected.
 	if _, err := Calibrate(b, 0, in, CalibrationConfig{Plans: plans[:2]}); err == nil {
 		t.Fatal("plan count mismatch accepted")
+	}
+}
+
+// TestCalibrateRunsShippedEntries calibrates a diversified bundle straight
+// from BuildBundle: every plan variant is the entry the bundle ships, opened
+// from its ciphertext, so a plan naming an entry the bundle lacks and a
+// tampered entry both fail calibration.
+func TestCalibrateRunsShippedEntries(t *testing.T) {
+	b, err := core.BuildBundle(core.OfflineConfig{
+		ModelName:        "mnasnet",
+		PartitionTargets: []int{2},
+		Specs:            diversify.RealSetupSpecs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(1, 3, 32, 32)
+	plans := []monitor.PartitionPlan{
+		{Variants: []string{"ort-cpu"}},
+		{Variants: []string{"ort-cpu", "ort-altep", "tvm-graph"}},
+	}
+	prof, err := Calibrate(b, 0, in, CalibrationConfig{Plans: plans, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Stages) != 2 || len(prof.Stages[1].Service) != 3 {
+		t.Fatalf("profile stages %+v", prof.Stages)
+	}
+
+	missing := []monitor.PartitionPlan{plans[0], {Variants: []string{"tvm-heavy"}}}
+	if _, err := Calibrate(b, 0, in, CalibrationConfig{Plans: missing, Reps: 1}); err == nil {
+		t.Fatal("plan naming an entry the bundle does not ship was calibrated")
+	}
+
+	path := core.Entry{Set: 0, Partition: 1, Spec: "tvm-graph"}.GraphPath()
+	ct := append([]byte(nil), b.FS[path]...)
+	ct[len(ct)-1] ^= 1
+	b.FS[path] = ct
+	if _, err := Calibrate(b, 0, in, CalibrationConfig{Plans: plans, Reps: 1}); !errors.Is(err, pfcrypt.ErrAuth) {
+		t.Fatalf("tampered entry: err = %v, want pfcrypt.ErrAuth", err)
 	}
 }
 

@@ -128,13 +128,13 @@ func newBufPayload(p []byte) *Buf {
 func TestFrameLenCapPreAuth(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(MaxFrameSize)+1)
-	if _, err := readFrameLen(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrameLen(bytes.NewReader(hdr[:]), make([]byte, frameHdrLen)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("forged length accepted: err = %v", err)
 	}
 	// Exactly at the cap is allowed (the body read then proceeds
 	// incrementally, committing memory only as bytes arrive).
 	binary.BigEndian.PutUint32(hdr[:], uint32(MaxFrameSize))
-	if n, err := readFrameLen(bytes.NewReader(hdr[:])); err != nil || n != MaxFrameSize {
+	if n, err := readFrameLen(bytes.NewReader(hdr[:]), make([]byte, frameHdrLen)); err != nil || n != MaxFrameSize {
 		t.Fatalf("cap-sized length rejected: n=%d err=%v", n, err)
 	}
 	// Sender side enforces the same cap.

@@ -38,7 +38,7 @@ func FuzzFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		n, err := readFrameLen(r)
+		n, err := readFrameLen(r, make([]byte, frameHdrLen))
 		if err != nil {
 			return
 		}

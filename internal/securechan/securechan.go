@@ -108,13 +108,14 @@ func writeFrame(w io.Writer, b []byte) error {
 	return err
 }
 
-// readFrameLen reads and validates a frame's length word.
-func readFrameLen(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrameLen reads and validates a frame's length word through hdr, a
+// frameHdrLen-byte scratch the caller owns: a local array would escape
+// through io.ReadFull and cost an allocation per frame.
+func readFrameLen(r io.Reader, hdr []byte) (int, error) {
+	if _, err := io.ReadFull(r, hdr[:frameHdrLen]); err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if err := checkFrameLen(uint64(n)); err != nil {
 		return 0, err
 	}
@@ -171,7 +172,7 @@ func readBody(r io.Reader, scratch []byte, n int) ([]byte, error) {
 
 // readFrame reads one handshake frame into fresh memory.
 func readFrame(r io.Reader) ([]byte, error) {
-	n, err := readFrameLen(r)
+	n, err := readFrameLen(r, make([]byte, frameHdrLen))
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +181,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // recvFrame reads one data frame into *scratch's capacity when it suffices
 // and keeps the frame as the next receive's scratch unless it outgrew
-// maxRecvRetain.
-func recvFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
-	n, err := readFrameLen(r)
+// maxRecvRetain. hdr is the connection's length-word scratch.
+func recvFrame(r io.Reader, scratch *[]byte, hdr []byte) ([]byte, error) {
+	n, err := readFrameLen(r, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -210,9 +211,16 @@ func ioDeadline(d time.Duration, set func(time.Time) error) {
 // plainConn is the no-encryption baseline channel used by the Figure 10
 // overhead experiments. Same framing, no crypto.
 type plainConn struct {
-	c         net.Conn
-	sendMu    sync.Mutex
-	recvMu    sync.Mutex
+	c      net.Conn
+	sendMu sync.Mutex
+	recvMu sync.Mutex
+	// sendHdr, sendVec and sendBufs are Send's length word and write
+	// vector, guarded by sendMu; recvHdr is the receive length word,
+	// guarded by recvMu. Kept here so a record costs no allocation for them.
+	sendHdr   [frameHdrLen]byte
+	sendVec   [2][]byte
+	sendBufs  net.Buffers
+	recvHdr   [frameHdrLen]byte
 	recvBuf   []byte       // pooled receive scratch, guarded by recvMu
 	ioTimeout atomic.Int64 // time.Duration; 0 = no deadline
 }
@@ -247,19 +255,19 @@ func (p *plainConn) Send(payload []byte) error {
 	if err := checkFrameLen(uint64(len(payload))); err != nil {
 		return err
 	}
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
+	binary.BigEndian.PutUint32(p.sendHdr[:], uint32(len(payload)))
 	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetWriteDeadline)
-	bufs := net.Buffers{hdr[:], payload}
+	p.sendVec = [2][]byte{p.sendHdr[:], payload}
+	p.sendBufs = p.sendVec[:]
 	if len(payload) == 0 {
 		// A zero-length write still waits for a reader on synchronous
 		// transports such as net.Pipe, and the receiver never reads an
 		// empty body.
-		bufs = bufs[:1]
+		p.sendBufs = p.sendBufs[:1]
 	}
-	if _, err := bufs.WriteTo(p.c); err != nil {
+	if _, err := p.sendBufs.WriteTo(p.c); err != nil {
 		return err
 	}
 	countSent(len(payload))
@@ -270,7 +278,7 @@ func (p *plainConn) Recv() ([]byte, error) {
 	p.recvMu.Lock()
 	defer p.recvMu.Unlock()
 	ioDeadline(time.Duration(p.ioTimeout.Load()), p.c.SetReadDeadline)
-	frame, err := recvFrame(p.c, &p.recvBuf)
+	frame, err := recvFrame(p.c, &p.recvBuf, p.recvHdr[:])
 	if err != nil {
 		return nil, err
 	}
@@ -295,6 +303,13 @@ type SecureConn struct {
 	// the additional data per record.
 	sendAAD []byte
 	recvAAD []byte
+	// sendNonce/recvNonce are the per-direction GCM nonce scratch and
+	// recvHdr the receive length word, guarded like the AAD scratch: handed
+	// to the AEAD interface or io.ReadFull, a local array would escape and
+	// cost an allocation per record.
+	sendNonce [12]byte
+	recvNonce [12]byte
+	recvHdr   [frameHdrLen]byte
 	// recvBuf is the pooled receive frame, reused across Recv calls
 	// (guarded by recvMu).
 	recvBuf    []byte
@@ -373,11 +388,10 @@ func (s *SecureConn) sealAndWrite(f *Buf, plaintext []byte) error {
 	defer s.sendMu.Unlock()
 	seq := s.sendSeq
 	s.sendSeq++
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
+	binary.BigEndian.PutUint64(s.sendNonce[4:], seq)
 	aad := putSeqAAD(s.sendAAD, seq)
 	t0 := time.Now()
-	ct := s.sendAEAD.Seal(f.full[BufHeadroom:BufHeadroom], nonce[:], plaintext, aad)
+	ct := s.sendAEAD.Seal(f.full[BufHeadroom:BufHeadroom], s.sendNonce[:], plaintext, aad)
 	mSealNs.Observe(time.Since(t0).Nanoseconds())
 	frame := f.full[:BufHeadroom+len(ct)]
 	binary.BigEndian.PutUint32(frame[:frameHdrLen], uint32(recSeqLen+len(ct)))
@@ -397,7 +411,7 @@ func (s *SecureConn) Recv() ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
 	ioDeadline(time.Duration(s.ioTimeout.Load()), s.c.SetReadDeadline)
-	frame, err := recvFrame(s.c, &s.recvBuf)
+	frame, err := recvFrame(s.c, &s.recvBuf, s.recvHdr[:])
 	if err != nil {
 		return nil, err
 	}
@@ -415,12 +429,11 @@ func (s *SecureConn) openLocked(frame []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got %d want %d", ErrSequence, seq, s.recvSeq)
 	}
 	s.recvSeq++
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
+	binary.BigEndian.PutUint64(s.recvNonce[4:], seq)
 	aad := putSeqAAD(s.recvAAD, seq)
 	ct := frame[8:]
 	t0 := time.Now()
-	pt, err := s.recvAEAD.Open(ct[:0], nonce[:], ct, aad)
+	pt, err := s.recvAEAD.Open(ct[:0], s.recvNonce[:], ct, aad)
 	if err != nil {
 		return nil, fmt.Errorf("securechan: record auth: %w", err)
 	}

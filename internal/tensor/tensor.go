@@ -238,28 +238,6 @@ const MaxWireDims = 16
 
 const maxWireDims = MaxWireDims
 
-// WriteTo serializes t to w in the wire format.
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	hdr := make([]byte, 4+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[4+4*i:], uint32(d))
-	}
-	n1, err := w.Write(hdr)
-	if err != nil {
-		return int64(n1), fmt.Errorf("tensor: write header: %w", err)
-	}
-	buf := make([]byte, 4*len(t.data))
-	for i, f := range t.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
-	n2, err := w.Write(buf)
-	if err != nil {
-		return int64(n1 + n2), fmt.Errorf("tensor: write payload: %w", err)
-	}
-	return int64(n1 + n2), nil
-}
-
 // EncodedSize returns the exact wire-format size of t in bytes, so callers
 // can encode into a pre-sized buffer with Encode.
 func (t *Tensor) EncodedSize() int { return 4 + 4*len(t.shape) + 4*len(t.data) }

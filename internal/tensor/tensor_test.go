@@ -201,13 +201,9 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	}
 }
 
-func TestWriteToReadFromRoundtrip(t *testing.T) {
+func TestEncodeReadFromRoundtrip(t *testing.T) {
 	x := MustFromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 2, 2, 2)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadFrom(&buf)
+	y, err := ReadFrom(bytes.NewReader(encode(x)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +247,7 @@ func TestReadFromGrowsToExactVolume(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadFrom(&buf)
+	y, err := ReadFrom(bytes.NewReader(encode(x)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,10 @@ go test -race -count=2 ./internal/monitor ./internal/workpool ./internal/securec
 # cycle stays at its pinned allocation count, sequential
 # GEMM and depthwise kernels allocate nothing, a sequential conv only its
 # output, a warm interp Run of the served mobilenetv3 stays under its
-# bound, and serving admission allocates only the queued request.
-go test -run='TestWarmAllocsPin|TestSequentialKernelsAllocateNothing|TestSequentialConvAllocatesOnlyOutput|TestInterpRunAllocsPin|TestSubmitAllocsPin' -count=1 ./internal/monitor ./internal/blas ./internal/ops ./internal/infer ./internal/serve
+# bound, serving admission allocates only the queued request, a warm
+# record-layer send and receive allocate nothing, and the resnet-50 bundle
+# build stays under its total-allocation and live-heap ceilings.
+go test -run='TestWarmAllocsPin|TestSequentialKernelsAllocateNothing|TestSequentialConvAllocatesOnlyOutput|TestInterpRunAllocsPin|TestSubmitAllocsPin|TestRecordLayerAllocatesNothing|TestBuildBundleMemoryPin' -count=1 ./internal/monitor ./internal/blas ./internal/ops ./internal/infer ./internal/serve ./internal/securechan ./internal/core
 
 # Figure-sweep drift gate: `mvtee-bench -all` must still produce every
 # section, model, config row and column of the committed bench_all_sim.txt
